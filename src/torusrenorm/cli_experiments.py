@@ -36,6 +36,7 @@ from .renorm_driver import (
     mixed_perturbation,
     renorm_orbit,
     resonant_perturbation,
+    stabilize_resonant_perturbation,
     stable_decay_probe,
     unstable_perturbation,
 )
@@ -141,10 +142,14 @@ def build_params(config: dict) -> RenormParams:
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
+    """(f, description, probe): probe is the stabilising probe orbit of f
+    for renorm_orbit to resume, or None."""
     kind, amp = parse_perturbation(config["perturb"])
     seed = int(config["seed"])
+    probe = None
     if kind == "resonant":
-        f, corrections = resonant_perturbation(slope, amp, params, seed)
+        f, _ = resonant_perturbation(slope, amp, params, seed, stabilize=False)
+        f, corrections, probe = stabilize_resonant_perturbation(f, slope, params)
         extra = {"stabilizing_corrections": corrections}
     elif kind == "unstable":
         f = unstable_perturbation(float(slope), amp, params)
@@ -152,7 +157,7 @@ def perturbation_field(config: dict, slope: Slope, params: RenormParams):
     else:
         f = mixed_perturbation(slope, amp, params, seed)
         extra = {}
-    return f, {"kind": kind, "amplitude": amp, **extra}
+    return f, {"kind": kind, "amplitude": amp, **extra}, probe
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +306,7 @@ def scenario_eliminate(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
     omega = np.array([1.0, float(slope)])
-    f, pert_info = perturbation_field(config, slope, params)
+    f, pert_info, _ = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(
         omega, params.rho_prime, params.truncation
     ) + f
@@ -329,6 +334,7 @@ def scenario_eliminate(config, out_dir, tag):
         "contraction_lhs": result.contraction_lhs,
         "contraction_rhs": result.contraction_rhs,
         "du_sup_bound": result.du_sup_bound,
+        "gmres_failures": result.gmres_failures,
     }
     return 0, payload, [csv_path, field_path, map_path]
 
@@ -336,9 +342,31 @@ def scenario_eliminate(config, out_dir, tag):
 def scenario_orbit(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
-    f, pert_info = perturbation_field(config, slope, params)
+    f, pert_info, probe = perturbation_field(config, slope, params)
     steps = int(config["steps"])
-    orbit = renorm_orbit(f, slope, steps, params, x0_is_perturbation=True)
+    orbit = renorm_orbit(f, slope, steps, params, x0_is_perturbation=True,
+                         prefix=probe)
+    csv_path = out_dir / f"orbit_{tag}.csv"
+    write_csv(csv_path, config, ORBIT_COLUMNS, orbit_rows(orbit))
+    payload = {
+        "perturbation": pert_info,
+        "completed": orbit.completed,
+        "theta_hat": orbit.theta_hat,
+        "monotone_from_2": orbit.monotone_from(2),
+        "transient": orbit.transient_applied,
+        "failure": str(orbit.failure) if orbit.failure else None,
+        "failure_step": orbit.failure_step,
+    }
+    return 0, payload, [csv_path]
+
+
+ORBIT_COLUMNS = ["n", "a_n", "alpha_n", "norm_total", "norm_osc",
+                 "norm_const_omega", "norm_const_Omega", "far_residual",
+                 "newton_sweeps", "theta_hat_running"]
+
+
+def orbit_rows(orbit):
+    """One row of ORBIT_COLUMNS per orbit state."""
     rows = []
     for state in orbit.states:
         d = state.diagnostics
@@ -357,21 +385,7 @@ def scenario_orbit(config, out_dir, tag):
                 theta_run if theta_run is not None else "",
             ]
         )
-    csv_path = out_dir / f"orbit_{tag}.csv"
-    write_csv(csv_path, config,
-              ["n", "a_n", "alpha_n", "norm_total", "norm_osc",
-               "norm_const_omega", "norm_const_Omega", "far_residual",
-               "newton_sweeps", "theta_hat_running"], rows)
-    payload = {
-        "perturbation": pert_info,
-        "completed": orbit.completed,
-        "theta_hat": orbit.theta_hat,
-        "monotone_from_2": orbit.monotone_from(2),
-        "transient": orbit.transient_applied,
-        "failure": str(orbit.failure) if orbit.failure else None,
-        "failure_step": orbit.failure_step,
-    }
-    return 0, payload, [csv_path]
+    return rows
 
 
 def scenario_spectrum(config, out_dir, tag):

@@ -1,22 +1,26 @@
 """Truncated Fourier representation of analytic vector fields on the 2-torus.
 
-A field X(theta) = sum_k f_k exp(2*pi*i k.theta) is stored as a sparse map
-from integer modes k to coefficients in C^2, with a nominal analyticity
-width and a truncation radius in the l1 mode norm.  The module provides
-the two weighted coefficient norms, resonant/contracting cone projections,
-grid sampling and fitting, JSON serialisation and a numerical winding
-ratio via flow integration on the lift.
+A field X(theta) = sum_k f_k exp(2*pi*i k.theta) with truncation T is
+stored as one read-only (2, N_T) complex array over the canonical mode
+index of T: the l1 disc ||k||_1 <= T in lexicographic (k1, k2) order.
+The index, its grid positions, the norm weights and the cone masks are
+built on first use and cached per truncation, so norms, projections,
+transports and grid transforms are array operations.  The module
+provides the two weighted coefficient norms, resonant/contracting cone
+projections, grid sampling and fitting, JSON serialisation and a
+numerical winding ratio via flow integration on the lift.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.fft import fft2, ifft2
-from scipy.integrate import solve_ivp
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,27 +33,121 @@ def mode_l1(k) -> int:
     return abs(k[0]) + abs(k[1])
 
 
-class FourierVectorField:
-    """Immutable sparse Fourier series of a vector field on T^2."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    __slots__ = ("modes", "width", "truncation")
+
+class ModeIndex:
+    """The modes ||k||_1 <= T in lexicographic (k1, k2) order.
+
+    k[i] is the mode at position i; -k[i] sits at N - 1 - i and the zero
+    mode at the centre N // 2.
+    """
+
+    __slots__ = ("truncation", "k", "l1", "_table")
+
+    def __init__(self, truncation: int):
+        t = truncation
+        k = np.array(
+            [(k1, k2) for k1 in range(-t, t + 1)
+             for k2 in range(abs(k1) - t, t - abs(k1) + 1)],
+            dtype=np.int64,
+        )
+        self.truncation = t
+        self.k = _frozen(k)
+        self.l1 = _frozen(np.abs(k).sum(axis=1))
+        table = np.full((2 * t + 1, 2 * t + 1), -1, dtype=np.intp)
+        table[k[:, 0] + t, k[:, 1] + t] = np.arange(len(k))
+        self._table = _frozen(table)
+
+    def __len__(self):
+        return len(self.l1)
+
+    def positions(self, ks) -> np.ndarray:
+        """Positions of the modes ks, an (M, 2) integer array."""
+        ks = np.asarray(ks, dtype=np.int64).reshape(-1, 2)
+        outside = np.abs(ks).sum(axis=1) > self.truncation
+        if outside.any():
+            k = tuple(int(v) for v in ks[np.argmax(outside)])
+            raise ValueError(f"mode {k} outside truncation {self.truncation}")
+        t = self.truncation
+        return self._table[ks[:, 0] + t, ks[:, 1] + t]
+
+
+@functools.lru_cache(maxsize=32)
+def mode_index(truncation: int) -> ModeIndex:
+    return ModeIndex(truncation)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_positions(truncation: int, grid: int):
+    """Grid cell (k1 mod G, k2 mod G) of every mode of the index."""
+    k = mode_index(truncation).k
+    return _frozen(k[:, 0] % grid), _frozen(k[:, 1] % grid)
+
+
+@functools.lru_cache(maxsize=64)
+def _exp_weights(truncation: int, r: float) -> np.ndarray:
+    """exp(r ||k||_1) per position, from math.exp as in the per-mode sums."""
+    table = np.array([math.exp(r * n) for n in range(truncation + 1)])
+    return _frozen(table[mode_index(truncation).l1])
+
+
+def _mass(x: "FourierVectorField") -> np.ndarray:
+    """||f_k||_1 per position; np.hypot rounds like abs() of one complex."""
+    a = np.hypot(x.coeffs.real, x.coeffs.imag)
+    return a[0] + a[1]
+
+
+def _matrix_apply(m, c: np.ndarray) -> np.ndarray:
+    """m @ c for every column of c, elementwise: a BLAS matmul may fuse
+    multiply-adds and move last bits against the per-mode product."""
+    return np.stack([m[0, 0] * c[0] + m[0, 1] * c[1],
+                     m[1, 0] * c[0] + m[1, 1] * c[1]])
+
+
+class FourierVectorField:
+    """Immutable truncated Fourier series of a vector field on T^2.
+
+    coeffs is a read-only (2, N_T) complex array over
+    mode_index(truncation); modes is a read-only mapping view of the
+    nonzero modes, in sorted order.
+    """
+
+    __slots__ = ("coeffs", "width", "truncation", "_modes")
 
     def __init__(self, modes, width: float, truncation: int):
+        index = mode_index(int(truncation))
+        coeffs = np.zeros((2, len(index)), dtype=complex)
+        if modes:
+            keys = [(int(k[0]), int(k[1])) for k in modes]
+            positions = index.positions(keys)
+            values = [np.asarray(c, dtype=complex) for c in modes.values()]
+            if any(c.shape != (2,) for c in values):
+                raise ValueError("coefficients must be 2-vectors")
+            coeffs[:, positions] = np.array(values).T
+        self._set(coeffs, width, truncation)
+
+    @classmethod
+    def from_array(cls, coeffs: np.ndarray, width: float, truncation: int):
+        """Field with the (2, N_T) coefficient array coeffs over
+        mode_index(truncation); the field takes coeffs over read-only."""
+        x = cls.__new__(cls)
+        x._set(coeffs, width, truncation)
+        return x
+
+    def _set(self, coeffs, width, truncation):
         if width <= 0:
             raise ValueError("width must be positive")
-        clean = {}
-        for k, c in modes.items():
-            k = (int(k[0]), int(k[1]))
-            if mode_l1(k) > truncation:
-                raise ValueError(f"mode {k} outside truncation {truncation}")
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (2,):
-                raise ValueError("coefficients must be 2-vectors")
-            if c[0] != 0 or c[1] != 0:
-                clean[k] = c.copy()
-        object.__setattr__(self, "modes", clean)
+        truncation = int(truncation)
+        if coeffs.shape != (2, len(mode_index(truncation))) or coeffs.dtype != complex:
+            raise ValueError(f"coefficients must be a complex (2, N_T) array "
+                             f"for truncation {truncation}")
+        object.__setattr__(self, "coeffs", _frozen(coeffs))
         object.__setattr__(self, "width", float(width))
-        object.__setattr__(self, "truncation", int(truncation))
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "_modes", None)
 
     def __setattr__(self, *args):
         raise AttributeError("FourierVectorField is immutable")
@@ -66,100 +164,136 @@ class FourierVectorField:
 
     # basic queries ---------------------------------------------------------
 
+    @property
+    def index(self) -> ModeIndex:
+        return mode_index(self.truncation)
+
+    def support(self) -> np.ndarray:
+        """Positions of the nonzero modes, in index (sorted) order."""
+        c = self.coeffs
+        return np.flatnonzero((c[0] != 0) | (c[1] != 0))
+
+    @property
+    def modes(self):
+        """Read-only mapping from each nonzero mode to its coefficient."""
+        if self._modes is None:
+            k = self.index.k
+            view = {(int(k[i, 0]), int(k[i, 1])): self.coeffs[:, i]
+                    for i in self.support()}
+            object.__setattr__(self, "_modes", MappingProxyType(view))
+        return self._modes
+
     def coefficient(self, k) -> np.ndarray:
-        return self.modes.get((int(k[0]), int(k[1])), np.zeros(2, dtype=complex))
+        if mode_l1(k) > self.truncation:
+            return np.zeros(2, dtype=complex)
+        return self.coeffs[:, self.index.positions([k])[0]].copy()
 
     def average(self) -> np.ndarray:
-        return self.coefficient((0, 0))
+        return self.coeffs[:, self.coeffs.shape[1] // 2].copy()
 
     def sorted_modes(self):
-        return sorted(self.modes.keys())
+        return list(self.modes)
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.support())
 
     def is_real_symmetric(self, tol: float = 1e-10) -> bool:
-        for k, c in self.modes.items():
-            c_neg = self.coefficient((-k[0], -k[1]))
-            if _l1(c_neg - np.conj(c)) > tol * max(1.0, _l1(c)):
-                return False
-        return True
+        nz = self.support()
+        c = self.coeffs[:, nz]
+        c_neg = self.coeffs[:, len(self.index) - 1 - nz]
+        gap = np.abs(c_neg - np.conj(c)).sum(axis=0)
+        return bool(np.all(gap <= tol * np.maximum(1.0, np.abs(c).sum(axis=0))))
 
     def max_abs_coefficient(self) -> float:
-        if not self.modes:
-            return 0.0
-        return max(float(np.max(np.abs(c))) for c in self.modes.values())
+        return float(np.max(np.abs(self.coeffs)))
 
     # algebra ---------------------------------------------------------------
 
-    def _merged(self, other, sign):
-        out = {k: c.copy() for k, c in self.modes.items()}
-        for k, c in other.modes.items():
-            out[k] = out.get(k, np.zeros(2, dtype=complex)) + sign * c
-        return out
+    def _combined(self, other, op):
+        trunc = max(self.truncation, other.truncation)
+        a = self.with_truncation(trunc).coeffs
+        b = other.with_truncation(trunc).coeffs
+        return FourierVectorField.from_array(op(a, b), self.width, trunc)
 
     def __add__(self, other):
-        trunc = max(self.truncation, other.truncation)
-        return FourierVectorField(self._merged(other, 1), self.width, trunc)
+        return self._combined(other, np.add)
 
     def __sub__(self, other):
-        trunc = max(self.truncation, other.truncation)
-        return FourierVectorField(self._merged(other, -1), self.width, trunc)
+        return self._combined(other, np.subtract)
 
     def __mul__(self, scalar):
-        return FourierVectorField(
-            {k: c * scalar for k, c in self.modes.items()},
-            self.width,
-            self.truncation,
+        return FourierVectorField.from_array(
+            self.coeffs * scalar, self.width, self.truncation
         )
 
     __rmul__ = __mul__
 
     def matrix_apply(self, m) -> "FourierVectorField":
         """Apply a 2x2 matrix to every coefficient."""
-        m = np.asarray(m)
-        return FourierVectorField(
-            {k: m @ c for k, c in self.modes.items()}, self.width, self.truncation
+        return FourierVectorField.from_array(
+            _matrix_apply(np.asarray(m), self.coeffs), self.width, self.truncation
         )
 
+    def transport(self, mode_map, m) -> "FourierVectorField":
+        """Move the coefficient c of mode k to mode mode_map @ k, as m @ c.
+
+        mode_map is an integer 2x2 matrix of determinant +-1; every image
+        of a nonzero mode must lie inside the truncation.
+        """
+        nz = self.support()
+        images = self.index.k[nz] @ np.asarray(mode_map, dtype=np.int64).T
+        out = np.zeros_like(self.coeffs)
+        out[:, self.index.positions(images)] = _matrix_apply(
+            np.asarray(m), self.coeffs[:, nz]
+        )
+        return FourierVectorField.from_array(out, self.width, self.truncation)
+
     def minus_constant(self, vec) -> "FourierVectorField":
-        out = {k: c.copy() for k, c in self.modes.items()}
-        z = (0, 0)
-        out[z] = out.get(z, np.zeros(2, dtype=complex)) - np.asarray(vec, dtype=complex)
-        return FourierVectorField(out, self.width, self.truncation)
+        out = self.coeffs.copy()
+        z = out.shape[1] // 2
+        out[:, z] = out[:, z] - np.asarray(vec, dtype=complex)
+        return FourierVectorField.from_array(out, self.width, self.truncation)
 
     def oscillatory(self) -> "FourierVectorField":
         """The field minus its spatial average: (I - E)X."""
-        out = {k: c for k, c in self.modes.items() if k != (0, 0)}
-        return FourierVectorField(out, self.width, self.truncation)
+        out = self.coeffs.copy()
+        out[:, out.shape[1] // 2] = 0
+        return FourierVectorField.from_array(out, self.width, self.truncation)
 
     def with_width(self, width: float) -> "FourierVectorField":
-        return FourierVectorField(self.modes, width, self.truncation)
+        return FourierVectorField.from_array(self.coeffs, width, self.truncation)
 
     def with_truncation(self, truncation: int) -> "FourierVectorField":
-        return FourierVectorField(self.modes, self.width, truncation)
+        if truncation == self.truncation:
+            return self
+        target = mode_index(truncation)
+        nz = self.support()
+        out = np.zeros((2, len(target)), dtype=complex)
+        out[:, target.positions(self.index.k[nz])] = self.coeffs[:, nz]
+        return FourierVectorField.from_array(out, self.width, truncation)
 
     # grids -----------------------------------------------------------------
 
     def sample_grid(self, grid: int) -> np.ndarray:
         """Values on the uniform grid theta = (j1, j2)/grid, shape (2, G, G)."""
         spec = np.zeros((2, grid, grid), dtype=complex)
-        for k, c in self.modes.items():
-            spec[:, k[0] % grid, k[1] % grid] += c
+        i1, i2 = _grid_positions(self.truncation, grid)
+        np.add.at(spec, (slice(None), i1, i2), self.coeffs)
         return ifft2(spec, axes=(1, 2)) * grid * grid
 
     def derivative_grid(self, grid: int) -> np.ndarray:
         """Jacobian D X on the grid: shape (2, 2, G, G), [i, j] = dX_i/dtheta_j."""
         spec = np.zeros((2, 2, grid, grid), dtype=complex)
-        for k, c in self.modes.items():
-            fac = TWO_PI * 1j
-            spec[:, 0, k[0] % grid, k[1] % grid] += c * (fac * k[0])
-            spec[:, 1, k[0] % grid, k[1] % grid] += c * (fac * k[1])
+        i1, i2 = _grid_positions(self.truncation, grid)
+        k = self.index.k
+        for j in range(2):
+            np.add.at(spec, (slice(None), j, i1, i2),
+                      self.coeffs * ((TWO_PI * 1j) * k[:, j]))
         return ifft2(spec, axes=(2, 3)) * grid * grid
 
     def __repr__(self):
         return (
-            f"FourierVectorField({len(self.modes)} modes, width={self.width}, "
+            f"FourierVectorField({len(self)} modes, width={self.width}, "
             f"truncation={self.truncation})"
         )
 
@@ -173,7 +307,7 @@ class GridFitReport:
 
 def fit_grid(values: np.ndarray, width: float, truncation: int,
              floor_rel: float = 64.0 * np.finfo(float).eps):
-    """Fit grid values (2, G, G) into a truncated sparse field.
+    """Fit grid values (2, G, G) into a truncated field.
 
     Coefficients below floor_rel * max|values| are treated as grid noise
     and dropped; that floor keeps the exponentially weighted norms from
@@ -181,6 +315,8 @@ def fit_grid(values: np.ndarray, width: float, truncation: int,
     reported as the aliasing residual, dropped noise as dropped_mass.
     """
     grid = values.shape[-1]
+    if grid < 2 * truncation + 1:
+        raise ValueError(f"grid {grid} cannot resolve truncation {truncation}")
     spec = fft2(values, axes=(1, 2)) / (grid * grid)
     floor = floor_rel * max(np.max(np.abs(values)), 1e-300)
     idx = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
@@ -188,12 +324,11 @@ def fit_grid(values: np.ndarray, width: float, truncation: int,
     mass = np.abs(spec[0]) + np.abs(spec[1])
     outside = l1_grid > truncation
     alias = float(np.max(mass[outside])) if outside.any() else 0.0
-    keep = (~outside) & (mass >= floor)
     dropped = float(np.sum(mass[(~outside) & (mass > 0) & (mass < floor)]))
-    modes = {}
-    for i1, i2 in np.argwhere(keep):
-        modes[(int(idx[i1]), int(idx[i2]))] = spec[:, i1, i2]
-    field = FourierVectorField(modes, width, truncation)
+    i1, i2 = _grid_positions(truncation, grid)
+    coeffs = spec[:, i1, i2]
+    coeffs[:, mass[i1, i2] < floor] = 0
+    field = FourierVectorField.from_array(coeffs, width, truncation)
     return field, GridFitReport(dropped_mass=dropped, alias_residual=alias,
                                 floor=floor)
 
@@ -206,21 +341,15 @@ def norm_r(x: FourierVectorField, r: float) -> float:
     """sum_k ||f_k||_1 exp(r ||k||_1)."""
     if r <= 0:
         raise ValueError("width must be positive")
-    return float(
-        sum(_l1(c) * math.exp(r * mode_l1(k)) for k, c in x.modes.items())
-    )
+    return float(np.sum(_mass(x) * _exp_weights(x.truncation, r)))
 
 
 def norm_prime_r(x: FourierVectorField, r: float) -> float:
     """sum_k (1 + 2 pi ||k||_1) ||f_k||_1 exp(r ||k||_1)."""
     if r <= 0:
         raise ValueError("width must be positive")
-    return float(
-        sum(
-            (1.0 + TWO_PI * mode_l1(k)) * _l1(c) * math.exp(r * mode_l1(k))
-            for k, c in x.modes.items()
-        )
-    )
+    factors = 1.0 + TWO_PI * x.index.l1
+    return float(np.sum(factors * _mass(x) * _exp_weights(x.truncation, r)))
 
 
 def average(x: FourierVectorField) -> np.ndarray:
@@ -249,6 +378,11 @@ class FarResonant:
         dot = self.psi[0] * k[0] + self.psi[1] * k[1]
         return abs(dot) <= self.sigma * mode_l1(k)
 
+    def contains_all(self, ks: np.ndarray) -> np.ndarray:
+        """contains() for every row of the (M, 2) integer array ks."""
+        dot = self.psi[0] * ks[:, 0] + self.psi[1] * ks[:, 1]
+        return np.hypot(dot.real, dot.imag) <= self.sigma * np.abs(ks).sum(axis=1)
+
 
 @dataclass(frozen=True)
 class Kappa:
@@ -268,16 +402,28 @@ class Kappa:
         image = (k[1], k[0] + self.a * k[1])
         return mode_l1(image) <= self.kappa * mode_l1(k)
 
+    def contains_all(self, ks: np.ndarray) -> np.ndarray:
+        """contains() for every row of the (M, 2) integer array ks."""
+        image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + self.a * ks[:, 1])
+        return image_l1 <= self.kappa * np.abs(ks).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def cone_mask(cone, truncation: int) -> np.ndarray:
+    """Which modes of mode_index(truncation) lie inside the cone."""
+    return _frozen(cone.contains_all(mode_index(truncation).k))
+
 
 def project(x: FourierVectorField, cone, side: str) -> FourierVectorField:
     """Keep the modes inside (resonant/contracting) or outside the cone."""
     if side not in ("inside", "outside"):
         raise ValueError("side must be 'inside' or 'outside'")
-    keep_inside = side == "inside"
-    out = {
-        k: c for k, c in x.modes.items() if cone.contains(k) == keep_inside
-    }
-    return FourierVectorField(out, x.width, x.truncation)
+    keep = cone_mask(cone, x.truncation)
+    if side == "outside":
+        keep = ~keep
+    return FourierVectorField.from_array(
+        np.where(keep, x.coeffs, 0), x.width, x.truncation
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +432,7 @@ def project(x: FourierVectorField, cone, side: str) -> FourierVectorField:
 
 def field_to_dict(x: FourierVectorField, displacement: bool = False) -> dict:
     entries = []
-    for k in x.sorted_modes():
-        c = x.modes[k]
+    for k, c in x.modes.items():
         entries.append(
             {
                 "k": [k[0], k[1]],
@@ -359,11 +504,14 @@ def winding_ratio(
     growth_threshold and the directions over the last tenth of the
     trajectory (and across initial points) agree within tol.
     """
+    # scipy.integrate costs a fifth of the package import; only this needs it
+    from scipy.integrate import solve_ivp
+
     if not x.is_real_symmetric(1e-9):
         raise ValueError("winding ratio needs a field that is real on real theta")
 
     # sufficient no-equilibria condition; advisory, not enforced
-    osc_size = norm_prime_r(x.oscillatory(), x.width) if len(x.modes) else 0.0
+    osc_size = norm_prime_r(x.oscillatory(), x.width) if len(x) else 0.0
     no_equilibria = osc_size < _l1(np.real(x.average()))
     note = "" if no_equilibria else "; no-equilibria condition not certified"
 

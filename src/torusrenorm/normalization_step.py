@@ -23,10 +23,10 @@ from .fourier_field import (
     FarResonant,
     FourierVectorField,
     GridFitReport,
+    cone_mask,
     field_from_dict,
     field_to_dict,
     fit_grid,
-    mode_l1,
     norm_prime_r,
     norm_r,
     project,
@@ -42,7 +42,7 @@ class TorusMap:
     __slots__ = ("displacement",)
 
     def __init__(self, displacement: FourierVectorField):
-        if (0, 0) in displacement.modes:
+        if np.any(displacement.average() != 0):
             raise ValueError("displacement must have zero average")
         object.__setattr__(self, "displacement", displacement)
 
@@ -62,12 +62,9 @@ class TorusMap:
 
     def du_sup_bound(self) -> float:
         """Certified bound on sup ||Du||: 2 pi sum_k ||k||_1 ||u_k||_1."""
-        return float(
-            sum(
-                TWO_PI * mode_l1(k) * (abs(c[0]) + abs(c[1]))
-                for k, c in self.displacement.modes.items()
-            )
-        )
+        u = self.displacement
+        mass = np.abs(u.coeffs).sum(axis=0)
+        return float(np.sum((TWO_PI * u.index.l1) * mass))
 
     def to_dict(self) -> dict:
         return field_to_dict(self.displacement, displacement=True)
@@ -109,11 +106,15 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
     dh_at_u = (
         np.zeros((2, 2, grid, grid), dtype=complex) if with_derivative else None
     )
-    h_modes = sorted(h.modes.keys())
-    for start in range(0, len(h_modes), 48):
-        chunk = h_modes[start : start + 48]
-        ks = np.array(chunk, dtype=float)
-        cs = np.array([h.modes[k] for k in chunk])
+    # the sorted nonzero modes, 48 at a time; the coefficients reach the
+    # contractions as a C-ordered (M, 2) array because BLAS rounding can
+    # depend on operand layout, and the pullback's bits must not
+    support = h.support()
+    all_ks = h.index.k[support].astype(float)
+    all_cs = np.ascontiguousarray(h.coeffs[:, support].T)
+    for start in range(0, len(support), 48):
+        ks = all_ks[start : start + 48]
+        cs = all_cs[start : start + 48]
         phases = np.exp(
             (TWO_PI * 1j)
             * (ks[:, 0, None, None] * point1 + ks[:, 1, None, None] * point2)
@@ -158,13 +159,8 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
 
 
 def _perturbation_from_fit(fit_w, avg):
-    """Sparse field Eg + fitted W (the pullback minus the reference psi)."""
-    modes = dict(fit_w.modes)
-    z = (0, 0)
-    base = modes.get(z, np.zeros(2, dtype=complex))
-    total = base + np.asarray(avg, dtype=complex)
-    modes[z] = total
-    return FourierVectorField(modes, fit_w.width, fit_w.truncation)
+    """Field Eg + fitted W (the pullback minus the reference psi)."""
+    return fit_w.minus_constant(-np.asarray(avg, dtype=complex))
 
 
 def compose_pullback(
@@ -231,6 +227,7 @@ class EliminationResult:
     grid: int
     fit: GridFitReport | None = None
     at_floor: bool = False
+    gmres_failures: int = 0
 
     @property
     def contraction_ok(self) -> bool:
@@ -238,35 +235,6 @@ class EliminationResult:
 
     def as_pair(self):
         return self.map, self.field
-
-
-def _far_modes(psi, sigma, truncation):
-    cone = FarResonant((psi[0], psi[1]), sigma)
-    out = []
-    for k1 in range(-truncation, truncation + 1):
-        rest = truncation - abs(k1)
-        for k2 in range(-rest, rest + 1):
-            if (k1, k2) != (0, 0) and not cone.contains((k1, k2)):
-                out.append((k1, k2))
-    return out
-
-
-def _coeff_vector(field_obj, modes):
-    vec = np.zeros(2 * len(modes), dtype=complex)
-    for i, k in enumerate(modes):
-        c = field_obj.modes.get(k)
-        if c is not None:
-            vec[2 * i : 2 * i + 2] = c
-    return vec
-
-
-def _vector_field(vec, modes, width, truncation):
-    entries = {}
-    for i, k in enumerate(modes):
-        c = vec[2 * i : 2 * i + 2]
-        if c[0] != 0 or c[1] != 0:
-            entries[k] = c
-    return FourierVectorField(entries, width, truncation)
 
 
 def eliminate_far(
@@ -327,7 +295,9 @@ def eliminate_far_perturbation(
         )
     contraction_rhs = contraction_constant(psi, sigma) * input_size
 
-    if len(project(g0, cone, "outside")) == 0:
+    # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode
+    far = np.flatnonzero(~cone_mask(cone, truncation))
+    if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
         ident = TorusMap.identity(width, truncation)
         return EliminationResult(
@@ -336,11 +306,10 @@ def eliminate_far_perturbation(
             0.0, grid or next_fast_len(4 * truncation + 1),
         )
 
-    modes = _far_modes(psi, sigma, truncation)
-    divisors = np.empty(2 * len(modes), dtype=complex)
-    for i, k in enumerate(modes):
-        d = (TWO_PI * 1j) * (psi[0] * k[0] + psi[1] * k[1])
-        divisors[2 * i : 2 * i + 2] = d
+    far_k = g0.index.k[far]
+    divisors = np.repeat(
+        (TWO_PI * 1j) * (psi[0] * far_k[:, 0] + psi[1] * far_k[:, 1]), 2
+    )
 
     if grid is None:
         grid = next_fast_len(2 * (truncation + truncation) + 1)
@@ -351,7 +320,9 @@ def eliminate_far_perturbation(
     g_avg = g0.average()
 
     def displacement_from(uvec):
-        return TorusMap(_vector_field(uvec, modes, width, truncation))
+        coeffs = np.zeros((2, len(g0.index)), dtype=complex)
+        coeffs[:, far] = uvec.reshape(-1, 2).T
+        return TorusMap(FourierVectorField.from_array(coeffs, width, truncation))
 
     def evaluate(uvec):
         """Pullback at the displacement uvec, in perturbation form."""
@@ -362,7 +333,7 @@ def eliminate_far_perturbation(
         )
         fit_w, fit_report = fit_grid(w, width, truncation)
         pert = _perturbation_from_fit(fit_w, g_avg)
-        far = project(pert, cone, "outside")
+        far_part = project(pert, cone, "outside")
         return {
             "uvec": uvec,
             "map": u_map,
@@ -371,8 +342,8 @@ def eliminate_far_perturbation(
             "dh_at_u": dh_at_u,
             "pert": pert,
             "fit": fit_report,
-            "far": far,
-            "res": norm_r(far, rho_prime),
+            "far": far_part,
+            "res": norm_r(far_part, rho_prime),
         }
 
     def measured_floor(state):
@@ -387,12 +358,12 @@ def eliminate_far_perturbation(
         diff = probe["far"] - state["far"]
         return norm_r(diff, rho_prime)
 
-    current = evaluate(np.zeros(2 * len(modes), dtype=complex))
+    current = evaluate(np.zeros(2 * len(far), dtype=complex))
     residuals = [current["res"]]
 
-    idx1 = np.array([k[0] % grid for k in modes])
-    idx2 = np.array([k[1] % grid for k in modes])
-    kfac = (TWO_PI * 1j) * np.array([[k[0], k[1]] for k in modes], dtype=float)
+    idx1 = far_k[:, 0] % grid
+    idx2 = far_k[:, 1] % grid
+    kfac = (TWO_PI * 1j) * far_k.astype(float)
 
     def jacobian_matvec(wvec, state):
         # dP = (DU)^{-1} [ (Dh o U) w - (Dw) P(u) ],  P(u) = v + W
@@ -417,9 +388,10 @@ def eliminate_far_perturbation(
     converged = res <= tol
     at_floor = False
     stalls = 0
+    gmres_failures = 0
     while not converged and sweeps < max_iter:
         sweeps += 1
-        gvec = _coeff_vector(current["far"], modes)
+        gvec = current["far"].coeffs[:, far].T.reshape(-1)
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
         op = LinearOperator(
             (len(gvec), len(gvec)),
@@ -427,8 +399,11 @@ def eliminate_far_perturbation(
             dtype=complex,
         )
         rtol = max(1e-13, min(1e-2, 0.1 * res))
-        z, _info = gmres(op, -gvec, rtol=rtol, atol=0.0,
-                         maxiter=gmres_maxiter)
+        z, info = gmres(op, -gvec, rtol=rtol, atol=0.0,
+                        maxiter=gmres_maxiter)
+        # a solve that stops short still yields a usable Newton direction;
+        # the step test below judges it, the count reports it
+        gmres_failures += info != 0
         delta = -z / divisors
 
         step = 1.0
@@ -482,4 +457,5 @@ def eliminate_far_perturbation(
         grid=grid,
         fit=current["fit"],
         at_floor=at_floor,
+        gmres_failures=gmres_failures,
     )

@@ -12,7 +12,7 @@ than to ||omega||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -65,7 +65,6 @@ class StepDiagnostics:
     const_omega: float
     const_Omega: float
     far_residual: float
-    dropped_far_mass: float
     newton_sweeps: int
     normalization: float
     zeta: float
@@ -138,12 +137,7 @@ def perturbed_state(
 def basis_change(x: FourierVectorField, m: GL2Z) -> FourierVectorField:
     """Field transform under a linear change of basis: X -> M^{-1} X o M."""
     m_inv = m.inverse().as_array().astype(float)
-    mt = m.transpose()
-    out = {}
-    for k, c in x.modes.items():
-        image = mt.apply(k)
-        out[image] = m_inv @ c
-    return FourierVectorField(out, x.width, x.truncation)
+    return x.transport(m.transpose().as_array(), m_inv)
 
 
 def transient_step(x0: FourierVectorField, omega0):
@@ -241,7 +235,6 @@ def one_step(state: RenormState, params: RenormParams) -> RenormState:
         const_omega=abs(p) * float(np.abs(omega_next).sum()),
         const_Omega=abs(c) * float(np.abs(cap_omega_of(alpha_next)).sum()),
         far_residual=far_mass,
-        dropped_far_mass=far_mass,
         newton_sweeps=elim.sweeps,
         normalization=float(abs(1.0 + alpha_next * z_tilde)),
         zeta=zeta,
@@ -350,6 +343,8 @@ class OrbitResult:
     failure_step: int | None
     transient_applied: list
     transient_far_cleared: float
+    # (x0, slope, params, ell, x0_is_perturbation) the orbit was computed from
+    request: tuple
 
     @property
     def completed(self) -> int:
@@ -381,6 +376,7 @@ def renorm_orbit(
     params: RenormParams,
     ell: float = 1.0,
     x0_is_perturbation: bool = False,
+    prefix: OrbitResult | None = None,
 ) -> OrbitResult:
     """Iterate the one-step operator along the expansion of the slope.
 
@@ -389,6 +385,9 @@ def renorm_orbit(
     The orbit stops at the first step failure, which is recorded.
     With x0_is_perturbation the input is taken as X_0 - omega_0, which
     preserves components far below the float granularity of ||omega_0||.
+    A prefix, an orbit of this very input (the same x0 and slope objects,
+    equal params, ell and x0_is_perturbation), is resumed: its states
+    stand and only the steps beyond it are computed.
     """
     slope_t, applied = transient_slope(slope)
     cf = cf_expand(slope_t, n_steps + 2)
@@ -397,37 +396,44 @@ def renorm_orbit(
             f"slope certifies only {len(cf.coefficients)} coefficients; "
             f"{n_steps + 2} needed ({cf.termination})"
         )
-    omega0_raw = ell * np.array([1.0, float(slope)])
-    if x0_is_perturbation:
-        f = x0
+    request = (x0, slope, params, ell, x0_is_perturbation)
+    failure, failure_step = None, None
+    if prefix is not None:
+        done = prefix.request
+        if not (done[0] is x0 and done[1] is slope and done[2:] == request[2:]):
+            raise ValueError("the prefix orbit was computed from another input")
+        # the expansion is computed term by term, so the longer one agrees
+        # with the prefix's on every term the prefix used
+        states = [replace(s, cf=cf) for s in prefix.states[: n_steps + 1]]
+        norms = list(prefix.norms[: len(states)])
+        far0 = prefix.transient_far_cleared
+        if prefix.failure is not None and prefix.failure_step < n_steps:
+            failure, failure_step = prefix.failure, prefix.failure_step
+    else:
+        f = x0 if x0_is_perturbation else x0.minus_constant(
+            ell * np.array([1.0, float(slope)])
+        )
         for name in applied:
             f = basis_change(f, V if name == "V" else S)
-    else:
-        f0 = x0.minus_constant(omega0_raw)
-        for name in applied:
-            f0 = basis_change(f0, V if name == "V" else S)
-        f = f0
-    omega = omega_of(cf, 0, ell)
+        omega = omega_of(cf, 0, ell)
 
-    # adjustment part two: clear any far modes of the input
-    cone = FarResonant((omega[0], omega[1]), params.sigma)
-    far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
-    if far0 > params.tol:
-        elim = eliminate_far_perturbation(
-            omega, f, params.sigma, tol=params.tol,
-            max_iter=params.max_sweeps, rho=params.rho,
-            rho_prime=params.rho_prime, grid=params.grid,
-        )
-        f = project(elim.perturbation, cone, "inside")
-    else:
-        f = project(f, cone, "inside")
+        # adjustment part two: clear any far modes of the input
+        cone = FarResonant((omega[0], omega[1]), params.sigma)
+        far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
+        if far0 > params.tol:
+            elim = eliminate_far_perturbation(
+                omega, f, params.sigma, tol=params.tol,
+                max_iter=params.max_sweeps, rho=params.rho,
+                rho_prime=params.rho_prime, grid=params.grid,
+            )
+            f = project(elim.perturbation, cone, "inside")
+        else:
+            f = project(f, cone, "inside")
+        states = [perturbed_state(f, cf, ell)]
+        norms = [norm_r(f, params.rho_prime)]
 
-    state = perturbed_state(f, cf, ell)
-    states = [state]
-    norms = [norm_r(f, params.rho_prime)]
-    failure = None
-    failure_step = None
-    for _ in range(n_steps):
+    state = states[-1]
+    while failure is None and state.n < n_steps:
         try:
             state = one_step(state, params)
         except DomainExceeded as exc:
@@ -444,6 +450,7 @@ def renorm_orbit(
         failure_step=failure_step,
         transient_applied=applied,
         transient_far_cleared=far0,
+        request=request,
     )
 
 
@@ -484,6 +491,11 @@ def stabilize_resonant_perturbation(
     found by secant iteration, seeded with the model gain prod nu_i from
     the constant blocks (the V/S transient maps Omega_0 onto a scalar
     multiple of itself, so the secant absorbs the frame factor).
+
+    Returns (f, corrections, probe).  probe is the last probe orbit when
+    f is its input -- the last correction was below the resolution of
+    E(f) -- and then renorm_orbit(f, ..., prefix=probe) resumes it;
+    otherwise probe is None.
     """
     slope_t, _ = transient_slope(slope)
     cf = cf_expand(slope_t, probe_steps + 3)
@@ -492,6 +504,7 @@ def stabilize_resonant_perturbation(
     f = f0
     cap0 = cap_omega_of(float(slope))
     m_prev = None
+    orbit = None
     for _ in range(rounds):
         orbit = renorm_orbit(f, slope, probe_steps, params, ell,
                              x0_is_perturbation=True)
@@ -512,10 +525,13 @@ def stabilize_resonant_perturbation(
             delta = -c_m / gain
         corrections.append(delta)
         m_prev = m
-        f = f + FourierVectorField.constant(
+        corrected = f + FourierVectorField.constant(
             delta * cap0, width=f.width, truncation=f.truncation
         )
-    return f, corrections
+        if corrected.coeffs.tobytes() != f.coeffs.tobytes():
+            f = corrected
+    probe = orbit if orbit is not None and orbit.request[0] is f else None
+    return f, corrections, probe
 
 
 def resonant_perturbation(
@@ -541,7 +557,7 @@ def resonant_perturbation(
     )
     corrections = []
     if stabilize:
-        pert, corrections = stabilize_resonant_perturbation(
+        pert, corrections, _ = stabilize_resonant_perturbation(
             pert, slope, params, ell=ell
         )
     return pert, corrections

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolation, DomainError
-from .fourier_field import FourierVectorField, mode_l1
+from .fourier_field import FourierVectorField, mode_index, mode_l1
 from .number_theory import t_matrix
 
 
@@ -44,17 +44,20 @@ def scale_step(
         raise DomainError(
             f"need kappa*rho < rho', got {kappa * rho:.4f} >= {rho_prime:.4f}"
         )
-    t_inv = t_matrix(a).inverse().as_array().astype(float)
-    out = {}
-    for k, c in x.modes.items():
+    ks = x.index.k[x.support()]
+    image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + a * ks[:, 1])
+    violating = np.flatnonzero(image_l1 > kappa * np.abs(ks).sum(axis=1))
+    if violating.size:
+        k = tuple(int(v) for v in ks[violating[0]])
         image = (k[1], k[0] + a * k[1])
-        if mode_l1(image) > kappa * mode_l1(k):
-            raise ConeViolation(
-                f"mode {k} maps to {image}: ||T*k||={mode_l1(image)} > "
-                f"kappa*||k||={kappa * mode_l1(k):.3f}; sigma/kappa mismatch"
-            )
-        out[image] = t_inv @ c
-    return FourierVectorField(out, rho, x.truncation)
+        raise ConeViolation(
+            f"mode {k} maps to {image}: ||T*k||={mode_l1(image)} > "
+            f"kappa*||k||={kappa * mode_l1(k):.3f}; sigma/kappa mismatch"
+        )
+    t = t_matrix(a)
+    t_inv = t.inverse().as_array().astype(float)
+    # T_a is symmetric, so T_a* k = T_a k
+    return x.transport(t.as_array(), t_inv).with_width(rho)
 
 
 @dataclass
@@ -122,17 +125,11 @@ def derivative_weight_delta(rho: float, rho_prime: float, kappa: float) -> float
 def resonant_modes(omega, sigma: float, truncation: int, include_zero: bool = False):
     """All modes with |omega . k| <= sigma ||k||_1 and ||k||_1 <= truncation."""
     w1, w2 = float(omega[0]), float(omega[1])
-    out = []
-    for k1 in range(-truncation, truncation + 1):
-        rest = truncation - abs(k1)
-        for k2 in range(-rest, rest + 1):
-            if (k1, k2) == (0, 0):
-                if include_zero:
-                    out.append((0, 0))
-                continue
-            if abs(w1 * k1 + w2 * k2) <= sigma * (abs(k1) + abs(k2)):
-                out.append((k1, k2))
-    return out
+    index = mode_index(truncation)
+    k = index.k
+    keep = np.abs(w1 * k[:, 0] + w2 * k[:, 1]) <= sigma * index.l1
+    keep[len(index) // 2] = include_zero
+    return [(int(k1), int(k2)) for k1, k2 in k[keep]]
 
 
 def random_resonant_field(
@@ -150,8 +147,6 @@ def random_resonant_field(
     whole admitted cone, so the deep modes with long contracting chains
     carry mass -- rescaled so the norm at `width` equals `amplitude`.
     """
-    from .fourier_field import norm_r
-
     candidates = [k for k in resonant_modes(omega, sigma, truncation) if k > (0, 0)]
     if not candidates:
         raise ValueError("no resonant modes inside the truncation")
@@ -167,5 +162,8 @@ def random_resonant_field(
         modes[k] = c
         modes[(-k[0], -k[1])] = np.conj(c)
     field = FourierVectorField(modes, width, truncation)
-    scale = amplitude / norm_r(field, width)
-    return field * scale
+    # the norm summed in pick order: the scale, hence every coefficient
+    # drawn for a seed, keeps its bits whatever order norm_r sums in
+    size = sum(float(abs(c[0]) + abs(c[1])) * math.exp(width * mode_l1(k))
+               for k, c in modes.items())
+    return field * (amplitude / float(size))

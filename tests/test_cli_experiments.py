@@ -145,6 +145,10 @@ class TestScenarios:
         assert len(field) > 0
         map_path = next(p for p in artifacts if p.name.endswith("map.json"))
         assert json.loads(map_path.read_text())["displacement"] is True
+        manifest_path = next(p for p in artifacts if p.name.startswith("eliminate")
+                             and p.suffix == ".json"
+                             and not p.name.endswith(("field.json", "map.json")))
+        assert json.loads(manifest_path.read_text())["results"]["gmres_failures"] == 0
 
     def test_project_roundtrip(self, tmp_path):
         _, (code, artifacts) = run("project", tmp_path, slope="golden",

@@ -12,6 +12,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from torusrenorm.fourier_field import (
     field_from_dict,
     field_to_dict,
     fit_grid,
+    mode_index,
     mode_l1,
     norm_prime_r,
     norm_r,
@@ -81,6 +83,40 @@ def cones(seed):
     psi = (1.0, float(rng.uniform(0.2, 3.0)))
     yield FarResonant(psi, float(rng.uniform(0.01, 0.9)))
     yield Kappa(int(rng.integers(1, 5)), float(rng.uniform(0.55, 0.95)))
+
+
+class TestArrayLayout:
+    @PROPERTY
+    @given(truncation=st.integers(0, 20))
+    def test_mode_index_is_the_sorted_l1_disc(self, truncation):
+        index = mode_index(truncation)
+        ks = [tuple(k) for k in index.k.tolist()]
+        disc = sorted((k1, k2) for k1 in range(-truncation, truncation + 1)
+                      for k2 in range(-truncation, truncation + 1)
+                      if abs(k1) + abs(k2) <= truncation)
+        assert ks == disc
+        assert ks[len(ks) // 2] == (0, 0)
+        assert ks[::-1] == [(-k1, -k2) for k1, k2 in ks]
+        assert list(index.positions(index.k)) == list(range(len(ks)))
+        with pytest.raises(ValueError):
+            index.positions([(truncation + 1, 0)])
+
+    @PROPERTY
+    @given(seed=SEEDS, truncation=TRUNCATIONS)
+    def test_modes_view_agrees_with_the_array(self, seed, truncation):
+        x = random_field(seed, truncation)
+        index = mode_index(truncation)
+        assert x.coeffs.shape == (2, len(index))
+        assert not x.coeffs.flags.writeable
+        nonzero = {tuple(index.k[i]) for i in range(len(index))
+                   if np.any(x.coeffs[:, i] != 0)}
+        assert set(x.modes) == nonzero and len(x) == len(nonzero)
+        assert list(x.modes) == sorted(x.modes)
+        for k, c in x.modes.items():
+            assert np.array_equal(c, x.coeffs[:, index.positions([k])[0]])
+            assert np.array_equal(c, x.coefficient(k))
+        with pytest.raises(TypeError):
+            x.modes[(0, 0)] = np.zeros(2)
 
 
 class TestProjection:

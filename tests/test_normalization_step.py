@@ -11,6 +11,7 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
 )
+from torusrenorm import normalization_step
 from torusrenorm.normalization_step import (
     TorusMap,
     compose_pullback,
@@ -203,3 +204,21 @@ class TestEliminateFar:
         x = mixed_perturbation_field(1e-3)
         result = eliminate_far(x, PSI, SIGMA)
         assert result.field.is_real_symmetric(1e-8)
+
+
+def test_gmres_failures_are_counted(monkeypatch):
+    # restart=1 makes each of the gmres_maxiter cycles a single iteration,
+    # so the inner solves stop short of their tolerance
+    infos = []
+    real_gmres = normalization_step.gmres
+
+    def one_iteration(*args, **kwargs):
+        z, info = real_gmres(*args, restart=1, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(normalization_step, "gmres", one_iteration)
+    result = eliminate_far(mixed_perturbation_field(1e-3), PSI, SIGMA,
+                           gmres_maxiter=1)
+    assert result.gmres_failures == sum(info != 0 for info in infos) > 0
+    assert len(infos) == result.sweeps

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from torusrenorm import cli_experiments, renorm_driver
 from torusrenorm.errors import DomainExceeded, ZeroSlope
 from torusrenorm.fourier_field import FourierVectorField, norm_r
 from torusrenorm.number_theory import S, Slope, V, cf_expand
@@ -21,6 +24,7 @@ from torusrenorm.renorm_driver import (
     quadratic_remainder_probe,
     renorm_orbit,
     resonant_perturbation,
+    stabilize_resonant_perturbation,
     stable_decay_probe,
     transient_step,
     unstable_coordinate,
@@ -235,6 +239,70 @@ class TestOrbit:
         norms = [1.0, 0.5, 0.1, 0.03, 0.009, 0.0027]
         theta = fit_theta(norms, start=2)
         assert theta == pytest.approx(0.3, rel=1e-6)
+
+
+def count_steps(monkeypatch):
+    calls = []
+    real_step = renorm_driver.one_step
+
+    def counted(state, params):
+        calls.append(state.n)
+        return real_step(state, params)
+
+    monkeypatch.setattr(renorm_driver, "one_step", counted)
+    return calls
+
+
+class TestProbeReuse:
+    """The stabilising secant's last probe orbit is the final orbit's prefix
+    whenever the last correction left the perturbation bit-identical."""
+
+    def test_resumed_orbit_equals_a_fresh_one(self, monkeypatch):
+        slope = Slope.golden()
+        f0, _ = resonant_perturbation(slope, 1e-3, PARAMS, seed=7,
+                                      stabilize=False)
+        f, _, probe = stabilize_resonant_perturbation(f0, slope, PARAMS)
+        assert probe is not None and probe.completed == 6
+        steps = count_steps(monkeypatch)
+        resumed = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True,
+                               prefix=probe)
+        assert steps == [6, 7]
+        fresh = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True)
+        assert (cli_experiments.orbit_rows(resumed)
+                == cli_experiments.orbit_rows(fresh))
+        assert len(resumed.states) == len(fresh.states) == 9
+        for a, b in zip(resumed.states, fresh.states):
+            assert a.n == b.n and a.alpha == b.alpha and a.a == b.a
+            assert np.array_equal(a.perturbation.coeffs, b.perturbation.coeffs)
+
+    def test_cli_orbit_is_fresh_when_the_last_correction_moved_a_bit(
+        self, monkeypatch, tmp_path
+    ):
+        steps = count_steps(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_experiments.main(
+                ["orbit", "--slope", "golden", "--perturb", "resonant:1e-3",
+                 "--steps", "8", "--seed", "2", "--out", str(tmp_path)])
+        assert code == 0
+        # three 6-step probes, then all 8 steps of the final orbit
+        assert len(steps) == 3 * 6 + 8
+
+    def test_prefix_of_another_input_is_rejected(self):
+        params = RenormParams(truncation=8)
+        f0, _ = resonant_perturbation(Slope.golden(), 1e-3, params, seed=1,
+                                      stabilize=False)
+        slope = Slope.golden()
+        probe = renorm_orbit(f0, slope, 2, params, x0_is_perturbation=True)
+        with pytest.raises(ValueError):
+            renorm_orbit(f0 * 1.0, slope, 3, params, x0_is_perturbation=True,
+                         prefix=probe)
+        with pytest.raises(ValueError):
+            renorm_orbit(f0, slope, 3, RenormParams(truncation=8, sigma=0.09),
+                         x0_is_perturbation=True, prefix=probe)
+        longer = renorm_orbit(f0, slope, 3, params, x0_is_perturbation=True,
+                              prefix=probe)
+        assert longer.completed == 3
+        assert np.array_equal(longer.norms[:3], probe.norms)
 
 
 class TestLambda:

@@ -131,8 +131,8 @@ class FourierVectorField:
 
     @classmethod
     def from_array(cls, coeffs: np.ndarray, width: float, truncation: int):
-        """Field with the (2, N_T) coefficient array coeffs over
-        mode_index(truncation); the field takes coeffs over read-only."""
+        """Field over mode_index(truncation) with the complex (2, N_T)
+        array coeffs, which it keeps without a copy and marks read-only."""
         x = cls.__new__(cls)
         x._set(coeffs, width, truncation)
         return x
@@ -191,9 +191,6 @@ class FourierVectorField:
     def average(self) -> np.ndarray:
         return self.coeffs[:, self.coeffs.shape[1] // 2].copy()
 
-    def sorted_modes(self):
-        return list(self.modes)
-
     def __len__(self):
         return len(self.support())
 
@@ -203,9 +200,6 @@ class FourierVectorField:
         c_neg = self.coeffs[:, len(self.index) - 1 - nz]
         gap = np.abs(c_neg - np.conj(c)).sum(axis=0)
         return bool(np.all(gap <= tol * np.maximum(1.0, np.abs(c).sum(axis=0))))
-
-    def max_abs_coefficient(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
 
     # algebra ---------------------------------------------------------------
 

@@ -212,8 +212,8 @@ def scenario_cf(config, out_dir, tag):
                 cf.coefficients[n],
                 cf.p[n],
                 cf.q[n],
-                cf.beta_float(n) if n < len(cf.remainders) else "",
-                cf.a_tilde_float(n),
+                cf.beta_floats[n],
+                cf.a_tilde_floats[n],
                 probe.K_q[i] if i is not None else "",
                 probe.K_a[i] if i is not None else "",
                 probe.K_beta[i] if i is not None else "",

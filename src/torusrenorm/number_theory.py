@@ -10,8 +10,11 @@ drive the renormalisation scheme and its diagnostics.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -472,6 +475,10 @@ class CFExpansion:
     p, q           convergent numerators / denominators (big ints)
     period         (start, length) for quadratic irrationals, else None
     termination    'ok' | 'rational_exhausted' | 'precision_exhausted'
+
+    The prefix products betas (beta_n = x_0 ... x_n) and a_tildes
+    (Atilde_n = alpha_0 ... alpha_n) and the float views of all four
+    sequences are built once, with the expansion.
     """
 
     slope: Slope
@@ -482,9 +489,35 @@ class CFExpansion:
     q: list
     period: tuple | None
     termination: str
+    betas: list = field(init=False, repr=False)
+    a_tildes: list = field(init=False, repr=False)
+    tail_floats: list = field(init=False, repr=False)
+    remainder_floats: list = field(init=False, repr=False)
+    beta_floats: list = field(init=False, repr=False)
+    a_tilde_floats: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # left to right, beta_n = beta_{n-1} x_n; intervals at the slope's bits
+        real = self.slope.kind == "real"
+        with _IvPrec(self.slope.bits) if real else contextlib.nullcontext():
+            self.betas = list(itertools.accumulate(self.remainders, operator.mul))
+            self.a_tildes = list(itertools.accumulate(self.tails, operator.mul))
+        self.tail_floats = [_to_float(v) for v in self.tails]
+        self.remainder_floats = [_to_float(v) for v in self.remainders]
+        self.beta_floats = [_to_float(self.beta(n)) for n in range(len(self))]
+        self.a_tilde_floats = [_to_float(self.a_tilde(n)) for n in range(len(self))]
 
     def __len__(self):
         return len(self.coefficients)
+
+    @staticmethod
+    def _entry(table, n: int, name: str, seed=None):
+        """table[n]; n = -1 gives the seed where the sequence has one."""
+        if n == -1 and seed is not None:
+            return seed
+        if not 0 <= n < len(table):
+            raise IndexOutOfRange(f"{name} {n} not available")
+        return table[n]
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n < len(self.coefficients):
@@ -500,25 +533,14 @@ class CFExpansion:
         return (self.p[n], self.q[n])
 
     def tail_float(self, n: int) -> float:
-        if not 0 <= n < len(self.tails):
-            raise IndexOutOfRange(f"tail {n} not available")
-        return _to_float(self.tails[n])
+        return self._entry(self.tail_floats, n, "tail")
 
     def remainder_float(self, n: int) -> float:
-        if not 0 <= n < len(self.remainders):
-            raise IndexOutOfRange(f"remainder {n} not available")
-        return _to_float(self.remainders[n])
+        return self._entry(self.remainder_floats, n, "remainder")
 
     def beta(self, n: int):
-        """beta_n as the product x_0 ... x_n (exact/interval); beta_{-1} = 1."""
-        if n == -1:
-            return 1
-        if not 0 <= n < len(self.remainders):
-            raise IndexOutOfRange(f"beta {n} not available")
-        out = self.remainders[0]
-        for x in self.remainders[1 : n + 1]:
-            out = out * x
-        return out
+        """beta_n = x_0 ... x_n (exact/interval); beta_{-1} = 1."""
+        return self._entry(self.betas, n, "beta", 1)
 
     def beta_from_convergents(self, n: int):
         """beta_n via (-1)^n (alpha q_n - p_n); independent of the product."""
@@ -535,21 +557,14 @@ class CFExpansion:
             return sign * (a.value * q - p)
 
     def beta_float(self, n: int) -> float:
-        return _to_float(self.beta(n))
+        return self._entry(self.beta_floats, n, "beta", 1.0)
 
     def a_tilde(self, n: int):
         """Atilde_n = alpha_0 ... alpha_n; Atilde_{-1} = 1."""
-        if n == -1:
-            return 1
-        if not 0 <= n < len(self.tails):
-            raise IndexOutOfRange(f"Atilde {n} not available")
-        out = self.tails[0]
-        for t in self.tails[1 : n + 1]:
-            out = out * t
-        return out
+        return self._entry(self.a_tildes, n, "Atilde", 1)
 
     def a_tilde_float(self, n: int) -> float:
-        return _to_float(self.a_tilde(n))
+        return self._entry(self.a_tilde_floats, n, "Atilde", 1.0)
 
 
 def _expand_exact(alpha, n_terms: int):
@@ -661,7 +676,7 @@ def convergent_matrices(cf: CFExpansion, n: int) -> GL2Z:
         return IDENTITY
     if not 0 <= n < len(cf.p):
         raise IndexOutOfRange(f"P_{n} needs {n + 1} coefficients")
-    q_prev, p_prev = cf.convergent(n - 1)[1], cf.convergent(n - 1)[0]
+    p_prev, q_prev = cf.convergent(n - 1)
     return GL2Z(q_prev, p_prev, cf.q[n], cf.p[n])
 
 
@@ -722,10 +737,8 @@ def diophantine_probe(cf: CFExpansion, beta: float, n_max: int) -> DiophantinePr
     for n in range(limit + 1):
         qn, qn1 = cf.q[n], cf.q[n + 1]
         an1 = cf.coefficients[n + 1]
-        bn = cf.beta_float(n)
-        bn1 = cf.beta_float(n + 1)
-        tn = cf.a_tilde_float(n)
-        tn1 = cf.a_tilde_float(n + 1)
+        bn, bn1 = cf.beta_floats[n], cf.beta_floats[n + 1]
+        tn, tn1 = cf.a_tilde_floats[n], cf.a_tilde_floats[n + 1]
         ns.append(n)
         kq.append(qn1 / qn ** (1 + beta))
         ka.append(an1 / qn**beta)

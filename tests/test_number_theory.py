@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from torusrenorm import cli_experiments
 from torusrenorm.errors import (
     IndexOutOfRange,
     PoleAtInput,
@@ -309,6 +311,82 @@ class TestBetaSequences:
             err = alpha * q - p
             err = err if err.sign() > 0 else -err
             assert err < QuadraticNumber(Fraction(1, cf.q[n + 1]), 0, 2)
+
+
+def _product(values):
+    """Left-to-right product of a nonempty list, rebuilt from scratch."""
+    out = values[0]
+    for v in values[1:]:
+        out = out * v
+    return out
+
+
+class TestPrefixTables:
+    @staticmethod
+    def assert_tables_pinned(cf):
+        last = len(cf) - 1
+        for n in sorted({*range(0, last, max(1, last // 12)), last}):
+            beta = _product(cf.remainders[: n + 1])
+            a_tilde = _product(cf.tails[: n + 1])
+            assert cf.beta(n) == beta
+            assert cf.a_tilde(n) == a_tilde
+            assert cf.beta_float(n) == float(beta)
+            assert cf.a_tilde_float(n) == float(a_tilde)
+            assert cf.tail_float(n) == float(cf.tails[n])
+            assert cf.remainder_float(n) == float(cf.remainders[n])
+
+    def test_exact_tables_equal_products(self):
+        rng = random.Random(11)
+        slopes = [Slope.golden(), Slope.sqrt2(), *random_quadratic_slopes(10, seed=4)]
+        n_terms = [400, 400] + [rng.randint(1, 400) for _ in range(10)]
+        for slope, n in zip(slopes, n_terms):
+            self.assert_tables_pinned(cf_expand(slope, n))
+        cf = cf_expand(Slope.rational(355, 113), 10)
+        assert cf.termination == "rational_exhausted"
+        for n in range(len(cf)):
+            assert cf.beta(n) == _product(cf.remainders[: n + 1])
+            assert cf.a_tilde(n) == _product(cf.tails[: n + 1])
+
+    def test_real_products_at_slope_precision(self):
+        with mpmath.workdps(100):
+            digits = mpmath.nstr(mpmath.e - 2, 90)
+        cf = cf_expand(Slope.real(digits, bits=256), 20)
+        b = cf.beta(10)
+        # interval arithmetic, so the ratio is an enclosure of the width
+        assert b.delta / b.a < mpmath.mpf(2) ** -128
+
+    def test_seeds_and_range(self):
+        cf = cf_expand(Slope.golden(), 5)
+        assert cf.beta_float(-1) == cf.a_tilde_float(-1) == 1.0
+        assert cf.beta(-1) == cf.a_tilde(-1) == 1
+        for lookup in (cf.beta, cf.a_tilde, cf.beta_float, cf.a_tilde_float,
+                       cf.tail_float, cf.remainder_float):
+            with pytest.raises(IndexOutOfRange):
+                lookup(5)
+            with pytest.raises(IndexOutOfRange):
+                lookup(-2)
+        for lookup in (cf.tail_float, cf.remainder_float):
+            with pytest.raises(IndexOutOfRange):
+                lookup(-1)
+
+    def test_cf_scenario_multiplications_linear(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the golden 400-term table made 478,692 products when each beta_n
+        # and Atilde_n was rebuilt from scratch
+        calls = 0
+        mul = QuadraticNumber.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(QuadraticNumber, "__mul__", counting_mul)
+        n_terms = 400
+        code = cli_experiments.main(["cf", "--slope", "golden", "--n-terms",
+                                     str(n_terms), "--out", str(tmp_path)])
+        assert code == 0
+        assert 0 < calls <= 4 * n_terms
 
 
 class TestDiophantineProbe:

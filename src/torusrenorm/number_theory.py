@@ -504,6 +504,7 @@ class CFExpansion:
             self.a_tildes = list(itertools.accumulate(self.tails, operator.mul))
         self.tail_floats = [_to_float(v) for v in self.tails]
         self.remainder_floats = [_to_float(v) for v in self.remainders]
+        # through the accessors, so perfbench's spans on beta/a_tilde see them
         self.beta_floats = [_to_float(self.beta(n)) for n in range(len(self))]
         self.a_tilde_floats = [_to_float(self.a_tilde(n)) for n in range(len(self))]
 

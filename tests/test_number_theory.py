@@ -371,7 +371,7 @@ class TestPrefixTables:
 
     def test_cf_scenario_multiplications_linear(self, tmp_path, monkeypatch,
                                                 capsys):
-        # the golden 400-term table made 478,692 products when each beta_n
+        # the golden 400-term table made 478,402 products when each beta_n
         # and Atilde_n was rebuilt from scratch
         calls = 0
         mul = QuadraticNumber.__mul__

@@ -337,15 +337,11 @@ class TestPrefixTables:
 
     def test_exact_tables_equal_products(self):
         rng = random.Random(11)
-        slopes = [Slope.golden(), Slope.sqrt2(), *random_quadratic_slopes(10, seed=4)]
-        n_terms = [400, 400] + [rng.randint(1, 400) for _ in range(10)]
-        for slope, n in zip(slopes, n_terms):
-            self.assert_tables_pinned(cf_expand(slope, n))
-        cf = cf_expand(Slope.rational(355, 113), 10)
-        assert cf.termination == "rational_exhausted"
-        for n in range(len(cf)):
-            assert cf.beta(n) == _product(cf.remainders[: n + 1])
-            assert cf.a_tilde(n) == _product(cf.tails[: n + 1])
+        cases = [(Slope.golden(), 400), (Slope.sqrt2(), 400),
+                 (Slope.rational(355, 113), 10)]
+        cases += [(s, rng.randint(1, 400)) for s in random_quadratic_slopes(10, seed=4)]
+        for slope, n_terms in cases:
+            self.assert_tables_pinned(cf_expand(slope, n_terms))
 
     def test_real_products_at_slope_precision(self):
         with mpmath.workdps(100):

@@ -28,7 +28,7 @@ from .fourier_field import (
     project,
     save_field,
 )
-from .normalization_step import eliminate_far
+from .normalization_step import FarSolves, eliminate_far
 from .number_theory import Slope, cf_expand, diophantine_probe
 from .renorm_driver import (
     RenormParams,
@@ -142,8 +142,8 @@ def build_params(config: dict) -> RenormParams:
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
-    """(f, description, probe): probe is the stabilising probe orbit of f
-    for renorm_orbit to resume, or None."""
+    """(f, description, probe): probe is the last stabilising probe orbit,
+    whose far-mode solves the run's later eliminations may reuse, or None."""
     kind, amp = parse_perturbation(config["perturb"])
     seed = int(config["seed"])
     probe = None
@@ -306,14 +306,17 @@ def scenario_eliminate(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
     omega = np.array([1.0, float(slope)])
-    f, pert_info, _ = perturbation_field(config, slope, params)
+    f, pert_info, probe = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(
         omega, params.rho_prime, params.truncation
     ) + f
+    far_modes_in = len(project(x, FarResonant((omega[0], omega[1]),
+                                              params.sigma), "outside"))
+    solves = FarSolves(probe.solves if probe is not None else None)
     try:
         result = eliminate_far(
             x, omega, params.sigma, tol=params.tol,
-            rho=params.rho, rho_prime=params.rho_prime,
+            rho=params.rho, rho_prime=params.rho_prime, solves=solves,
         )
     except NoConvergence as exc:
         return 3, {"error": str(exc)}, []
@@ -335,6 +338,8 @@ def scenario_eliminate(config, out_dir, tag):
         "contraction_rhs": result.contraction_rhs,
         "du_sup_bound": result.du_sup_bound,
         "gmres_failures": result.gmres_failures,
+        "far_modes_in": far_modes_in,
+        "far_solves": solves.counts(),
     }
     return 0, payload, [csv_path, field_path, map_path]
 
@@ -356,6 +361,7 @@ def scenario_orbit(config, out_dir, tag):
         "transient": orbit.transient_applied,
         "failure": str(orbit.failure) if orbit.failure else None,
         "failure_step": orbit.failure_step,
+        "far_solves": orbit.solves.counts(),
     }
     return 0, payload, [csv_path]
 
@@ -441,6 +447,7 @@ def scenario_sweep(config, out_dir, tag):
     amplitudes = [float(v) for v in amps_text.split(";")]
     sub_results = []
     artifacts = []
+    far_solves = {"computed": 0, "reused": 0}
     for amp in amplitudes:
         sub = dict(config)
         sub["scenario"] = "orbit"
@@ -453,7 +460,9 @@ def scenario_sweep(config, out_dir, tag):
         sub_results.append({"amplitude": amp, "tag": sub_tag,
                             "theta_hat": payload["theta_hat"],
                             "completed": payload["completed"]})
-    payload = {"runs": sub_results}
+        for key in far_solves:
+            far_solves[key] += payload["far_solves"][key]
+    payload = {"runs": sub_results, "far_solves": far_solves}
     return 0, payload, artifacts
 
 

@@ -12,7 +12,7 @@ quadratically once inside the contraction region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
@@ -228,6 +228,8 @@ class EliminationResult:
     fit: GridFitReport | None = None
     at_floor: bool = False
     gmres_failures: int = 0
+    # the Newton solve was taken from an earlier identical problem
+    reused: bool = False
 
     @property
     def contraction_ok(self) -> bool:
@@ -235,6 +237,56 @@ class EliminationResult:
 
     def as_pair(self):
         return self.map, self.field
+
+
+@dataclass(frozen=True)
+class FarSolve:
+    """What a far-mode Newton solve yields: a function of its problem alone.
+
+    fit_w is the fitted bracket W of the final pullback v + W; the input's
+    average enters the solve only through v.
+    """
+
+    map: TorusMap
+    fit_w: FourierVectorField
+    fit: GridFitReport
+    sweeps: int
+    residuals: tuple
+    at_floor: bool
+    gmres_failures: int
+
+
+class FarSolves:
+    """The far-mode Newton solves of one orbit, keyed by the bytes of each
+    problem.
+
+    A problem is looked up among this orbit's solves, then among those of
+    the earlier orbit the table was started from.  Keys compare byte for
+    byte, so a hit returns exactly what a fresh solve would return.
+    computed and reused count the eliminations of this orbit and of the
+    chain of orbits it was started from, so the last orbit of a run counts
+    the whole run.
+    """
+
+    def __init__(self, earlier: "FarSolves | None" = None):
+        self.solves = {}
+        self.earlier = {} if earlier is None else earlier.solves
+        self.computed = 0 if earlier is None else earlier.computed
+        self.reused = 0 if earlier is None else earlier.reused
+
+    def lookup(self, key) -> FarSolve | None:
+        found = self.solves.get(key)
+        return found if found is not None else self.earlier.get(key)
+
+    def record(self, key, solve: FarSolve, reused: bool):
+        self.solves[key] = solve
+        if reused:
+            self.reused += 1
+        else:
+            self.computed += 1
+
+    def counts(self) -> dict:
+        return {"computed": self.computed, "reused": self.reused}
 
 
 def eliminate_far(
@@ -249,6 +301,7 @@ def eliminate_far(
     enforce_ball: bool = False,
     gmres_maxiter: int = 40,
     stall_accept: float = 1e-6,
+    solves: FarSolves | None = None,
 ) -> EliminationResult:
     """Solve [far cone](DU)^{-1} X o U = 0 for U = id + u, u on the far cone.
 
@@ -263,7 +316,7 @@ def eliminate_far(
     return eliminate_far_perturbation(
         psi, x.minus_constant(psi), sigma, tol=tol, max_iter=max_iter,
         rho=rho, rho_prime=rho_prime, grid=grid, enforce_ball=enforce_ball,
-        gmres_maxiter=gmres_maxiter, stall_accept=stall_accept,
+        gmres_maxiter=gmres_maxiter, stall_accept=stall_accept, solves=solves,
     )
 
 
@@ -279,9 +332,17 @@ def eliminate_far_perturbation(
     enforce_ball: bool = False,
     gmres_maxiter: int = 40,
     stall_accept: float = 1e-6,
+    solves: FarSolves | None = None,
 ) -> EliminationResult:
     """eliminate_far with X given as psi + g0; all arithmetic stays at the
-    scale of g0 so tiny perturbations are not drowned by round-off on psi."""
+    scale of g0 so tiny perturbations are not drowned by round-off on psi.
+
+    The Newton solve depends on g0 only through v = psi + E g0 and
+    h = (I - E) g0: k = 0 lies inside every FarResonant cone, so the far
+    residuals never see E g0.  With solves given, the solve is looked up
+    there by the bytes of (psi, sigma, v, h) and of the settings it reads,
+    and recorded there; what depends on g0 itself is always recomputed.
+    """
     psi = np.asarray(psi, dtype=complex)
     cone = FarResonant((psi[0], psi[1]), sigma)
     truncation = g0.truncation
@@ -294,8 +355,9 @@ def eliminate_far_perturbation(
             f"norm'_rho(X - psi) = {input_size:.3e} > eps_hat = {eps_hat:.3e}"
         )
     contraction_rhs = contraction_constant(psi, sigma) * input_size
+    if grid is None:
+        grid = next_fast_len(4 * truncation + 1)
 
-    # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode
     far = np.flatnonzero(~cone_mask(cone, truncation))
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
@@ -303,24 +365,65 @@ def eliminate_far_perturbation(
         return EliminationResult(
             ident, _perturbation_from_fit(g0, psi), g0, 0, [0.0], True,
             eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs,
-            0.0, grid or next_fast_len(4 * truncation + 1),
+            0.0, grid,
         )
 
-    far_k = g0.index.k[far]
+    g_avg = g0.average()
+    v = psi + g_avg
+    h = g0.oscillatory()
+    key = (
+        psi.tobytes(), v.tobytes(),
+        np.array([sigma, width, tol, rho_prime, stall_accept],
+                 dtype=float).tobytes(),
+        (truncation, max_iter, grid, gmres_maxiter),
+        h.coeffs.tobytes(),
+    )
+    solve = solves.lookup(key) if solves is not None else None
+    reused = solve is not None
+    if not reused:
+        solve = _far_newton_solve(
+            psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
+            gmres_maxiter, stall_accept,
+        )
+    if solves is not None:
+        solves.record(key, solve, reused)
+
+    g_final = _perturbation_from_fit(solve.fit_w, g_avg)
+    return EliminationResult(
+        map=solve.map,
+        field=_perturbation_from_fit(g_final, psi),
+        perturbation=g_final,
+        sweeps=solve.sweeps,
+        residuals=list(solve.residuals),
+        converged=True,
+        eps_hat=eps_hat,
+        inside_ball=inside_ball,
+        contraction_lhs=norm_r(g_final, rho_prime),
+        contraction_rhs=contraction_rhs,
+        du_sup_bound=solve.map.du_sup_bound(),
+        grid=grid,
+        fit=replace(solve.fit),
+        at_floor=solve.at_floor,
+        gmres_failures=solve.gmres_failures,
+        reused=reused,
+    )
+
+
+def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
+                      gmres_maxiter, stall_accept) -> FarSolve:
+    """Newton solve for the displacement on the far modes `far` that clears
+    the far residual of the pullback of X = v + h."""
+    truncation = h.truncation
+    width = h.width
+    # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode
+    far_k = h.index.k[far]
     divisors = np.repeat(
         (TWO_PI * 1j) * (psi[0] * far_k[:, 0] + psi[1] * far_k[:, 1]), 2
     )
-
-    if grid is None:
-        grid = next_fast_len(2 * (truncation + truncation) + 1)
     axes_count = grid * grid
 
-    v = psi + g0.average()
-    h = g0.oscillatory()
-    g_avg = g0.average()
-
     def displacement_from(uvec):
-        coeffs = np.zeros((2, len(g0.index)), dtype=complex)
+        coeffs = np.zeros((2, len(h.index)), dtype=complex)
         coeffs[:, far] = uvec.reshape(-1, 2).T
         return TorusMap(FourierVectorField.from_array(coeffs, width, truncation))
 
@@ -332,15 +435,14 @@ def eliminate_far_perturbation(
             v, h, u_grid, grid, with_derivative=True
         )
         fit_w, fit_report = fit_grid(w, width, truncation)
-        pert = _perturbation_from_fit(fit_w, g_avg)
-        far_part = project(pert, cone, "outside")
+        far_part = project(fit_w, cone, "outside")
         return {
             "uvec": uvec,
             "map": u_map,
             "w": w,
             "inv_jac": inv_jac,
             "dh_at_u": dh_at_u,
-            "pert": pert,
+            "fit_w": fit_w,
             "fit": fit_report,
             "far": far_part,
             "res": norm_r(far_part, rho_prime),
@@ -441,21 +543,12 @@ def eliminate_far_perturbation(
             f"far residual {res:.3e} > tol {tol:.3e} after {sweeps} sweeps"
         )
 
-    g_final = current["pert"]
-    return EliminationResult(
+    return FarSolve(
         map=current["map"],
-        field=_perturbation_from_fit(g_final, psi),
-        perturbation=g_final,
-        sweeps=sweeps,
-        residuals=residuals,
-        converged=True,
-        eps_hat=eps_hat,
-        inside_ball=inside_ball,
-        contraction_lhs=norm_r(g_final, rho_prime),
-        contraction_rhs=contraction_rhs,
-        du_sup_bound=current["map"].du_sup_bound(),
-        grid=grid,
+        fit_w=current["fit_w"],
         fit=current["fit"],
+        sweeps=sweeps,
+        residuals=tuple(residuals),
         at_floor=at_floor,
         gmres_failures=gmres_failures,
     )

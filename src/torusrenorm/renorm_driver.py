@@ -12,7 +12,7 @@ than to ||omega||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -26,7 +26,7 @@ from .fourier_field import (
     norm_r,
     project,
 )
-from .normalization_step import eliminate_far_perturbation
+from .normalization_step import FarSolves, eliminate_far_perturbation
 from .number_theory import CFExpansion, GL2Z, S, Slope, V, act_on_slope, cf_expand
 from .scaling_step import (
     kappa_from_sigma,
@@ -178,12 +178,15 @@ def transient_slope(slope: Slope):
 # one step
 
 
-def one_step(state: RenormState, params: RenormParams) -> RenormState:
+def one_step(
+    state: RenormState, params: RenormParams, solves: FarSolves | None = None
+) -> RenormState:
     """One renormalisation step: rescale, eliminate far modes, normalise.
 
     Requires norm_r(X_n - omega_n, rho') < zeta_n = c'/(alpha_n alpha_{n+1});
     raises DomainExceeded otherwise (the expected outcome along the unstable
-    constant direction).
+    constant direction).  The far-mode solve is looked up in and recorded
+    to solves, when given.
     """
     cf, n = state.cf, state.n
     alpha, a = state.alpha, state.a
@@ -209,6 +212,7 @@ def one_step(state: RenormState, params: RenormParams) -> RenormState:
         psi, g, sigma_eff,
         tol=params.tol, max_iter=params.max_sweeps,
         rho=params.rho, rho_prime=params.rho_prime, grid=params.grid,
+        solves=solves,
     )
     cone = FarResonant((psi[0], psi[1]), sigma_eff)
     far_mass = norm_r(project(elim.perturbation, cone, "outside"),
@@ -343,8 +347,8 @@ class OrbitResult:
     failure_step: int | None
     transient_applied: list
     transient_far_cleared: float
-    # (x0, slope, params, ell, x0_is_perturbation) the orbit was computed from
-    request: tuple
+    # the far-mode solves of this orbit's eliminations
+    solves: FarSolves
 
     @property
     def completed(self) -> int:
@@ -385,9 +389,10 @@ def renorm_orbit(
     The orbit stops at the first step failure, which is recorded.
     With x0_is_perturbation the input is taken as X_0 - omega_0, which
     preserves components far below the float granularity of ||omega_0||.
-    A prefix, an orbit of this very input (the same x0 and slope objects,
-    equal params, ell and x0_is_perturbation), is resumed: its states
-    stand and only the steps beyond it are computed.
+    Each far-mode elimination whose problem is byte-identical to one that
+    the prefix orbit solved takes that solve instead of repeating it; the
+    prefix may be any earlier orbit, and the result is the same with it or
+    without it.
     """
     slope_t, applied = transient_slope(slope)
     cf = cf_expand(slope_t, n_steps + 2)
@@ -396,52 +401,41 @@ def renorm_orbit(
             f"slope certifies only {len(cf.coefficients)} coefficients; "
             f"{n_steps + 2} needed ({cf.termination})"
         )
-    request = (x0, slope, params, ell, x0_is_perturbation)
-    failure, failure_step = None, None
-    if prefix is not None:
-        done = prefix.request
-        if not (done[0] is x0 and done[1] is slope and done[2:] == request[2:]):
-            raise ValueError("the prefix orbit was computed from another input")
-        # the expansion is computed term by term, so the longer one agrees
-        # with the prefix's on every term the prefix used
-        states = [replace(s, cf=cf) for s in prefix.states[: n_steps + 1]]
-        norms = list(prefix.norms[: len(states)])
-        far0 = prefix.transient_far_cleared
-        if prefix.failure is not None and prefix.failure_step < n_steps:
-            failure, failure_step = prefix.failure, prefix.failure_step
-    else:
-        f = x0 if x0_is_perturbation else x0.minus_constant(
-            ell * np.array([1.0, float(slope)])
+    solves = FarSolves(prefix.solves if prefix is not None else None)
+    f = x0 if x0_is_perturbation else x0.minus_constant(
+        ell * np.array([1.0, float(slope)])
+    )
+    for name in applied:
+        f = basis_change(f, V if name == "V" else S)
+    omega = omega_of(cf, 0, ell)
+
+    # adjustment part two: clear any far modes of the input
+    cone = FarResonant((omega[0], omega[1]), params.sigma)
+    far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
+    if far0 > params.tol:
+        elim = eliminate_far_perturbation(
+            omega, f, params.sigma, tol=params.tol,
+            max_iter=params.max_sweeps, rho=params.rho,
+            rho_prime=params.rho_prime, grid=params.grid, solves=solves,
         )
-        for name in applied:
-            f = basis_change(f, V if name == "V" else S)
-        omega = omega_of(cf, 0, ell)
-
-        # adjustment part two: clear any far modes of the input
-        cone = FarResonant((omega[0], omega[1]), params.sigma)
-        far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
-        if far0 > params.tol:
-            elim = eliminate_far_perturbation(
-                omega, f, params.sigma, tol=params.tol,
-                max_iter=params.max_sweeps, rho=params.rho,
-                rho_prime=params.rho_prime, grid=params.grid,
-            )
-            f = project(elim.perturbation, cone, "inside")
-        else:
-            f = project(f, cone, "inside")
-        states = [perturbed_state(f, cf, ell)]
-        norms = [norm_r(f, params.rho_prime)]
-
-    state = states[-1]
-    while failure is None and state.n < n_steps:
+        f = project(elim.perturbation, cone, "inside")
+    else:
+        f = project(f, cone, "inside")
+    state = perturbed_state(f, cf, ell)
+    states = [state]
+    norms = [norm_r(f, params.rho_prime)]
+    failure, failure_step = None, None
+    while state.n < n_steps:
         try:
-            state = one_step(state, params)
+            state = one_step(state, params, solves)
         except DomainExceeded as exc:
             failure = exc
             failure_step = state.n
             break
         states.append(state)
         norms.append(state.diagnostics.norm_total)
+    # the result keeps its own solves only, not the prefix's
+    solves.earlier = {}
     return OrbitResult(
         states=states,
         norms=np.array(norms),
@@ -450,7 +444,7 @@ def renorm_orbit(
         failure_step=failure_step,
         transient_applied=applied,
         transient_far_cleared=far0,
-        request=request,
+        solves=solves,
     )
 
 
@@ -492,10 +486,12 @@ def stabilize_resonant_perturbation(
     the constant blocks (the V/S transient maps Omega_0 onto a scalar
     multiple of itself, so the secant absorbs the frame factor).
 
-    Returns (f, corrections, probe).  probe is the last probe orbit when
-    f is its input -- the last correction was below the resolution of
-    E(f) -- and then renorm_orbit(f, ..., prefix=probe) resumes it;
-    otherwise probe is None.
+    Each probe orbit is the next one's prefix.  Corrections below the
+    resolution of the far-mode problems leave them byte-identical, so the
+    later rounds reuse the earlier rounds' solves.
+
+    Returns (f, corrections, probe) with probe the last probe orbit; an
+    orbit of f given prefix=probe reuses its solves in the same way.
     """
     slope_t, _ = transient_slope(slope)
     cf = cf_expand(slope_t, probe_steps + 3)
@@ -507,7 +503,7 @@ def stabilize_resonant_perturbation(
     orbit = None
     for _ in range(rounds):
         orbit = renorm_orbit(f, slope, probe_steps, params, ell,
-                             x0_is_perturbation=True)
+                             x0_is_perturbation=True, prefix=orbit)
         m = orbit.completed
         if m == 0:
             raise DomainExceeded("probe orbit failed at the first step")
@@ -525,13 +521,10 @@ def stabilize_resonant_perturbation(
             delta = -c_m / gain
         corrections.append(delta)
         m_prev = m
-        corrected = f + FourierVectorField.constant(
+        f = f + FourierVectorField.constant(
             delta * cap0, width=f.width, truncation=f.truncation
         )
-        if corrected.coeffs.tobytes() != f.coeffs.tobytes():
-            f = corrected
-    probe = orbit if orbit is not None and orbit.request[0] is f else None
-    return f, corrections, probe
+    return f, corrections, orbit
 
 
 def resonant_perturbation(

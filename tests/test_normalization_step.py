@@ -13,9 +13,11 @@ from torusrenorm.fourier_field import (
 )
 from torusrenorm import normalization_step
 from torusrenorm.normalization_step import (
+    FarSolves,
     TorusMap,
     compose_pullback,
     eliminate_far,
+    eliminate_far_perturbation,
     guaranteed_ball_radius,
 )
 
@@ -222,3 +224,79 @@ def test_gmres_failures_are_counted(monkeypatch):
                            gmres_maxiter=1)
     assert result.gmres_failures == sum(info != 0 for info in infos) > 0
     assert len(infos) == result.sweeps
+
+
+def with_average(g, avg):
+    """g with its k = 0 coefficient replaced, bit for bit."""
+    coeffs = g.coeffs.copy()
+    coeffs[:, coeffs.shape[1] // 2] = avg
+    return FourierVectorField.from_array(coeffs, g.width, g.truncation)
+
+
+class TestSolveReuse:
+    """A far-mode solve is reused only for a byte-identical problem, and a
+    reused elimination equals a fresh one bit for bit."""
+
+    def test_reused_solve_keeps_its_own_average(self):
+        g = mixed_perturbation_field(1e-3).minus_constant(PSI)
+        # averages far below the resolution of v = psi + E g
+        g0 = with_average(g, [1e-18, 0.0])
+        g1 = with_average(g, [3e-18, 0.0])
+        psi = PSI.astype(complex)
+        assert (psi + g0.average()).tobytes() == (psi + g1.average()).tobytes()
+        solves = FarSolves()
+        first = eliminate_far_perturbation(PSI, g0, SIGMA, solves=solves)
+        reused = eliminate_far_perturbation(PSI, g1, SIGMA, solves=solves)
+        fresh = eliminate_far_perturbation(PSI, g1, SIGMA)
+        assert (first.reused, reused.reused, fresh.reused) == (False, True, False)
+        assert solves.counts() == {"computed": 1, "reused": 1}
+        assert first.sweeps > 0
+        # the stale average of the first problem is not handed back
+        assert not np.array_equal(reused.perturbation.average(),
+                                  first.perturbation.average())
+        for a, b in ((reused.perturbation, fresh.perturbation),
+                     (reused.field, fresh.field),
+                     (reused.map.displacement, fresh.map.displacement)):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        for name in ("sweeps", "residuals", "at_floor", "gmres_failures",
+                     "fit", "eps_hat", "inside_ball", "contraction_lhs",
+                     "contraction_rhs", "du_sup_bound", "grid"):
+            assert getattr(reused, name) == getattr(fresh, name), name
+        # a caller may change its result without touching the stored solve
+        assert reused.residuals is not first.residuals
+        assert reused.fit is not first.fit
+
+    def test_key_compares_bytes_not_values(self):
+        g = mixed_perturbation_field(1e-3).minus_constant(PSI)
+        coeffs = g.coeffs.copy()
+        pos = g.support()[0]
+        coeffs[0, pos] = complex(np.nextafter(coeffs[0, pos].real, np.inf),
+                                 coeffs[0, pos].imag)
+        nudged = FourierVectorField.from_array(coeffs, g.width, g.truncation)
+        # psi with signed-zero imaginary parts, so that a -0.0 average
+        # reaches v = psi + E g as -0.0
+        psi = np.array([complex(1.0, -0.0), complex(GAMMA, -0.0)])
+        plus_zero = with_average(g, [0.0, 0.0])
+        minus_zero = with_average(g, [complex(0.0, -0.0), complex(0.0, -0.0)])
+        v_plus = psi + plus_zero.average()
+        v_minus = psi + minus_zero.average()
+        assert np.array_equal(v_plus, v_minus)
+        assert v_plus.tobytes() != v_minus.tobytes()
+
+        solves = FarSolves()
+        for field in (g, nudged):
+            assert not eliminate_far_perturbation(PSI, field, SIGMA,
+                                                  solves=solves).reused
+        for field in (plus_zero, minus_zero):
+            assert not eliminate_far_perturbation(psi, field, SIGMA,
+                                                  solves=solves).reused
+        assert eliminate_far_perturbation(psi, minus_zero, SIGMA,
+                                          solves=solves).reused
+        assert solves.counts() == {"computed": 4, "reused": 1}
+
+    def test_resonant_only_input_makes_no_solve(self):
+        solves = FarSolves()
+        x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
+        result = eliminate_far(x, PSI, SIGMA, solves=solves)
+        assert result.map.is_identity() and not result.reused
+        assert solves.counts() == {"computed": 0, "reused": 0}

@@ -1,11 +1,13 @@
 import contextlib
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torusrenorm import cli_experiments, renorm_driver
+from torusrenorm import cli_experiments, normalization_step, renorm_driver
 from torusrenorm.errors import DomainExceeded, ZeroSlope
 from torusrenorm.fourier_field import FourierVectorField, norm_r
 from torusrenorm.number_theory import S, Slope, V, cf_expand
@@ -245,64 +247,100 @@ def count_steps(monkeypatch):
     calls = []
     real_step = renorm_driver.one_step
 
-    def counted(state, params):
+    def counted(state, params, solves=None):
         calls.append(state.n)
-        return real_step(state, params)
+        return real_step(state, params, solves)
 
     monkeypatch.setattr(renorm_driver, "one_step", counted)
     return calls
 
 
-class TestProbeReuse:
-    """The stabilising secant's last probe orbit is the final orbit's prefix
-    whenever the last correction left the perturbation bit-identical."""
+def assert_same_orbit(a, b):
+    assert cli_experiments.orbit_rows(a) == cli_experiments.orbit_rows(b)
+    assert len(a.states) == len(b.states)
+    for x, y in zip(a.states, b.states):
+        assert x.n == y.n and x.alpha == y.alpha and x.a == y.a
+        assert x.perturbation.coeffs.tobytes() == y.perturbation.coeffs.tobytes()
 
-    def test_resumed_orbit_equals_a_fresh_one(self, monkeypatch):
+
+def run_golden_orbit(seed, out_dir):
+    """The CLI golden orbit (T=32, 8 steps); returns its manifest results."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli_experiments.main(
+            ["orbit", "--slope", "golden", "--perturb", "resonant:1e-3",
+             "--steps", "8", "--truncation", "32", "--seed", str(seed),
+             "--out", str(out_dir)])
+    assert code == 0
+    manifest = printed.getvalue().splitlines()[-1]
+    return json.loads(Path(manifest).read_text())["results"]
+
+
+class TestProbeReuse:
+    """Every far-mode elimination of an orbit whose problem is byte-identical
+    to one its prefix orbit solved reuses that solve; the stabilising probes
+    chain this way and the final orbit takes the last probe as its prefix."""
+
+    def test_resumed_orbit_equals_a_fresh_one(self):
         slope = Slope.golden()
         f0, _ = resonant_perturbation(slope, 1e-3, PARAMS, seed=7,
                                       stabilize=False)
         f, _, probe = stabilize_resonant_perturbation(f0, slope, PARAMS)
-        assert probe is not None and probe.completed == 6
-        steps = count_steps(monkeypatch)
+        assert probe.completed == 6
         resumed = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True,
                                prefix=probe)
-        assert steps == [6, 7]
+        # the probe's 6 steps are reused, the last 2 computed
+        assert resumed.solves.computed == probe.solves.computed + 2
+        assert resumed.solves.reused == probe.solves.reused + 6
         fresh = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True)
-        assert (cli_experiments.orbit_rows(resumed)
-                == cli_experiments.orbit_rows(fresh))
-        assert len(resumed.states) == len(fresh.states) == 9
-        for a, b in zip(resumed.states, fresh.states):
-            assert a.n == b.n and a.alpha == b.alpha and a.a == b.a
-            assert np.array_equal(a.perturbation.coeffs, b.perturbation.coeffs)
+        assert fresh.solves.counts() == {"computed": 8, "reused": 0}
+        assert len(fresh.states) == 9
+        assert_same_orbit(resumed, fresh)
 
-    def test_cli_orbit_is_fresh_when_the_last_correction_moved_a_bit(
-        self, monkeypatch, tmp_path
-    ):
+    def test_cli_orbit_reuses_probe_solves_at_seed_2(self, monkeypatch,
+                                                     tmp_path):
+        # the last correction moves a bit of the perturbation at seed 2
         steps = count_steps(monkeypatch)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_experiments.main(
-                ["orbit", "--slope", "golden", "--perturb", "resonant:1e-3",
-                 "--steps", "8", "--seed", "2", "--out", str(tmp_path)])
-        assert code == 0
-        # three 6-step probes, then all 8 steps of the final orbit
+        results = run_golden_orbit(2, tmp_path)
+        # three 6-step probes, then all 8 steps of the final orbit; the
+        # third probe and the final orbit's first 6 steps pose the second
+        # probe's problems again
         assert len(steps) == 3 * 6 + 8
+        assert results["far_solves"] == {"computed": 14, "reused": 12}
 
-    def test_prefix_of_another_input_is_rejected(self):
+    def test_prefix_of_another_input_changes_nothing(self):
         params = RenormParams(truncation=8)
-        f0, _ = resonant_perturbation(Slope.golden(), 1e-3, params, seed=1,
-                                      stabilize=False)
         slope = Slope.golden()
+        f0, _ = resonant_perturbation(slope, 1e-3, params, seed=1,
+                                      stabilize=False)
         probe = renorm_orbit(f0, slope, 2, params, x0_is_perturbation=True)
-        with pytest.raises(ValueError):
-            renorm_orbit(f0 * 1.0, slope, 3, params, x0_is_perturbation=True,
-                         prefix=probe)
-        with pytest.raises(ValueError):
-            renorm_orbit(f0, slope, 3, RenormParams(truncation=8, sigma=0.09),
-                         x0_is_perturbation=True, prefix=probe)
-        longer = renorm_orbit(f0, slope, 3, params, x0_is_perturbation=True,
-                              prefix=probe)
-        assert longer.completed == 3
-        assert np.array_equal(longer.norms[:3], probe.norms)
+        assert probe.solves.counts() == {"computed": 2, "reused": 0}
+        other_sigma = RenormParams(truncation=8, sigma=0.09)
+        for x0, p, reused in ((f0 * 1.0, params, 2), (f0 * 1.5, params, 0),
+                              (f0, other_sigma, 0)):
+            resumed = renorm_orbit(x0, slope, 3, p, x0_is_perturbation=True,
+                                   prefix=probe)
+            fresh = renorm_orbit(x0, slope, 3, p, x0_is_perturbation=True)
+            assert resumed.solves.reused == reused
+            assert_same_orbit(resumed, fresh)
+            if reused:
+                assert np.array_equal(resumed.norms[:3], probe.norms)
+
+
+def test_golden_cli_orbit_pullback_work(monkeypatch, tmp_path):
+    """The seed-7 golden orbit computes 14 far-mode solves and evaluates
+    the pullback at most 66 times; repeating identical solves took 100."""
+    calls = []
+    real_pullback = normalization_step._pullback_core
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_pullback(*args, **kwargs)
+
+    monkeypatch.setattr(normalization_step, "_pullback_core", counted)
+    results = run_golden_orbit(7, tmp_path)
+    assert len(calls) <= 66
+    assert results["far_solves"] == {"computed": 14, "reused": 12}
 
 
 class TestLambda:

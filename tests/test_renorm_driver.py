@@ -324,12 +324,13 @@ class TestProbeReuse:
             assert resumed.solves.reused == reused
             assert_same_orbit(resumed, fresh)
             if reused:
+                assert resumed.completed == 3
                 assert np.array_equal(resumed.norms[:3], probe.norms)
 
 
 def test_golden_cli_orbit_pullback_work(monkeypatch, tmp_path):
-    """The seed-7 golden orbit computes 14 far-mode solves and evaluates
-    the pullback at most 66 times; repeating identical solves took 100."""
+    """The seed-7 golden orbit computes 14 of its 26 far-mode solves and
+    evaluates the pullback at most 66 times."""
     calls = []
     real_pullback = normalization_step._pullback_core
 

@@ -25,7 +25,6 @@ from .fourier_field import (
     FarResonant,
     FourierVectorField,
     Kappa,
-    average,
     load_field,
     norm_prime_r,
     norm_r,

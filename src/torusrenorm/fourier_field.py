@@ -346,11 +346,6 @@ def norm_prime_r(x: FourierVectorField, r: float) -> float:
     return float(np.sum(factors * _mass(x) * _exp_weights(x.truncation, r)))
 
 
-def average(x: FourierVectorField) -> np.ndarray:
-    """Spatial average E(X), the k = 0 coefficient."""
-    return x.average()
-
-
 # ---------------------------------------------------------------------------
 # cones
 

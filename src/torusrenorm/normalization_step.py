@@ -90,6 +90,49 @@ class PullbackResult:
     grid: int
 
 
+PHASE_CHUNK = 48
+# exp(x) rounds to exactly 1 for |x| < 2^-54; half of that leaves room for
+# the rounding of the bound and of the exponents it bounds
+MIRROR_BOUND = 2.0 ** -55
+
+
+def _phase_chunks(ks, mirror, point1, point2):
+    """The phase grids exp(2 pi i k.(theta + u)) of the rows ks, in chunks
+    of PHASE_CHUNK rows: yields (first row, (n, G, G) view), the view being
+    overwritten by the next chunk.
+
+    mirror[r] is the row of -ks[r], or -1.  Of the pairs (r, mirror[r]) with
+    r first, the PHASE_CHUNK nearest the zero mode (the last r) are computed
+    once: r's grid is held until its partner's row, which is its complex
+    conjugate.  Every other row is computed directly.
+    """
+    rows = np.arange(len(ks))
+    first = np.flatnonzero(mirror > rows)[-PHASE_CHUNK:]
+    slot = np.full(len(ks), -1)
+    slot[first] = np.arange(len(first))
+    conjugated = np.full(len(ks), -1)
+    conjugated[mirror[first]] = np.arange(len(first))
+    phases = np.empty((PHASE_CHUNK,) + point1.shape, dtype=complex)
+    held = np.empty((len(first),) + point1.shape, dtype=complex)
+    term = np.empty_like(point2)
+    for start in range(0, len(ks), PHASE_CHUNK):
+        stop = min(start + PHASE_CHUNK, len(ks))
+        for r in range(start, stop):
+            row = phases[r - start]
+            if conjugated[r] >= 0:
+                np.conjugate(held[conjugated[r]], out=row)
+                continue
+            # exp((2 pi i) * (k1 * point1 + k2 * point2)), elementwise
+            np.multiply(ks[r, 0], point1, out=row)
+            np.multiply(ks[r, 1], point2, out=term)
+            np.add(row, term, out=row)
+            np.multiply(TWO_PI * 1j, row, out=row)
+            np.exp(row, out=row)
+            if slot[r] >= 0:
+                held[slot[r]] = row
+        yield start, phases[: stop - start]
+
+
 def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
     """Perturbation-form pullback grids for X = v + h (v constant, h oscillatory).
 
@@ -112,13 +155,22 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
     support = h.support()
     all_ks = h.index.k[support].astype(float)
     all_cs = np.ascontiguousarray(h.coeffs[:, support].T)
-    for start in range(0, len(support), 48):
-        ks = all_ks[start : start + 48]
-        cs = all_cs[start : start + 48]
-        phases = np.exp(
-            (TWO_PI * 1j)
-            * (ks[:, 0, None, None] * point1 + ks[:, 1, None, None] * point2)
-        )
+    # Mirror identity: the exponent z = 2 pi i k.(theta + u) of -k is exactly
+    # -z, since negating k negates every product and sum without rounding.
+    # Its only real part is 2 pi k.Im(u), from the round-off imaginary part
+    # of the sampled displacement.  While 2 pi T (max|Im u1| + max|Im u2|) <
+    # MIRROR_BOUND, exp(+-Re z) rounds to exactly 1, so cexp(-z) equals
+    # conj(cexp(z)) bit for bit (C99 Annex G, sin odd): the grid of -k is
+    # the conjugate of the grid of k.  Otherwise every row is computed.
+    row_of = np.full(len(h.index), -1)
+    row_of[support] = np.arange(len(support))
+    mirror = row_of[len(h.index) - 1 - support]
+    im_u = np.abs(u_grid.imag).max(axis=(1, 2))
+    if not TWO_PI * h.truncation * (im_u[0] + im_u[1]) < MIRROR_BOUND:
+        mirror[:] = -1
+    for start, phases in _phase_chunks(all_ks, mirror, point1, point2):
+        ks = all_ks[start : start + PHASE_CHUNK]
+        cs = all_cs[start : start + PHASE_CHUNK]
         h_at_u += np.tensordot(cs.T, phases, axes=(1, 0))
         if with_derivative:
             jacs = (TWO_PI * 1j) * np.einsum("mi,mj->ijm", cs, ks)
@@ -427,12 +479,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
         coeffs[:, far] = uvec.reshape(-1, 2).T
         return TorusMap(FourierVectorField.from_array(coeffs, width, truncation))
 
-    def evaluate(uvec):
+    def evaluate(uvec, with_derivative=True):
         """Pullback at the displacement uvec, in perturbation form."""
         u_map = displacement_from(uvec)
         u_grid = u_map.displacement.sample_grid(grid)
         w, inv_jac, _, dh_at_u = _pullback_core(
-            v, h, u_grid, grid, with_derivative=True
+            v, h, u_grid, grid, with_derivative=with_derivative
         )
         fit_w, fit_report = fit_grid(w, width, truncation)
         far_part = project(fit_w, cone, "outside")
@@ -454,9 +506,11 @@ def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
         Displacement components spanning many decades share one grid, so
         corrections below eps * sup|u| are absorbed when u is sampled;
         re-evaluating at u (1 + 8 eps) measures the residual resolution
-        actually available at this state.
+        actually available at this state.  Only the probe's far residual
+        is read, so Dh o U is not formed.
         """
-        probe = evaluate(state["uvec"] * (1.0 + 8.0 * np.finfo(float).eps))
+        probe = evaluate(state["uvec"] * (1.0 + 8.0 * np.finfo(float).eps),
+                         with_derivative=False)
         diff = probe["far"] - state["far"]
         return norm_r(diff, rho_prime)
 

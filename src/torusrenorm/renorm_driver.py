@@ -21,7 +21,6 @@ from .errors import DomainExceeded, ZeroSlope
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
-    average,
     mode_l1,
     norm_r,
     project,
@@ -219,7 +218,7 @@ def one_step(
                       params.rho_prime)
     g_res = project(elim.perturbation, cone, "inside")
 
-    e_g = average(g_res)
+    e_g = g_res.average()
     z_tilde = complex(omega_next @ e_g) / float(omega_next @ omega_next)
     if abs(alpha_next * z_tilde) >= 0.5:
         raise DomainExceeded(
@@ -232,7 +231,7 @@ def one_step(
         params.rho_prime
     )
 
-    p, c = constant_split(average(f_next), omega_next)
+    p, c = constant_split(f_next.average(), omega_next)
     diag = StepDiagnostics(
         norm_total=norm_r(f_next, params.rho_prime),
         norm_osc=norm_r(f_next.oscillatory(), params.rho_prime),
@@ -308,7 +307,7 @@ def linearized_step(
         "inside",
     )
     lf = resonant * alpha_next
-    proj = complex(omega_next @ average(lf)) / float(omega_next @ omega_next)
+    proj = complex(omega_next @ lf.average()) / float(omega_next @ omega_next)
     out = lf.minus_constant(proj * omega_next)
     return out.with_width(params.rho_prime)
 
@@ -325,7 +324,7 @@ def winding_cone_check(state: RenormState, params: RenormParams) -> WindingConeC
 
     || (I - P_n) E(X_n) || <= norm_r((I - E) X_n, rho').
     """
-    avg = average(state.perturbation)
+    avg = state.perturbation.average()
     omega = state.omega
     p = complex(omega @ avg) / float(omega @ omega)
     off = avg - p * omega
@@ -464,7 +463,7 @@ def unstable_perturbation(
 
 def unstable_coordinate(state: RenormState) -> float:
     """Component of E(X_n - omega_n) along Omega_n (orthogonal split)."""
-    _, c = constant_split(average(state.perturbation), state.omega)
+    _, c = constant_split(state.perturbation.average(), state.omega)
     return float(np.real(c))
 
 

@@ -12,7 +12,6 @@ from torusrenorm.fourier_field import (
     FarResonant,
     FourierVectorField,
     Kappa,
-    average,
     field_from_dict,
     field_to_dict,
     fit_grid,
@@ -134,17 +133,17 @@ class TestProjection:
 class TestAverage:
     def test_constant(self):
         x = FourierVectorField.constant(OMEGA)
-        assert np.allclose(average(x), OMEGA)
+        assert np.allclose(x.average(), OMEGA)
 
     def test_zero_average_perturbation(self):
         x = FourierVectorField({(2, 1): [1e-2, 0], (-2, -1): [1e-2, 0]}, 1.0, 8)
-        assert np.allclose(average(x), 0)
+        assert np.allclose(x.average(), 0)
 
     def test_constant_plus_mode(self):
         x = FourierVectorField.constant(OMEGA, truncation=8).__add__(
             FourierVectorField({(1, 0): [0, 1e-3]}, 1.0, 8)
         )
-        assert np.allclose(average(x), OMEGA)
+        assert np.allclose(x.average(), OMEGA)
 
 
 class TestGrid:

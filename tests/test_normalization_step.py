@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -300,3 +301,102 @@ class TestSolveReuse:
         result = eliminate_far(x, PSI, SIGMA, solves=solves)
         assert result.map.is_identity() and not result.reused
         assert solves.counts() == {"computed": 0, "reused": 0}
+
+
+def direct_phase_chunks(ks, mirror, point1, point2):
+    """Reference: every phase grid computed from its own exponent, 48 rows
+    at a time, by the whole-chunk expression."""
+    for start in range(0, len(ks), 48):
+        k = ks[start : start + 48]
+        yield start, np.exp(
+            (2.0 * math.pi * 1j)
+            * (k[:, 0, None, None] * point1 + k[:, 1, None, None] * point2)
+        )
+
+
+class TestMirrorPhases:
+    """_pullback_core computes one exponential per +-k pair and returns the
+    bytes of the direct loop, signed zeros included."""
+
+    TRUNCATION = 16
+    GRID = 24
+
+    def support_field(self, m, unpaired=0, seed=0):
+        """m nonzero modes: pairs +-k, one unpaired k if m is odd, and
+        `unpaired` pairs with the -k partner replaced by an unpaired k."""
+        rng = np.random.default_rng(seed)
+        n = len(FourierVectorField.zero(0.9, self.TRUNCATION).index)
+        lower = rng.permutation(n // 2)
+        pairs, extra = lower[: m // 2], lower[m // 2 : m // 2 + m % 2 + unpaired]
+        coeffs = np.zeros((2, n), dtype=complex)
+        coeffs[:, pairs] = rng.normal(size=(2, len(pairs))) + 1j * rng.normal(
+            size=(2, len(pairs)))
+        coeffs[:, n - 1 - pairs] = np.conj(coeffs[:, pairs])
+        coeffs[:, extra] = 0.3 - 0.7j
+        coeffs[:, n - 1 - pairs[:unpaired]] = 0.0
+        x = FourierVectorField.from_array(coeffs, 0.9, self.TRUNCATION)
+        assert len(x) == m
+        return x
+
+    def displacement_grid(self, imag_size, seed=1):
+        rng = np.random.default_rng(seed)
+        shape = (2, self.GRID, self.GRID)
+        if imag_size is None:
+            return np.zeros(shape, dtype=complex)
+        return 1e-7 * rng.normal(size=shape) + 1j * imag_size * rng.normal(size=shape)
+
+    def both(self, monkeypatch, h, u_grid, with_derivative):
+        mirrors = []
+        real_chunks = normalization_step._phase_chunks
+
+        def recorded(ks, mirror, point1, point2):
+            mirrors.append(mirror.copy())
+            return real_chunks(ks, mirror, point1, point2)
+
+        v = PSI.astype(complex)
+        args = (v, h, u_grid, self.GRID, with_derivative)
+        monkeypatch.setattr(normalization_step, "_phase_chunks", recorded)
+        new = normalization_step._pullback_core(*args)
+        monkeypatch.setattr(normalization_step, "_phase_chunks",
+                            direct_phase_chunks)
+        old = normalization_step._pullback_core(*args)
+        monkeypatch.undo()
+        for a, b in zip(new, old):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+        return mirrors[0]
+
+    @pytest.mark.parametrize("m", [1, 47, 48, 49, 80, 150])
+    @pytest.mark.parametrize("imag_size", [None, 1e-23])
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_pairs_share_one_exponential(self, monkeypatch, m, imag_size,
+                                         with_derivative):
+        h = self.support_field(m)
+        mirror = self.both(monkeypatch, h, self.displacement_grid(imag_size),
+                           with_derivative)
+        assert np.count_nonzero(mirror >= 0) == 2 * (m // 2)
+
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_unpaired_modes(self, monkeypatch, with_derivative):
+        h = self.support_field(80, unpaired=5)
+        mirror = self.both(monkeypatch, h, self.displacement_grid(1e-23),
+                           with_derivative)
+        assert np.count_nonzero(mirror >= 0) == 70
+
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_imaginary_displacement_takes_the_direct_path(
+            self, monkeypatch, with_derivative):
+        # 2 pi T (max|Im u1| + max|Im u2|) ~ 1e-9, far above 2^-55: the
+        # conjugate would differ from the direct grid in the last bits
+        h = self.support_field(80)
+        mirror = self.both(monkeypatch, h, self.displacement_grid(1e-12),
+                           with_derivative)
+        assert np.all(mirror == -1)
+
+
+def test_pullback_core_keeps_the_parameters_tracers_read():
+    # the benchmark's pullback hook binds the call's arguments by name
+    parameters = inspect.signature(normalization_step._pullback_core).parameters
+    assert {"h", "grid"} <= set(parameters)

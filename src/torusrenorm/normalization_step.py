@@ -156,12 +156,13 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
     all_ks = h.index.k[support].astype(float)
     all_cs = np.ascontiguousarray(h.coeffs[:, support].T)
     # Mirror identity: the exponent z = 2 pi i k.(theta + u) of -k is exactly
-    # -z, since negating k negates every product and sum without rounding.
-    # Its only real part is 2 pi k.Im(u), from the round-off imaginary part
-    # of the sampled displacement.  While 2 pi T (max|Im u1| + max|Im u2|) <
-    # MIRROR_BOUND, exp(+-Re z) rounds to exactly 1, so cexp(-z) equals
-    # conj(cexp(z)) bit for bit (C99 Annex G, sin odd): the grid of -k is
-    # the conjugate of the grid of k.  Otherwise every row is computed.
+    # -z, since rounding to nearest is symmetric: negating k negates every
+    # rounded product and sum.  The only real part of z is 2 pi k.Im(u),
+    # from the round-off imaginary part of the sampled displacement.  While
+    # 2 pi T (max|Im u1| + max|Im u2|) < MIRROR_BOUND, exp(+-Re z) rounds to
+    # exactly 1, so cexp(-z) equals conj(cexp(z)) bit for bit (C99 Annex G,
+    # sin odd): the grid of -k is the conjugate of the grid of k.
+    # Otherwise every row is computed.
     row_of = np.full(len(h.index), -1)
     row_of[support] = np.arange(len(support))
     mirror = row_of[len(h.index) - 1 - support]

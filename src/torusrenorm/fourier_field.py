@@ -275,16 +275,6 @@ class FourierVectorField:
         np.add.at(spec, (slice(None), i1, i2), self.coeffs)
         return ifft2(spec, axes=(1, 2)) * grid * grid
 
-    def derivative_grid(self, grid: int) -> np.ndarray:
-        """Jacobian D X on the grid: shape (2, 2, G, G), [i, j] = dX_i/dtheta_j."""
-        spec = np.zeros((2, 2, grid, grid), dtype=complex)
-        i1, i2 = _grid_positions(self.truncation, grid)
-        k = self.index.k
-        for j in range(2):
-            np.add.at(spec, (slice(None), j, i1, i2),
-                      self.coeffs * ((TWO_PI * 1j) * k[:, j]))
-        return ifft2(spec, axes=(2, 3)) * grid * grid
-
     def __repr__(self):
         return (
             f"FourierVectorField({len(self)} modes, width={self.width}, "

@@ -465,6 +465,18 @@ def _to_float(value) -> float:
     return float(value.mid)
 
 
+def _float_once(value, floats: dict) -> float:
+    """_to_float(value); a quadratic value is converted once per dict."""
+    if not isinstance(value, QuadraticNumber):
+        return _to_float(value)
+    # its exact parts as the key: QuadraticNumber.__eq__ builds a difference
+    key = (value.a, value.b, value.d)
+    out = floats.get(key)
+    if out is None:
+        out = floats[key] = _to_float(value)
+    return out
+
+
 @dataclass
 class CFExpansion:
     """Certified continued-fraction data for a slope.
@@ -502,8 +514,10 @@ class CFExpansion:
         with _IvPrec(self.slope.bits) if real else contextlib.nullcontext():
             self.betas = list(itertools.accumulate(self.remainders, operator.mul))
             self.a_tildes = list(itertools.accumulate(self.tails, operator.mul))
-        self.tail_floats = [_to_float(v) for v in self.tails]
-        self.remainder_floats = [_to_float(v) for v in self.remainders]
+        # a periodic expansion repeats its tails: convert each value once
+        floats = {}
+        self.tail_floats = [_float_once(v, floats) for v in self.tails]
+        self.remainder_floats = [_float_once(v, floats) for v in self.remainders]
         # through the accessors, so perfbench's spans on beta/a_tilde see them
         self.beta_floats = [_to_float(self.beta(n)) for n in range(len(self))]
         self.a_tilde_floats = [_to_float(self.a_tilde(n)) for n in range(len(self))]

@@ -21,7 +21,7 @@ from .errors import DomainExceeded, ZeroSlope
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
-    mode_l1,
+    mode_index,
     norm_r,
     project,
 )
@@ -596,16 +596,30 @@ def lambda_jn(cf: CFExpansion, sigma: float, beta: float, j: int, n: int) -> flo
 
 
 def power_iteration_norm(matrix, iters: int = 60, seed: int = 0) -> float:
-    """Largest singular value of a sparse operator by power iteration on A*A."""
+    """Largest singular value of a sparse operator by power iteration on A*A.
+
+    The products run on the rows and columns that hold entries.  Each norm
+    is taken over a full-length buffer, zero off those columns, because
+    np.linalg.norm groups its BLAS dot by position.
+    """
     rng = np.random.default_rng(seed)
     n = matrix.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
+    entries = matrix.tocoo()
+    rows, row_of = np.unique(entries.row, return_inverse=True)
+    cols, col_of = np.unique(entries.col, return_inverse=True)
+    sub = scipy.sparse.csr_matrix(
+        (entries.data, (row_of, col_of)), shape=(len(rows), len(cols))
+    )
+    adjoint = sub.conj().T
+    full = np.zeros(n, dtype=complex)
+    v = v[cols]
     sigma = 0.0
     for _ in range(iters):
-        w = matrix @ v
-        v_next = matrix.conj().T @ w
-        norm = np.linalg.norm(v_next)
+        v_next = adjoint @ (sub @ v)
+        full[cols] = v_next
+        norm = np.linalg.norm(full)
         if norm == 0:
             return 0.0
         sigma = math.sqrt(norm)
@@ -661,7 +675,8 @@ def stable_decay_probe(
     [mode transport by T_{a_i}]; a basis mode either dies at some
     projection or transports to a single mode, so the weighted-l1 norm is
     an exact column maximum.  A sparse matrix of the survivors feeds the
-    power-iteration l2 estimate.
+    power-iteration l2 estimate.  The modes move as one integer array and
+    the block is formed once per j, so the work follows the survivors.
     """
     if params is None:
         params = RenormParams(sigma=sigma, truncation=truncation)
@@ -669,56 +684,54 @@ def stable_decay_probe(
     omegas = [ell * np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []
-    universe = sorted(
-        (k1, k2)
-        for k1 in range(-truncation, truncation + 1)
-        for k2 in range(-(truncation - abs(k1)), truncation - abs(k1) + 1)
-        if (k1, k2) != (0, 0)
-    )
-    mode_index = {k: i for i, k in enumerate(universe)}
+    # the universe is the mode index without its central zero mode
+    index = mode_index(truncation)
+    centre = len(index) // 2
+    size = 2 * (len(index) - 1)
+    # e^{rho' d} for every change d of ||k||_1, from math.exp
+    exp_table = np.array([math.exp(rho_prime * d)
+                          for d in range(-truncation, truncation + 1)])
     for j in j_values:
-        best = 0.0
-        alive = 0
-        rows, cols, vals = [], [], []
-        for k in resonant_modes(omegas[j], sigma, truncation):
-            kk = k
-            block = np.eye(2)
-            dead = False
-            for i in range(j, n + 1):
-                a_i = cf.coefficient(i)
-                kk = (kk[1], kk[0] + a_i * kk[1])
-                t_inv = np.array([[-float(a_i), 1.0], [1.0, 0.0]])
-                block = cf.tail_float(i + 1) * (t_inv @ block)
-                w = omegas[i + 1]
-                if mode_l1(kk) > truncation or abs(
-                    w[0] * kk[0] + w[1] * kk[1]
-                ) > sigma * mode_l1(kk):
-                    dead = True
-                    break
-            if dead:
-                continue
-            alive += 1
-            weight = math.exp(rho_prime * (mode_l1(kk) - mode_l1(k)))
-            # weighted-l1 operator norm is an exact column maximum
-            best = max(best, max(np.abs(block).sum(axis=0)) * weight)
-            src, dst = mode_index[k], mode_index[kk]
-            for r in range(2):
-                for c in range(2):
-                    rows.append(2 * dst + r)
-                    cols.append(2 * src + c)
-                    vals.append(block[r, c] * weight)
-        if vals:
-            size = 2 * len(universe)
+        k = np.array(resonant_modes(omegas[j], sigma, truncation),
+                     dtype=np.int64).reshape(-1, 2)
+        kk = k
+        # every surviving mode carries the same coefficient block
+        block = np.eye(2)
+        for i in range(j, n + 1):
+            a_i = cf.coefficient(i)
+            t_inv = np.array([[-float(a_i), 1.0], [1.0, 0.0]])
+            block = cf.tail_float(i + 1) * (t_inv @ block)
+            # a coefficient above 2T kills the same modes: those with kk2 != 0
+            a_i = min(a_i, 2 * truncation + 1)
+            kk = np.stack([kk[:, 1], kk[:, 0] + a_i * kk[:, 1]], axis=1)
+            l1 = np.abs(kk).sum(axis=1)
+            w = omegas[i + 1]
+            dead = (l1 > truncation) | (
+                np.abs(w[0] * kk[:, 0] + w[1] * kk[:, 1]) > sigma * l1
+            )
+            k, kk = k[~dead], kk[~dead]
+        best, l2 = 0.0, 0.0
+        if len(k):
+            weight = exp_table[np.abs(kk).sum(axis=1) - np.abs(k).sum(axis=1)
+                               + truncation]
+            # weighted-l1 operator norm is an exact column maximum (rounding
+            # is monotone, so the largest weight gives the largest product)
+            best = np.abs(block).sum(axis=0).max() * weight.max()
+            src, dst = index.positions(k), index.positions(kk)
+            src -= src > centre
+            dst -= dst > centre
+            # per survivor, the entries (r, c) of its block in row order
+            rows = (2 * dst[:, None] + [0, 0, 1, 1]).ravel()
+            cols = (2 * src[:, None] + [0, 1, 0, 1]).ravel()
+            vals = (weight[:, None] * block.ravel()).ravel()
             mat = scipy.sparse.coo_matrix(
                 (vals, (rows, cols)), shape=(size, size)
             ).tocsr()
             l2 = power_iteration_norm(mat)
-        else:
-            l2 = 0.0
         norms_l1.append(best)
         norms_l2.append(l2)
         lambdas.append(lambda_jn(cf, sigma, beta, int(j), n) if n > 0 else np.nan)
-        surviving.append(alive)
+        surviving.append(len(k))
     return DecayProbeReport(
         n=n,
         j_values=j_values,

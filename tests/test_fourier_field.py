@@ -159,20 +159,6 @@ class TestGrid:
             assert np.allclose(fit.modes[k], x.modes[k], atol=1e-13)
         assert report.alias_residual < 1e-13
 
-    def test_derivative_grid(self):
-        x = FourierVectorField({(2, -1): [0.5, 0.25]}, 1.0, 4)
-        grid = 16
-        dx = x.derivative_grid(grid)
-        # compare with finite differences of sample_grid at one point
-        vals = x.sample_grid(grid)
-        h = 1e-6
-        shifted = FourierVectorField(
-            {k: c * np.exp(2j * np.pi * k[0] * h) for k, c in x.modes.items()},
-            1.0, 4,
-        ).sample_grid(grid)
-        fd = (shifted - vals) / h
-        assert np.allclose(dx[:, 0], fd, atol=1e-4)
-
     def test_fit_floor_drops_noise(self):
         values = np.zeros((2, 16, 16), dtype=complex)
         values[0] += 1.0

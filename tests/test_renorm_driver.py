@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from torusrenorm import cli_experiments, normalization_step, renorm_driver
 from torusrenorm.errors import DomainExceeded, ZeroSlope
-from torusrenorm.fourier_field import FourierVectorField, norm_r
+from torusrenorm.fourier_field import FourierVectorField, mode_l1, norm_r
 from torusrenorm.number_theory import S, Slope, V, cf_expand
+from torusrenorm.scaling_step import resonant_modes
 from torusrenorm.renorm_driver import (
     RenormParams,
     basis_change,
@@ -23,6 +25,7 @@ from torusrenorm.renorm_driver import (
     mixed_perturbation,
     one_step,
     perturbed_state,
+    power_iteration_norm,
     quadratic_remainder_probe,
     renorm_orbit,
     resonant_perturbation,
@@ -389,6 +392,166 @@ class TestStableDecayProbe:
         rep = stable_decay_probe(cf, 0.1, 16, 2)
         assert np.all(rep.surviving >= 0)
         # the probe acts on (I - E): a pure constant has no column at all
+
+
+def reference_power_iteration_norm(matrix, iters=60, seed=0):
+    """The power iteration on full-length vectors, as the probe ran it
+    before its products moved to the rows and columns with entries."""
+    rng = np.random.default_rng(seed)
+    n = matrix.shape[1]
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v /= np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(iters):
+        w = matrix @ v
+        v_next = matrix.conj().T @ w
+        norm = np.linalg.norm(v_next)
+        if norm == 0:
+            return 0.0
+        sigma = math.sqrt(norm)
+        v = v_next / norm
+    return float(sigma)
+
+
+def reference_decay_probe(cf, sigma, truncation, n, params=None, beta=0.0):
+    """The probe's per-mode loop: each resonant mode and its 2x2 block
+    carried through the levels one at a time."""
+    if params is None:
+        params = RenormParams(sigma=sigma, truncation=truncation)
+    rho_prime = params.rho_prime
+    omegas = [np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
+    j_values = np.arange(n, -1, -1)
+    norms_l1, norms_l2, lambdas, surviving = [], [], [], []
+    universe = sorted(
+        (k1, k2)
+        for k1 in range(-truncation, truncation + 1)
+        for k2 in range(-(truncation - abs(k1)), truncation - abs(k1) + 1)
+        if (k1, k2) != (0, 0)
+    )
+    position = {k: i for i, k in enumerate(universe)}
+    for j in j_values:
+        best = 0.0
+        alive = 0
+        rows, cols, vals = [], [], []
+        for k in resonant_modes(omegas[j], sigma, truncation):
+            kk = k
+            block = np.eye(2)
+            dead = False
+            for i in range(j, n + 1):
+                a_i = cf.coefficient(i)
+                kk = (kk[1], kk[0] + a_i * kk[1])
+                t_inv = np.array([[-float(a_i), 1.0], [1.0, 0.0]])
+                block = cf.tail_float(i + 1) * (t_inv @ block)
+                w = omegas[i + 1]
+                if mode_l1(kk) > truncation or abs(
+                    w[0] * kk[0] + w[1] * kk[1]
+                ) > sigma * mode_l1(kk):
+                    dead = True
+                    break
+            if dead:
+                continue
+            alive += 1
+            weight = math.exp(rho_prime * (mode_l1(kk) - mode_l1(k)))
+            best = max(best, max(np.abs(block).sum(axis=0)) * weight)
+            src, dst = position[k], position[kk]
+            for r in range(2):
+                for c in range(2):
+                    rows.append(2 * dst + r)
+                    cols.append(2 * src + c)
+                    vals.append(block[r, c] * weight)
+        if vals:
+            size = 2 * len(universe)
+            mat = scipy.sparse.coo_matrix(
+                (vals, (rows, cols)), shape=(size, size)
+            ).tocsr()
+            l2 = reference_power_iteration_norm(mat)
+        else:
+            l2 = 0.0
+        norms_l1.append(best)
+        norms_l2.append(l2)
+        lambdas.append(lambda_jn(cf, sigma, beta, int(j), n) if n > 0 else np.nan)
+        surviving.append(alive)
+    return (np.array(norms_l1), np.array(norms_l2), np.array(lambdas),
+            np.array(surviving))
+
+
+PROBE_SLOPES = {
+    "golden": Slope.golden(),
+    "sqrt2": Slope.sqrt2(),
+    "(3+2sqrt7)/5": Slope.quadratic(3, 2, 7, 5),
+}
+
+
+class TestDecayProbeBits:
+    """The probe transports its surviving modes as arrays and runs the
+    power iteration on the entries' rows and columns; every output keeps
+    the bits of the per-mode loop."""
+
+    @pytest.mark.parametrize("slope", PROBE_SLOPES)
+    @pytest.mark.parametrize("truncation, n", [
+        (60, 0), (60, 3), (60, 6), (120, 10), (200, 3),
+    ])
+    def test_matches_the_per_mode_loop(self, slope, truncation, n):
+        cf = cf_expand(PROBE_SLOPES[slope], n + 4)
+        rep = stable_decay_probe(cf, 0.1, truncation, n, PARAMS)
+        ref = reference_decay_probe(cf, 0.1, truncation, n, PARAMS)
+        got = (rep.norm_l1, rep.norm_l2, rep.lambdas, rep.surviving)
+        for name, a, b in zip(("norm_l1", "norm_l2", "lambdas", "surviving"),
+                              got, ref):
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert np.array_equal(rep.j_values, np.arange(n, -1, -1))
+
+    def test_huge_coefficient(self):
+        # [1; 10^20, 2]: the coefficient exceeds int64 products
+        cf = cf_expand(Slope.rational(2 * 10**20 + 3, 2 * 10**20 + 1), 5)
+        assert cf.coefficients == [1, 10**20, 2]
+        rep = stable_decay_probe(cf, 0.1, 24, 1)
+        ref = reference_decay_probe(cf, 0.1, 24, 1)
+        for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
+                         rep.surviving), ref):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(40, 40), (40, 30)])
+    def test_power_iteration_on_zero_matrices(self, shape):
+        empty = scipy.sparse.csr_matrix(shape)
+        stored_zeros = scipy.sparse.coo_matrix(
+            (np.zeros(3), ([0, 5, 7], [1, 2, 9])), shape=shape).tocsr()
+        for mat in (empty, stored_zeros):
+            assert power_iteration_norm(mat) == 0.0
+            assert reference_power_iteration_norm(mat) == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_power_iteration_with_empty_rows_and_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (300, 240)
+        rows = rng.choice(shape[0], size=25, replace=False)
+        cols = rng.choice(shape[1], size=30, replace=False)
+        nnz = 60
+        mat = scipy.sparse.coo_matrix(
+            (rng.normal(size=nnz) + 1j * rng.normal(size=nnz),
+             (rng.choice(rows, nnz), rng.choice(cols, nnz))),
+            shape=shape,
+        ).tocsr()
+        for iters in (1, 7, 60):
+            got = power_iteration_norm(mat, iters=iters, seed=seed)
+            assert got == reference_power_iteration_norm(mat, iters, seed)
+            assert got > 0
+
+
+def test_decay_probe_power_iteration_work(monkeypatch):
+    """The power iteration's products act on vectors of length
+    2 * (surviving modes), not 2 * |universe|."""
+    lengths = []
+    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix):
+        def recorded(self, other, real=cls.__matmul__):
+            lengths.append(len(other))
+            return real(self, other)
+        monkeypatch.setattr(cls, "__matmul__", recorded)
+    cf = cf_expand(Slope.golden(), 10)
+    rep = stable_decay_probe(cf, 0.1, 60, 6)
+    assert len(lengths) == 2 * 60 * np.count_nonzero(rep.surviving)
+    assert set(lengths) == {2 * int(s) for s in rep.surviving if s}
 
 
 class TestQuadraticRemainder:

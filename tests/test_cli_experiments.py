@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,53 @@ class TestMain:
         main(["cf", "--slope", "golden", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert ".csv" in out and ".json" in out
+
+
+# SHA-256 of each artifact of a small run: the CSV body without its comment
+# header, and the eliminate scenario's field and map JSON.  A pin may change
+# only with the reason recorded in CHANGES.md.
+BYTE_PINS = {
+    ("orbit", "--slope", "golden", "--perturb", "resonant:1e-3", "--steps", "3",
+     "--truncation", "16", "--seed", "7"): {
+        "csv": "0ca40c81e4c577e27ea2c4bcf23af8785b60a22faa5c0e8295d100bef8dd335f",
+    },
+    ("decay-probe", "--slope", "golden", "--steps", "6",
+     "--truncation", "40"): {
+        "csv": "7becaa2ae768927886e296fe45e8b00d049c84ff0a6275f997bdf485be6b860f",
+    },
+    ("cf", "--slope", "golden", "--n-terms", "60"): {
+        "csv": "8315649ab64bf38ba94b3c713f597d202609e95d2b3bf0fa92ea4911fc082978",
+    },
+    ("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
+     "--truncation", "16"): {
+        "csv": "d3e45275cbd833d3a8a6c2e2a125d49ee6b1c96e2d1cd62455fd6aa2bab0528a",
+        "field.json": "3d6bb50617022158c55bf92c41bd0f047b7827e6d82d3caa6cfdac16f8814091",
+        "map.json": "78bb46b712202881652b324feef0f911cc6bab88d0d04d96609e557b0ab080bd",
+    },
+}
+
+
+def artifact_digests(argv, out_dir):
+    """SHA-256 of the CSV body and of any field/map JSON a CLI run writes."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main([*argv, "--out", str(out_dir)]) == 0
+    digests = {}
+    for line in printed.getvalue().splitlines():
+        path = Path(line)
+        if path.parent != out_dir:
+            continue
+        text = path.read_text()
+        if path.suffix == ".csv":
+            text = "".join(l for l in text.splitlines(keepends=True)
+                           if not l.startswith("#"))
+            digests["csv"] = hashlib.sha256(text.encode()).hexdigest()
+        elif path.name.endswith(("_field.json", "_map.json")):
+            kind = path.name.rsplit("_", 1)[1]
+            digests[kind] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("argv", BYTE_PINS, ids=lambda argv: argv[0])
+def test_outputs_keep_their_bytes(argv, tmp_path):
+    assert artifact_digests(argv, tmp_path) == BYTE_PINS[argv]

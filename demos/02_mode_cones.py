@@ -23,7 +23,8 @@ KAPPA = kappa_from_sigma(SIGMA)
 print(f"omega = (1, gamma), sigma = {SIGMA}, kappa = {KAPPA:.4f}\n")
 
 print("=== the resonant family within ||k||_1 <= 32 ===")
-modes = [k for k in resonant_modes(OMEGA, SIGMA, 32) if k > (0, 0)]
+modes = [k for k in map(tuple, resonant_modes(OMEGA, SIGMA, 32).tolist())
+         if k > (0, 0)]
 for k in sorted(modes, key=lambda k: abs(k[0]) + abs(k[1]))[:10]:
     divisor = abs(k[0] + GAMMA * k[1])
     image = (k[1], k[0] + k[1])

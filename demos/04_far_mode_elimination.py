@@ -17,7 +17,7 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
 )
-from torusrenorm.normalization_step import eliminate_far
+from torusrenorm.normalization_step import eliminate_far_perturbation
 
 GAMMA = (1 + math.sqrt(5)) / 2
 PSI = np.array([1.0, GAMMA])
@@ -40,7 +40,8 @@ def perturbed(eps, seed=0):
 
 print("=== Newton sweep residuals at perturbation 1e-3 ===")
 x, _ = perturbed(1e-3)
-result = eliminate_far(x, PSI, SIGMA, tol=1e-12)
+result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                    tol=1e-12)
 for i, r in enumerate(result.residuals):
     print(f"  sweep {i}: far residual {r:.3e}")
 print(f"converged in {result.sweeps} sweeps; displacement on "
@@ -53,17 +54,20 @@ print("\n=== first-sweep residual is quadratic in the perturbation ===")
 print(f"{'eps':>8} {'first sweep':>12} {'ratio to eps^2':>15}")
 for eps in (1e-3, 1e-4, 1e-5):
     x, _ = perturbed(eps)
-    r = eliminate_far(x, PSI, SIGMA, tol=1e-13)
+    r = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                   tol=1e-13)
     print(f"{eps:>8.0e} {r.residuals[1]:>12.3e} {r.residuals[1] / eps**2:>15.2f}")
 
 print("\n=== the derivative at psi is the resonant projection ===")
 eps = 1e-6
 _, f = perturbed(1.0, seed=4)
 f = f * (1.0 / norm_r(f, 0.9))
-plus = eliminate_far(FourierVectorField.constant(PSI, 0.9, TRUNC) + f * eps,
-                     PSI, SIGMA, tol=1e-13).field
-minus = eliminate_far(FourierVectorField.constant(PSI, 0.9, TRUNC) + f * (-eps),
-                      PSI, SIGMA, tol=1e-13).field
+x_plus = FourierVectorField.constant(PSI, 0.9, TRUNC) + f * eps
+x_minus = FourierVectorField.constant(PSI, 0.9, TRUNC) + f * (-eps)
+plus = eliminate_far_perturbation(PSI, x_plus.minus_constant(PSI), SIGMA,
+                                  tol=1e-13).field
+minus = eliminate_far_perturbation(PSI, x_minus.minus_constant(PSI), SIGMA,
+                                   tol=1e-13).field
 derivative = (plus - minus) * (1.0 / (2 * eps))
 err = norm_r(derivative - project(f, CONE, "inside"), 0.9)
 print(f"central difference vs resonant projection: {err:.2e}")

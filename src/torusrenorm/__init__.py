@@ -14,12 +14,10 @@ from .errors import (
     DomainExceeded,
     IndexOutOfRange,
     NoConvergence,
-    OutsideBall,
     PoleAtInput,
     PrecisionExhausted,
     SingularJacobian,
     ZeroInput,
-    ZeroSlope,
 )
 from .fourier_field import (
     FarResonant,
@@ -35,7 +33,6 @@ from .fourier_field import (
 from .normalization_step import (
     TorusMap,
     compose_pullback,
-    eliminate_far,
     eliminate_far_perturbation,
 )
 from .number_theory import (
@@ -59,7 +56,6 @@ from .renorm_driver import (
     quadratic_remainder_probe,
     renorm_orbit,
     stable_decay_probe,
-    transient_step,
     winding_cone_check,
 )
 from .scaling_step import (

@@ -28,7 +28,7 @@ from .fourier_field import (
     project,
     save_field,
 )
-from .normalization_step import FarSolves, eliminate_far
+from .normalization_step import FarSolves, eliminate_far_perturbation
 from .number_theory import Slope, cf_expand, diophantine_probe
 from .renorm_driver import (
     RenormParams,
@@ -142,22 +142,17 @@ def build_params(config: dict) -> RenormParams:
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
-    """(f, description, probe): probe is the last stabilising probe orbit,
-    whose far-mode solves the run's later eliminations may reuse, or None."""
+    """(f, description) of the configured perturbation f = X_0 - omega_0,
+    a resonant draw taken as it is, without stabilisation."""
     kind, amp = parse_perturbation(config["perturb"])
     seed = int(config["seed"])
-    probe = None
     if kind == "resonant":
         f, _ = resonant_perturbation(slope, amp, params, seed, stabilize=False)
-        f, corrections, probe = stabilize_resonant_perturbation(f, slope, params)
-        extra = {"stabilizing_corrections": corrections}
     elif kind == "unstable":
         f = unstable_perturbation(float(slope), amp, params)
-        extra = {}
     else:
         f = mixed_perturbation(slope, amp, params, seed)
-        extra = {}
-    return f, {"kind": kind, "amplitude": amp, **extra}, probe
+    return f, {"kind": kind, "amplitude": amp}
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +301,16 @@ def scenario_eliminate(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
     omega = np.array([1.0, float(slope)])
-    f, pert_info, probe = perturbation_field(config, slope, params)
+    f, pert_info = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(
         omega, params.rho_prime, params.truncation
     ) + f
     far_modes_in = len(project(x, FarResonant((omega[0], omega[1]),
                                               params.sigma), "outside"))
-    solves = FarSolves(probe.solves if probe is not None else None)
+    solves = FarSolves()
     try:
-        result = eliminate_far(
-            x, omega, params.sigma, tol=params.tol,
+        result = eliminate_far_perturbation(
+            omega, x.minus_constant(omega), params.sigma, tol=params.tol,
             rho=params.rho, rho_prime=params.rho_prime, solves=solves,
         )
     except NoConvergence as exc:
@@ -347,7 +342,12 @@ def scenario_eliminate(config, out_dir, tag):
 def scenario_orbit(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
-    f, pert_info, probe = perturbation_field(config, slope, params)
+    f, pert_info = perturbation_field(config, slope, params)
+    probe = None
+    if pert_info["kind"] == "resonant":
+        # the last probe orbit's far-mode solves are the orbit's to reuse
+        f, corrections, probe = stabilize_resonant_perturbation(f, slope, params)
+        pert_info["stabilizing_corrections"] = corrections
     steps = int(config["steps"])
     orbit = renorm_orbit(f, slope, steps, params, x0_is_perturbation=True,
                          prefix=probe)

@@ -5,10 +5,6 @@ class ZeroInput(ValueError):
     """Gauss map evaluated at x <= 0."""
 
 
-class ZeroSlope(ValueError):
-    """Frequency vector with zero or undefined slope."""
-
-
 class PoleAtInput(ZeroDivisionError):
     """Moebius action evaluated at the pole a + b*alpha = 0."""
 
@@ -35,10 +31,6 @@ class DomainError(ValueError):
 
 class SingularJacobian(ArithmeticError):
     """det DU is numerically zero at some collocation point."""
-
-
-class OutsideBall(ValueError):
-    """Input lies outside the guaranteed-contraction ball of the elimination map."""
 
 
 class NoConvergence(RuntimeError):

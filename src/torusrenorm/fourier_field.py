@@ -23,6 +23,8 @@ import numpy as np
 from scipy.fft import fft2, ifft2
 
 TWO_PI = 2.0 * math.pi
+# fit_grid chops coefficients below this fraction of the largest grid value
+CHOP_REL = 64.0 * np.finfo(float).eps
 
 
 def _l1(v) -> float:
@@ -289,11 +291,10 @@ class GridFitReport:
     floor: float
 
 
-def fit_grid(values: np.ndarray, width: float, truncation: int,
-             floor_rel: float = 64.0 * np.finfo(float).eps):
+def fit_grid(values: np.ndarray, width: float, truncation: int):
     """Fit grid values (2, G, G) into a truncated field.
 
-    Coefficients below floor_rel * max|values| are treated as grid noise
+    Coefficients below CHOP_REL * max|values| are treated as grid noise
     and dropped; that floor keeps the exponentially weighted norms from
     amplifying FFT round-off.  Mass outside the truncation disc is
     reported as the aliasing residual, dropped noise as dropped_mass.
@@ -302,7 +303,7 @@ def fit_grid(values: np.ndarray, width: float, truncation: int,
     if grid < 2 * truncation + 1:
         raise ValueError(f"grid {grid} cannot resolve truncation {truncation}")
     spec = fft2(values, axes=(1, 2)) / (grid * grid)
-    floor = floor_rel * max(np.max(np.abs(values)), 1e-300)
+    floor = CHOP_REL * max(np.max(np.abs(values)), 1e-300)
     idx = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
     l1_grid = np.abs(idx)[:, None] + np.abs(idx)[None, :]
     mass = np.abs(spec[0]) + np.abs(spec[1])

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .errors import NoConvergence, OutsideBall, SingularJacobian
+from .errors import NoConvergence, SingularJacobian
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -34,6 +34,14 @@ from .fourier_field import (
 
 TWO_PI = 2.0 * math.pi
 SQRT6 = math.sqrt(6.0)
+# smallest |det DU| on the collocation grid that the pullback accepts
+DET_TOL = 1e-8
+# the far-mode Newton solve: at most MAX_SWEEPS sweeps of at most
+# GMRES_MAXITER restart cycles each; a stall within STALL_ACCEPT of the
+# initial residual counts as converged at the floor
+MAX_SWEEPS = 12
+GMRES_MAXITER = 40
+STALL_ACCEPT = 1e-6
 
 
 class TorusMap:
@@ -75,11 +83,6 @@ class TorusMap:
 
     def __repr__(self):
         return f"TorusMap({len(self.displacement)} displacement modes)"
-
-
-def default_grid(x: FourierVectorField, u: TorusMap | None = None) -> int:
-    u_trunc = u.truncation if u is not None else x.truncation
-    return next_fast_len(2 * (x.truncation + u_trunc) + 1)
 
 
 @dataclass
@@ -133,7 +136,7 @@ def _phase_chunks(ks, mirror, point1, point2):
         yield start, phases[: stop - start]
 
 
-def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
+def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     """Perturbation-form pullback grids for X = v + h (v constant, h oscillatory).
 
     Uses the identity (DU)^{-1} X o U = v + (DU)^{-1} [h o U - (Du) v], so
@@ -191,7 +194,7 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False, det_tol=1e-8):
     a22 = 1.0 + du[1, 1]
     det = a11 * a22 - a12 * a21
     min_det = float(np.min(np.abs(det)))
-    if min_det < det_tol:
+    if min_det < DET_TOL:
         raise SingularJacobian(
             f"min |det DU| = {min_det:.3e} on the collocation grid"
         )
@@ -220,7 +223,6 @@ def compose_pullback(
     x: FourierVectorField,
     u: TorusMap,
     grid: int | None = None,
-    det_tol: float = 1e-8,
 ) -> PullbackResult:
     """Discrete Fourier fit of (DU)^{-1} X o U on a uniform grid.
 
@@ -234,8 +236,7 @@ def compose_pullback(
         raise ValueError(f"grid {grid} below anti-aliasing size {required}")
     u_grid = u.displacement.sample_grid(grid)
     v = x.average()
-    w, _, min_det, _ = _pullback_core(v, x.oscillatory(), u_grid, grid,
-                                      det_tol=det_tol)
+    w, _, min_det, _ = _pullback_core(v, x.oscillatory(), u_grid, grid)
     fit_w, report = fit_grid(w, x.width, x.truncation)
     fitted = _perturbation_from_fit(fit_w, v)
     return PullbackResult(fitted, report, min_det, grid)
@@ -288,9 +289,6 @@ class EliminationResult:
     def contraction_ok(self) -> bool:
         return self.contraction_lhs <= self.contraction_rhs
 
-    def as_pair(self):
-        return self.map, self.field
-
 
 @dataclass(frozen=True)
 class FarSolve:
@@ -342,53 +340,25 @@ class FarSolves:
         return {"computed": self.computed, "reused": self.reused}
 
 
-def eliminate_far(
-    x: FourierVectorField,
-    psi,
-    sigma: float,
-    tol: float = 1e-12,
-    max_iter: int = 12,
-    rho: float = 1.0,
-    rho_prime: float = 0.9,
-    grid: int | None = None,
-    enforce_ball: bool = False,
-    gmres_maxiter: int = 40,
-    stall_accept: float = 1e-6,
-    solves: FarSolves | None = None,
-) -> EliminationResult:
-    """Solve [far cone](DU)^{-1} X o U = 0 for U = id + u, u on the far cone.
-
-    Newton sweeps: the far residual g of the current pullback is divided
-    by the safe divisors 2 pi i psi.k (the preconditioner), then the exact
-    linearisation is solved by a few GMRES iterations; a full step is
-    taken, falling back to step halving (at most 8) if the residual grows.
-    Raises OutsideBall only when enforce_ball is set; the guaranteed ball
-    is far smaller than the practical Newton basin and is always reported.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    return eliminate_far_perturbation(
-        psi, x.minus_constant(psi), sigma, tol=tol, max_iter=max_iter,
-        rho=rho, rho_prime=rho_prime, grid=grid, enforce_ball=enforce_ball,
-        gmres_maxiter=gmres_maxiter, stall_accept=stall_accept, solves=solves,
-    )
-
-
 def eliminate_far_perturbation(
     psi,
     g0: FourierVectorField,
     sigma: float,
     tol: float = 1e-12,
-    max_iter: int = 12,
     rho: float = 1.0,
     rho_prime: float = 0.9,
-    grid: int | None = None,
-    enforce_ball: bool = False,
-    gmres_maxiter: int = 40,
-    stall_accept: float = 1e-6,
     solves: FarSolves | None = None,
 ) -> EliminationResult:
-    """eliminate_far with X given as psi + g0; all arithmetic stays at the
-    scale of g0 so tiny perturbations are not drowned by round-off on psi.
+    """Solve [far cone](DU)^{-1} X o U = 0 for U = id + u, u on the far
+    cone, with X given as psi + g0; all arithmetic stays at the scale of g0
+    so tiny perturbations are not drowned by round-off on psi.
+
+    Newton sweeps: the far residual g of the current pullback is divided
+    by the safe divisors 2 pi i psi.k (the preconditioner), then the exact
+    linearisation is solved by a few GMRES iterations; a full step is
+    taken, falling back to step halving (at most 8) if the residual grows.
+    The guaranteed ball is far smaller than the practical Newton basin; it
+    is reported, not enforced.
 
     The Newton solve depends on g0 only through v = psi + E g0 and
     h = (I - E) g0: k = 0 lies inside every FarResonant cone, so the far
@@ -403,13 +373,8 @@ def eliminate_far_perturbation(
     eps_hat = guaranteed_ball_radius(psi, sigma, rho, rho_prime)
     input_size = norm_prime_r(g0, rho)
     inside_ball = input_size <= eps_hat
-    if enforce_ball and not inside_ball:
-        raise OutsideBall(
-            f"norm'_rho(X - psi) = {input_size:.3e} > eps_hat = {eps_hat:.3e}"
-        )
     contraction_rhs = contraction_constant(psi, sigma) * input_size
-    if grid is None:
-        grid = next_fast_len(4 * truncation + 1)
+    grid = next_fast_len(4 * truncation + 1)
 
     far = np.flatnonzero(~cone_mask(cone, truncation))
     if not np.any(g0.coeffs[:, far]):
@@ -426,18 +391,13 @@ def eliminate_far_perturbation(
     h = g0.oscillatory()
     key = (
         psi.tobytes(), v.tobytes(),
-        np.array([sigma, width, tol, rho_prime, stall_accept],
-                 dtype=float).tobytes(),
-        (truncation, max_iter, grid, gmres_maxiter),
-        h.coeffs.tobytes(),
+        np.array([sigma, width, tol, rho_prime], dtype=float).tobytes(),
+        truncation, h.coeffs.tobytes(),
     )
     solve = solves.lookup(key) if solves is not None else None
     reused = solve is not None
     if not reused:
-        solve = _far_newton_solve(
-            psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
-            gmres_maxiter, stall_accept,
-        )
+        solve = _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid)
     if solves is not None:
         solves.record(key, solve, reused)
 
@@ -462,8 +422,7 @@ def eliminate_far_perturbation(
     )
 
 
-def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
-                      gmres_maxiter, stall_accept) -> FarSolve:
+def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
     """Newton solve for the displacement on the far modes `far` that clears
     the far residual of the pullback of X = v + h."""
     truncation = h.truncation
@@ -546,7 +505,7 @@ def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
     at_floor = False
     stalls = 0
     gmres_failures = 0
-    while not converged and sweeps < max_iter:
+    while not converged and sweeps < MAX_SWEEPS:
         sweeps += 1
         gvec = current["far"].coeffs[:, far].T.reshape(-1)
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
@@ -556,8 +515,7 @@ def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
             dtype=complex,
         )
         rtol = max(1e-13, min(1e-2, 0.1 * res))
-        z, info = gmres(op, -gvec, rtol=rtol, atol=0.0,
-                        maxiter=gmres_maxiter)
+        z, info = gmres(op, -gvec, rtol=rtol, atol=0.0, maxiter=GMRES_MAXITER)
         # a solve that stops short still yields a usable Newton direction;
         # the step test below judges it, the count reports it
         gmres_failures += info != 0
@@ -583,13 +541,13 @@ def _far_newton_solve(psi, cone, far, v, h, tol, max_iter, rho_prime, grid,
         # numerically unresolvable; accept a stall at that level
         stalls = stalls + 1 if res > 0.5 * residuals[-2] else 0
         if stalls >= 1:
-            if res <= max(stall_accept * res0, 2.0 * measured_floor(current)):
+            if res <= max(STALL_ACCEPT * res0, 2.0 * measured_floor(current)):
                 converged = True
                 at_floor = True
                 break
 
     if not converged and res <= max(
-        stall_accept * res0, 2.0 * measured_floor(current)
+        STALL_ACCEPT * res0, 2.0 * measured_floor(current)
     ):
         converged = True
         at_floor = True

@@ -1,6 +1,6 @@
 """The one-step renormalisation operator and its orbit diagnostics.
 
-One step at frequency omega_n = l (1, alpha_n): rescale the field by the
+One step at frequency omega_n = (1, alpha_n): rescale the field by the
 shift matrix T_{a_n}, eliminate the far-from-resonance modes of the new
 frequency by a change of coordinates, and normalise the average along
 omega_{n+1}.  The frequency orbit follows the continued-fraction tails
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import DomainExceeded, ZeroSlope
+from .errors import DomainExceeded
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -35,6 +35,13 @@ from .scaling_step import (
 )
 
 
+# the constant c' of the step's domain radius zeta_n = c'/(alpha_n alpha_{n+1})
+C_PRIME = 1e-2
+# the stabilising secant: rounds of probe orbits of PROBE_STEPS steps
+PROBE_STEPS = 6
+STABILIZE_ROUNDS = 3
+
+
 @dataclass(frozen=True)
 class RenormParams:
     """Shared step parameters; one (rho, rho', kappa, sigma) for every step."""
@@ -42,19 +49,15 @@ class RenormParams:
     sigma: float = 0.1
     rho: float = 1.0
     rho_prime: float = 0.9
-    kappa: float | None = None
     truncation: int = 32
     tol: float = 1e-12
-    max_sweeps: int = 12
-    c_prime: float = 1e-2
-    grid: int | None = None
 
-    def __post_init__(self):
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", kappa_from_sigma(self.sigma))
+    @property
+    def kappa(self) -> float:
+        return kappa_from_sigma(self.sigma)
 
     def zeta(self, alpha: float, alpha_next: float) -> float:
-        return self.c_prime / (alpha * alpha_next)
+        return C_PRIME / (alpha * alpha_next)
 
 
 @dataclass
@@ -79,16 +82,11 @@ class RenormState:
     a: int
     perturbation: FourierVectorField
     cf: CFExpansion
-    ell: float = 1.0
     diagnostics: StepDiagnostics | None = None
 
-    @property
-    def field(self) -> FourierVectorField:
-        return self.perturbation.minus_constant(-self.omega)
 
-
-def omega_of(cf: CFExpansion, n: int, ell: float = 1.0) -> np.ndarray:
-    return ell * np.array([1.0, cf.tail_float(n)])
+def omega_of(cf: CFExpansion, n: int) -> np.ndarray:
+    return np.array([1.0, cf.tail_float(n)])
 
 
 def cap_omega_of(alpha: float) -> np.ndarray:
@@ -107,25 +105,15 @@ def constant_split(f_avg, omega):
     return complex(p), complex(c)
 
 
-def initial_state(
-    x0: FourierVectorField, cf: CFExpansion, ell: float = 1.0
-) -> RenormState:
-    omega = omega_of(cf, 0, ell)
-    return perturbed_state(x0.minus_constant(omega), cf, ell)
-
-
-def perturbed_state(
-    f0: FourierVectorField, cf: CFExpansion, ell: float = 1.0
-) -> RenormState:
+def perturbed_state(f0: FourierVectorField, cf: CFExpansion) -> RenormState:
     """State at n = 0 from the perturbation f0 = X_0 - omega_0."""
     return RenormState(
         n=0,
-        omega=omega_of(cf, 0, ell),
+        omega=omega_of(cf, 0),
         alpha=cf.tail_float(0),
         a=cf.coefficient(0),
         perturbation=f0,
         cf=cf,
-        ell=ell,
     )
 
 
@@ -139,30 +127,12 @@ def basis_change(x: FourierVectorField, m: GL2Z) -> FourierVectorField:
     return x.transport(m.transpose().as_array(), m_inv)
 
 
-def transient_step(x0: FourierVectorField, omega0):
+def transient_slope(slope: Slope):
     """Apply V (negative slope) and/or S (slope below one) to reach slope > 1.
 
-    Returns (field, omega, applied) where applied lists the matrices used.
+    Returns (slope, applied) where applied lists the matrices used; a field
+    follows by basis_change with the same matrices.
     """
-    omega = np.asarray(omega0, dtype=float)
-    if omega[0] == 0 or omega[1] == 0:
-        raise ZeroSlope("transient step needs a finite nonzero slope")
-    x = x0
-    applied = []
-    if omega[1] / omega[0] < 0:
-        x = basis_change(x, V)
-        omega = V.inverse().as_array() @ omega
-        applied.append("V")
-    slope = omega[1] / omega[0]
-    if 0 < slope < 1:
-        x = basis_change(x, S)
-        omega = S.inverse().as_array() @ omega
-        applied.append("S")
-    return x, omega, applied
-
-
-def transient_slope(slope: Slope):
-    """The slope-object counterpart of transient_step's V/S adjustments."""
     applied = []
     if float(slope) < 0:
         slope = act_on_slope(V, slope)
@@ -190,7 +160,7 @@ def one_step(
     cf, n = state.cf, state.n
     alpha, a = state.alpha, state.a
     alpha_next = cf.tail_float(n + 1)
-    omega_next = state.ell * np.array([1.0, alpha_next])
+    omega_next = np.array([1.0, alpha_next])
     zeta = params.zeta(alpha, alpha_next)
 
     f = state.perturbation
@@ -203,15 +173,13 @@ def one_step(
 
     g = scale_step(f, a, params.rho, params.rho_prime, params.kappa)
 
-    # T^{-1} omega_n = l (x_n, 1) = omega_{n+1}/alpha_{n+1}; the far cone of
+    # T^{-1} omega_n = (x_n, 1) = omega_{n+1}/alpha_{n+1}; the far cone of
     # omega' at sigma equals that of omega'/alpha' at sigma/alpha'
-    psi = state.ell * np.array([cf.remainder_float(n), 1.0])
+    psi = np.array([cf.remainder_float(n), 1.0])
     sigma_eff = params.sigma / alpha_next
     elim = eliminate_far_perturbation(
-        psi, g, sigma_eff,
-        tol=params.tol, max_iter=params.max_sweeps,
-        rho=params.rho, rho_prime=params.rho_prime, grid=params.grid,
-        solves=solves,
+        psi, g, sigma_eff, tol=params.tol, rho=params.rho,
+        rho_prime=params.rho_prime, solves=solves,
     )
     cone = FarResonant((psi[0], psi[1]), sigma_eff)
     far_mass = norm_r(project(elim.perturbation, cone, "outside"),
@@ -249,7 +217,6 @@ def one_step(
         a=cf.coefficient(n + 1),
         perturbation=f_next,
         cf=cf,
-        ell=state.ell,
         diagnostics=diag,
     )
 
@@ -294,11 +261,10 @@ def constant_block(alpha: float) -> ConstantBlock:
 
 
 def linearized_step(
-    f: FourierVectorField, cf: CFExpansion, n: int, params: RenormParams,
-    ell: float = 1.0,
+    f: FourierVectorField, cf: CFExpansion, n: int, params: RenormParams
 ) -> FourierVectorField:
     """Derivative of the step at omega_n applied to f: (I - P E) L f."""
-    omega_next = omega_of(cf, n + 1, ell)
+    omega_next = omega_of(cf, n + 1)
     scaled = scale_step(f, cf.coefficient(n), params.rho, params.rho_prime,
                         params.kappa)
     alpha_next = cf.tail_float(n + 1)
@@ -377,7 +343,6 @@ def renorm_orbit(
     slope: Slope,
     n_steps: int,
     params: RenormParams,
-    ell: float = 1.0,
     x0_is_perturbation: bool = False,
     prefix: OrbitResult | None = None,
 ) -> OrbitResult:
@@ -402,25 +367,24 @@ def renorm_orbit(
         )
     solves = FarSolves(prefix.solves if prefix is not None else None)
     f = x0 if x0_is_perturbation else x0.minus_constant(
-        ell * np.array([1.0, float(slope)])
+        np.array([1.0, float(slope)])
     )
     for name in applied:
         f = basis_change(f, V if name == "V" else S)
-    omega = omega_of(cf, 0, ell)
+    omega = omega_of(cf, 0)
 
     # adjustment part two: clear any far modes of the input
     cone = FarResonant((omega[0], omega[1]), params.sigma)
     far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
     if far0 > params.tol:
         elim = eliminate_far_perturbation(
-            omega, f, params.sigma, tol=params.tol,
-            max_iter=params.max_sweeps, rho=params.rho,
-            rho_prime=params.rho_prime, grid=params.grid, solves=solves,
+            omega, f, params.sigma, tol=params.tol, rho=params.rho,
+            rho_prime=params.rho_prime, solves=solves,
         )
         f = project(elim.perturbation, cone, "inside")
     else:
         f = project(f, cone, "inside")
-    state = perturbed_state(f, cf, ell)
+    state = perturbed_state(f, cf)
     states = [state]
     norms = [norm_r(f, params.rho_prime)]
     failure, failure_step = None, None
@@ -468,22 +432,19 @@ def unstable_coordinate(state: RenormState) -> float:
 
 
 def stabilize_resonant_perturbation(
-    f0: FourierVectorField,
-    slope: Slope,
-    params: RenormParams,
-    probe_steps: int = 6,
-    rounds: int = 3,
-    ell: float = 1.0,
+    f0: FourierVectorField, slope: Slope, params: RenormParams
 ):
     """Cancel the unstable constant component seeded by a perturbation.
 
     Fields sharing the winding ratio of omega lie on the contracting set,
-    which is transverse to the constant direction Omega_0.  A short probe
-    orbit measures the unstable coordinate at its last completed step;
-    the Omega_0 correction that lands the field on the contracting set is
-    found by secant iteration, seeded with the model gain prod nu_i from
-    the constant blocks (the V/S transient maps Omega_0 onto a scalar
-    multiple of itself, so the secant absorbs the frame factor).
+    which is transverse to the constant direction Omega_0.  A probe orbit
+    of PROBE_STEPS steps measures the unstable coordinate at its last
+    completed step; the Omega_0 correction that lands the field on the
+    contracting set is found by STABILIZE_ROUNDS rounds of secant
+    iteration, seeded with the model gain prod nu_i from the constant
+    blocks at the probe's slopes alpha_i (the V/S transient maps Omega_0
+    onto a scalar multiple of itself, so the secant absorbs the frame
+    factor).
 
     Each probe orbit is the next one's prefix.  Corrections below the
     resolution of the far-mode problems leave them byte-identical, so the
@@ -492,16 +453,14 @@ def stabilize_resonant_perturbation(
     Returns (f, corrections, probe) with probe the last probe orbit; an
     orbit of f given prefix=probe reuses its solves in the same way.
     """
-    slope_t, _ = transient_slope(slope)
-    cf = cf_expand(slope_t, probe_steps + 3)
     corrections = []
     coords = []
     f = f0
     cap0 = cap_omega_of(float(slope))
     m_prev = None
     orbit = None
-    for _ in range(rounds):
-        orbit = renorm_orbit(f, slope, probe_steps, params, ell,
+    for _ in range(STABILIZE_ROUNDS):
+        orbit = renorm_orbit(f, slope, PROBE_STEPS, params,
                              x0_is_perturbation=True, prefix=orbit)
         m = orbit.completed
         if m == 0:
@@ -516,7 +475,7 @@ def stabilize_resonant_perturbation(
         else:
             gain = 1.0
             for i in range(m):
-                gain *= constant_block(cf.tail_float(i)).nu
+                gain *= constant_block(orbit.states[i].alpha).nu
             delta = -c_m / gain
         corrections.append(delta)
         m_prev = m
@@ -532,7 +491,6 @@ def resonant_perturbation(
     params: RenormParams,
     seed: int,
     stabilize: bool = True,
-    ell: float = 1.0,
 ):
     """Reality-symmetric zero-average perturbation on the resonant cone.
 
@@ -541,8 +499,7 @@ def resonant_perturbation(
     contracting set); the correction sizes are returned alongside.
     """
     rng = np.random.default_rng(seed)
-    alpha0 = float(slope)
-    omega0 = ell * np.array([1.0, alpha0])
+    omega0 = np.array([1.0, float(slope)])
     pert = random_resonant_field(
         omega0, params.sigma, amplitude, params.truncation, rng,
         width=params.rho_prime,
@@ -550,19 +507,18 @@ def resonant_perturbation(
     corrections = []
     if stabilize:
         pert, corrections, _ = stabilize_resonant_perturbation(
-            pert, slope, params, ell=ell
+            pert, slope, params
         )
     return pert, corrections
 
 
 def mixed_perturbation(
-    slope: Slope, amplitude: float, params: RenormParams, seed: int,
-    ell: float = 1.0,
+    slope: Slope, amplitude: float, params: RenormParams, seed: int
 ) -> FourierVectorField:
     """Resonant + far + constant perturbation of total size ~ amplitude."""
     rng = np.random.default_rng(seed)
     alpha0 = float(slope)
-    omega0 = ell * np.array([1.0, alpha0])
+    omega0 = np.array([1.0, alpha0])
     pert = random_resonant_field(
         omega0, params.sigma, amplitude / 2, params.truncation, rng,
         width=params.rho_prime,
@@ -667,7 +623,6 @@ def stable_decay_probe(
     n: int,
     params: RenormParams | None = None,
     beta: float = 0.0,
-    ell: float = 1.0,
 ) -> DecayProbeReport:
     """Estimate ||L_n o ... o L_j (I - E)|| on the truncated mode set.
 
@@ -681,7 +636,7 @@ def stable_decay_probe(
     if params is None:
         params = RenormParams(sigma=sigma, truncation=truncation)
     rho_prime = params.rho_prime
-    omegas = [ell * np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
+    omegas = [omega_of(cf, i) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []
     # the universe is the mode index without its central zero mode
@@ -692,9 +647,7 @@ def stable_decay_probe(
     exp_table = np.array([math.exp(rho_prime * d)
                           for d in range(-truncation, truncation + 1)])
     for j in j_values:
-        k = np.array(resonant_modes(omegas[j], sigma, truncation),
-                     dtype=np.int64).reshape(-1, 2)
-        kk = k
+        k = kk = resonant_modes(omegas[j], sigma, truncation)
         # every surviving mode carries the same coefficient block
         block = np.eye(2)
         for i in range(j, n + 1):

@@ -122,14 +122,15 @@ def derivative_weight_delta(rho: float, rho_prime: float, kappa: float) -> float
     return kappa * (rho_prime - kappa * rho)
 
 
-def resonant_modes(omega, sigma: float, truncation: int, include_zero: bool = False):
-    """All modes with |omega . k| <= sigma ||k||_1 and ||k||_1 <= truncation."""
+def resonant_modes(omega, sigma: float, truncation: int) -> np.ndarray:
+    """The nonzero modes with |omega . k| <= sigma ||k||_1 and ||k||_1 <=
+    truncation, as an (M, 2) int64 array in lexicographic order."""
     w1, w2 = float(omega[0]), float(omega[1])
     index = mode_index(truncation)
     k = index.k
     keep = np.abs(w1 * k[:, 0] + w2 * k[:, 1]) <= sigma * index.l1
-    keep[len(index) // 2] = include_zero
-    return [(int(k1), int(k2)) for k1, k2 in k[keep]]
+    keep[len(index) // 2] = False
+    return k[keep]
 
 
 def random_resonant_field(
@@ -147,8 +148,10 @@ def random_resonant_field(
     whole admitted cone, so the deep modes with long contracting chains
     carry mass -- rescaled so the norm at `width` equals `amplitude`.
     """
-    candidates = [k for k in resonant_modes(omega, sigma, truncation) if k > (0, 0)]
-    if not candidates:
+    ks = resonant_modes(omega, sigma, truncation)
+    # one mode of each pair (k, -k): those with k > 0 lexicographically
+    candidates = ks[(ks[:, 0] > 0) | ((ks[:, 0] == 0) & (ks[:, 1] > 0))]
+    if not len(candidates):
         raise ValueError("no resonant modes inside the truncation")
     if n_modes is None:
         n_modes = len(candidates)
@@ -156,7 +159,7 @@ def random_resonant_field(
                        replace=False)
     modes = {}
     for i in picks:
-        k = candidates[i]
+        k = tuple(candidates[i].tolist())
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c = c * math.exp(-width * mode_l1(k))
         modes[k] = c

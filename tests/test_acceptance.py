@@ -18,7 +18,7 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
 )
-from torusrenorm.normalization_step import eliminate_far
+from torusrenorm.normalization_step import eliminate_far_perturbation
 from torusrenorm.number_theory import QuadraticNumber, Slope, cf_expand
 from torusrenorm.renorm_driver import (
     RenormParams,
@@ -143,7 +143,7 @@ def test_criterion_5_elimination_contract():
     x_res = FourierVectorField.constant(psi, 0.9, trunc) + (
         FourierVectorField(res_modes, 0.9, trunc)
     )
-    r_res = eliminate_far(x_res, psi, sigma)
+    r_res = eliminate_far_perturbation(psi, x_res.minus_constant(psi), sigma)
     part_i = r_res.map.is_identity() and r_res.sweeps == 0
 
     # (ii) far residual <= 1e-12 in <= 6 sweeps at perturbation norm 1e-3
@@ -156,7 +156,8 @@ def test_criterion_5_elimination_contract():
     pert = FourierVectorField(modes, 0.9, trunc)
     pert = pert * (1e-3 / norm_prime_r(pert, 1.0))
     x = FourierVectorField.constant(psi, 0.9, trunc) + pert
-    r_mixed = eliminate_far(x, psi, sigma, tol=1e-12)
+    r_mixed = eliminate_far_perturbation(psi, x.minus_constant(psi), sigma,
+                                         tol=1e-12)
     far_after = norm_r(project(r_mixed.field, cone, "outside"), 0.9)
     part_ii = r_mixed.sweeps <= 6 and far_after <= 1e-12
 
@@ -166,7 +167,8 @@ def test_criterion_5_elimination_contract():
         x_eps = FourierVectorField.constant(psi, 0.9, trunc) + pert * (
             eps / 1e-3
         )
-        r_eps = eliminate_far(x_eps, psi, sigma, tol=1e-13)
+        r_eps = eliminate_far_perturbation(
+            psi, x_eps.minus_constant(psi), sigma, tol=1e-13)
         logs_eps.append(math.log(eps))
         logs_res.append(math.log(r_eps.residuals[1]))
     order = np.polyfit(logs_eps, logs_res, 1)[0]
@@ -177,8 +179,10 @@ def test_criterion_5_elimination_contract():
     f = pert * (1.0 / norm_r(pert, 0.9))
     xp = FourierVectorField.constant(psi, 0.9, trunc) + f * eps
     xm = FourierVectorField.constant(psi, 0.9, trunc) + f * (-eps)
-    up = eliminate_far(xp, psi, sigma, tol=1e-13).field
-    um = eliminate_far(xm, psi, sigma, tol=1e-13).field
+    up = eliminate_far_perturbation(psi, xp.minus_constant(psi), sigma,
+                                    tol=1e-13).field
+    um = eliminate_far_perturbation(psi, xm.minus_constant(psi), sigma,
+                                    tol=1e-13).field
     deriv = (up - um) * (1.0 / (2 * eps))
     part_iv = norm_r(deriv - project(f, cone, "inside"), 0.9) < 1e-8
 

@@ -154,6 +154,24 @@ class TestScenarios:
                              and not p.name.endswith(("field.json", "map.json")))
         assert json.loads(manifest_path.read_text())["results"]["gmres_failures"] == 0
 
+    def test_eliminate_takes_a_resonant_draw_as_it_is(self, tmp_path):
+        # a resonant draw has no far modes: no stabilising probes, no solve
+        _, (code, artifacts) = run(
+            "eliminate", tmp_path, slope="golden", seed="7",
+            perturb="resonant:1e-3", truncation="16",
+        )
+        assert code == 0
+        manifest_path = next(p for p in artifacts if p.name.startswith("eliminate")
+                             and p.suffix == ".json"
+                             and not p.name.endswith(("field.json", "map.json")))
+        results = json.loads(manifest_path.read_text())["results"]
+        assert results["far_solves"] == {"computed": 0, "reused": 0}
+        assert results["perturbation"] == {"kind": "resonant", "amplitude": 1e-3}
+        assert results["sweeps"] == 0
+        field = load_field(next(p for p in artifacts
+                                if p.name.endswith("field.json")))
+        assert field.average().tolist() == [1.0, (1 + 5**0.5) / 2]
+
     def test_project_roundtrip(self, tmp_path):
         _, (code, artifacts) = run("project", tmp_path, slope="golden",
                                    seed="2", side="outside")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torusrenorm.errors import NoConvergence, OutsideBall, SingularJacobian
+from torusrenorm.errors import NoConvergence, SingularJacobian
 from torusrenorm.fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -17,9 +17,7 @@ from torusrenorm.normalization_step import (
     FarSolves,
     TorusMap,
     compose_pullback,
-    eliminate_far,
     eliminate_far_perturbation,
-    guaranteed_ball_radius,
 )
 
 GAMMA = (1 + math.sqrt(5)) / 2
@@ -122,7 +120,7 @@ class TestComposePullback:
 class TestEliminateFar:
     def test_no_perturbation(self):
         x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
-        result = eliminate_far(x, PSI, SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.map.is_identity()
         assert result.sweeps == 0
         assert np.allclose(result.field.average(), PSI)
@@ -133,7 +131,7 @@ class TestEliminateFar:
         x = FourierVectorField.constant(PSI, width=0.9, truncation=12) + (
             FourierVectorField(modes, 0.9, 12)
         )
-        result = eliminate_far(x, PSI, SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.map.is_identity()
         assert result.sweeps == 0
         assert set(result.field.modes) == set(x.modes)
@@ -143,7 +141,8 @@ class TestEliminateFar:
     def test_single_far_mode_quadratic_first_sweep(self):
         eps = 1e-6
         x = single_far_mode_field(eps)
-        result = eliminate_far(x, PSI, SIGMA, tol=1e-14)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            tol=1e-14)
         assert result.sweeps <= 3
         assert result.residuals[1] < 1e3 * eps * eps
         assert norm_r(project(result.field, CONE, "outside"), 0.9) <= 1e-14
@@ -151,7 +150,8 @@ class TestEliminateFar:
     def test_quadratic_log_ratio(self):
         eps = 1e-3
         x = single_far_mode_field(eps)
-        result = eliminate_far(x, PSI, SIGMA, tol=1e-13)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            tol=1e-13)
         # quadratic regime: residuals well above the representation floor
         rs = [r for r in result.residuals if r > 1e-11]
         assert len(rs) >= 3
@@ -161,7 +161,8 @@ class TestEliminateFar:
 
     def test_mixed_perturbation_converges_quickly(self):
         x = mixed_perturbation_field(1e-3)
-        result = eliminate_far(x, PSI, SIGMA, tol=1e-12)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            tol=1e-12)
         assert result.sweeps <= 6
         far = project(result.field, CONE, "outside")
         assert norm_r(far, 0.9) <= 1e-12
@@ -172,8 +173,10 @@ class TestEliminateFar:
         f = base.minus_constant(PSI)  # unit-size direction with mixed modes
         xp = FourierVectorField.constant(PSI, 0.9, 12) + f * eps
         xm = FourierVectorField.constant(PSI, 0.9, 12) + f * (-eps)
-        up = eliminate_far(xp, PSI, SIGMA, tol=1e-13).field
-        um = eliminate_far(xm, PSI, SIGMA, tol=1e-13).field
+        up = eliminate_far_perturbation(PSI, xp.minus_constant(PSI), SIGMA,
+                                        tol=1e-13).field
+        um = eliminate_far_perturbation(PSI, xm.minus_constant(PSI), SIGMA,
+                                        tol=1e-13).field
         deriv = (up - um) * (1.0 / (2 * eps))
         expected = project(f, CONE, "inside")
         diff = deriv - expected
@@ -181,36 +184,30 @@ class TestEliminateFar:
 
     def test_support_inside_far_cone(self):
         x = mixed_perturbation_field(1e-3)
-        result = eliminate_far(x, PSI, SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         for k in result.map.displacement.modes:
             assert not CONE.contains(k)
 
-    def test_outside_ball_enforcement(self):
-        x = mixed_perturbation_field(1e-3)
-        assert norm_prime_r(x.minus_constant(PSI), 1.0) > guaranteed_ball_radius(
-            PSI, SIGMA, 1.0, 0.9
-        )
-        with pytest.raises(OutsideBall):
-            eliminate_far(x, PSI, SIGMA, enforce_ball=True)
-
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(normalization_step, "MAX_SWEEPS", 1)
         x = mixed_perturbation_field(3e-2)
         with pytest.raises(NoConvergence):
-            eliminate_far(x, PSI, SIGMA, tol=1e-13, max_iter=1)
+            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                       tol=1e-13)
 
     def test_contraction_estimate_reported(self):
         x = mixed_perturbation_field(1e-4)
-        result = eliminate_far(x, PSI, SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.contraction_lhs <= result.contraction_rhs
 
     def test_reality_preserved(self):
         x = mixed_perturbation_field(1e-3)
-        result = eliminate_far(x, PSI, SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.field.is_real_symmetric(1e-8)
 
 
 def test_gmres_failures_are_counted(monkeypatch):
-    # restart=1 makes each of the gmres_maxiter cycles a single iteration,
+    # restart=1 makes each of the GMRES_MAXITER cycles a single iteration,
     # so the inner solves stop short of their tolerance
     infos = []
     real_gmres = normalization_step.gmres
@@ -221,8 +218,9 @@ def test_gmres_failures_are_counted(monkeypatch):
         return z, info
 
     monkeypatch.setattr(normalization_step, "gmres", one_iteration)
-    result = eliminate_far(mixed_perturbation_field(1e-3), PSI, SIGMA,
-                           gmres_maxiter=1)
+    monkeypatch.setattr(normalization_step, "GMRES_MAXITER", 1)
+    x = mixed_perturbation_field(1e-3)
+    result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
     assert result.gmres_failures == sum(info != 0 for info in infos) > 0
     assert len(infos) == result.sweeps
 
@@ -298,7 +296,8 @@ class TestSolveReuse:
     def test_resonant_only_input_makes_no_solve(self):
         solves = FarSolves()
         x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
-        result = eliminate_far(x, PSI, SIGMA, solves=solves)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            solves=solves)
         assert result.map.is_identity() and not result.reused
         assert solves.counts() == {"computed": 0, "reused": 0}
 

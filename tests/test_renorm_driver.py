@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 
 from torusrenorm import cli_experiments, normalization_step, renorm_driver
-from torusrenorm.errors import DomainExceeded, ZeroSlope
+from torusrenorm.errors import DomainExceeded, ZeroInput
 from torusrenorm.fourier_field import FourierVectorField, mode_l1, norm_r
 from torusrenorm.number_theory import S, Slope, V, cf_expand
 from torusrenorm.scaling_step import resonant_modes
@@ -31,7 +31,7 @@ from torusrenorm.renorm_driver import (
     resonant_perturbation,
     stabilize_resonant_perturbation,
     stable_decay_probe,
-    transient_step,
+    transient_slope,
     unstable_coordinate,
     unstable_perturbation,
     winding_cone_check,
@@ -54,34 +54,33 @@ def constant_state(cf, vec=None):
 
 class TestTransient:
     def test_identity_above_one(self):
-        x = FourierVectorField.constant([1.0, GAMMA])
-        out, omega, applied = transient_step(x, [1.0, GAMMA])
+        slope, applied = transient_slope(Slope.golden())
         assert applied == []
-        assert np.allclose(omega, [1.0, GAMMA])
+        assert np.allclose([1.0, float(slope)], [1.0, GAMMA])
 
     def test_swap_below_one(self):
         x = FourierVectorField.constant([1.0, 1 / GAMMA])
-        out, omega, applied = transient_step(x, [1.0, 1 / GAMMA])
+        slope, applied = transient_slope(Slope.quadratic(-1, 1, 5, 2))
         assert applied == ["S"]
-        assert omega[1] / omega[0] == pytest.approx(GAMMA)
+        assert float(slope) == pytest.approx(GAMMA)
+        out = basis_change(x, S)
         assert np.allclose(out.average(), [1 / GAMMA, 1.0])
 
     def test_negative_slope(self):
-        x = FourierVectorField.constant([1.0, -GAMMA])
-        out, omega, applied = transient_step(x, [1.0, -GAMMA])
+        slope, applied = transient_slope(Slope.quadratic(-1, -1, 5, 2))
         assert applied == ["V"]
-        assert omega[1] / omega[0] == pytest.approx(GAMMA)
+        assert float(slope) == pytest.approx(GAMMA)
 
     def test_negative_inverse_needs_both(self):
-        x = FourierVectorField.constant([1.0, -1 / GAMMA])
-        out, omega, applied = transient_step(x, [1.0, -1 / GAMMA])
+        slope, applied = transient_slope(Slope.quadratic(1, -1, 5, 2))
         assert applied == ["V", "S"]
-        assert omega[1] / omega[0] == pytest.approx(GAMMA)
+        assert float(slope) == pytest.approx(GAMMA)
 
     def test_zero_slope(self):
-        x = FourierVectorField.constant([1.0, 0.0])
-        with pytest.raises(ZeroSlope):
-            transient_step(x, [1.0, 0.0])
+        # a zero slope has no continued-fraction expansion to step along
+        x = FourierVectorField.constant([1.0, 0.0], 0.9, 8)
+        with pytest.raises(ZeroInput):
+            renorm_orbit(x, Slope.rational(0, 1), 3, RenormParams(truncation=8))
 
     def test_basis_change_preserves_norm(self):
         x = FourierVectorField(
@@ -433,7 +432,9 @@ def reference_decay_probe(cf, sigma, truncation, n, params=None, beta=0.0):
         best = 0.0
         alive = 0
         rows, cols, vals = [], [], []
-        for k in resonant_modes(omegas[j], sigma, truncation):
+        # rows as Python ints: a huge coefficient overflows int64 products
+        modes = resonant_modes(omegas[j], sigma, truncation).tolist()
+        for k in map(tuple, modes):
             kk = k
             block = np.eye(2)
             dead = False

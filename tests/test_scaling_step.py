@@ -62,7 +62,7 @@ class TestScaleStep:
 
     def test_width_bookkeeping(self):
         # e^{rho ||T*k||} <= e^{(kappa rho - rho') ||k||} e^{rho' ||k||}
-        for k in resonant_modes(OMEGA, 0.1, 24):
+        for k in resonant_modes(OMEGA, 0.1, 24).tolist():
             image = (k[1], k[0] + k[1])
             lhs = RHO * mode_l1(image)
             rhs = (KAPPA * RHO - RHO_PRIME) * mode_l1(k) + RHO_PRIME * mode_l1(k)
@@ -146,12 +146,16 @@ class TestConeCertificate:
 
 class TestResonantModes:
     def test_examples(self):
-        modes = resonant_modes(OMEGA, 0.25, 6)
+        ks = resonant_modes(OMEGA, 0.25, 6)
+        assert ks.dtype == np.int64 and ks.shape[1] == 2
+        modes = set(map(tuple, ks.tolist()))
         assert (-3, 2) in modes
         assert (1, 1) not in modes
+        assert (0, 0) not in modes
+        assert ks.tolist() == sorted(ks.tolist())
 
     def test_symmetry(self):
-        modes = set(resonant_modes(OMEGA, 0.1, 30))
+        modes = set(map(tuple, resonant_modes(OMEGA, 0.1, 30).tolist()))
         assert all((-k[0], -k[1]) in modes for k in modes)
 
     def test_random_field_properties(self):

@@ -224,31 +224,37 @@ class TestMain:
 
 
 # SHA-256 of each artifact of a small run: the CSV body without its comment
-# header, and the eliminate scenario's field and map JSON.  A pin may change
-# only with the reason recorded in CHANGES.md.
+# header, the eliminate scenario's field and map JSON, and the manifest's
+# results (json.dumps with sorted keys).  A pin may change only with the
+# reason recorded in CHANGES.md.
 BYTE_PINS = {
     ("orbit", "--slope", "golden", "--perturb", "resonant:1e-3", "--steps", "3",
      "--truncation", "16", "--seed", "7"): {
         "csv": "0ca40c81e4c577e27ea2c4bcf23af8785b60a22faa5c0e8295d100bef8dd335f",
+        "results": "eade75db70af0119d6543748886694f8b37f336b8a1cc1b05b26238c30935b78",
     },
     ("decay-probe", "--slope", "golden", "--steps", "6",
      "--truncation", "40"): {
         "csv": "7becaa2ae768927886e296fe45e8b00d049c84ff0a6275f997bdf485be6b860f",
+        "results": "f53e984247be29fcaf8fa15a84eaf9bd4f9a28f9c097232a2ad782f8942c5c73",
     },
     ("cf", "--slope", "golden", "--n-terms", "60"): {
         "csv": "8315649ab64bf38ba94b3c713f597d202609e95d2b3bf0fa92ea4911fc082978",
+        "results": "4e22f5c1af5035e0b6b7d5ea90c9967b354ba2b028243bc3d44279118f326cc7",
     },
     ("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
      "--truncation", "16"): {
         "csv": "d3e45275cbd833d3a8a6c2e2a125d49ee6b1c96e2d1cd62455fd6aa2bab0528a",
         "field.json": "3d6bb50617022158c55bf92c41bd0f047b7827e6d82d3caa6cfdac16f8814091",
         "map.json": "78bb46b712202881652b324feef0f911cc6bab88d0d04d96609e557b0ab080bd",
+        "results": "e10e292a1c7d4dd48e23f7d5c2de861970c34d2d9c3ff9e6ba176bb55c4081dd",
     },
 }
 
 
 def artifact_digests(argv, out_dir):
-    """SHA-256 of the CSV body and of any field/map JSON a CLI run writes."""
+    """SHA-256 of the CSV body, of any field/map JSON and of the manifest
+    results of a CLI run."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert main([*argv, "--out", str(out_dir)]) == 0
@@ -265,6 +271,9 @@ def artifact_digests(argv, out_dir):
         elif path.name.endswith(("_field.json", "_map.json")):
             kind = path.name.rsplit("_", 1)[1]
             digests[kind] = hashlib.sha256(text.encode()).hexdigest()
+        elif path.name.startswith(f"{argv[0]}_"):
+            results = json.dumps(json.loads(text)["results"], sort_keys=True)
+            digests["results"] = hashlib.sha256(results.encode()).hexdigest()
     return digests
 
 

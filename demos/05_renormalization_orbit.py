@@ -11,11 +11,13 @@ until the step's domain ball is exceeded.
 import math
 import time
 
+from torusrenorm.normalization_step import FarSolves
 from torusrenorm.number_theory import Slope
 from torusrenorm.renorm_driver import (
     RenormParams,
     renorm_orbit,
     resonant_perturbation,
+    stabilize_resonant_perturbation,
     unstable_coordinate,
     unstable_perturbation,
 )
@@ -25,8 +27,12 @@ PARAMS = RenormParams()
 
 print("=== contracting run: golden slope, winding-preserving perturbation ===")
 t0 = time.time()
-f0, corrections = resonant_perturbation(Slope.golden(), 1e-3, PARAMS, seed=7)
-orbit = renorm_orbit(f0, Slope.golden(), 8, PARAMS, x0_is_perturbation=True)
+# the secant's probe orbits and the orbit share one table of far-mode solves
+solves = FarSolves()
+f0 = resonant_perturbation(Slope.golden(), 1e-3, PARAMS, seed=7)
+f0, corrections = stabilize_resonant_perturbation(f0, Slope.golden(), PARAMS,
+                                                  solves)
+orbit = renorm_orbit(f0, Slope.golden(), 8, PARAMS, solves)
 print(f"stabilising corrections along Omega_0: "
       f"{['%.1e' % c for c in corrections]}")
 print(f"{'n':>2} {'norm(X_n - omega_n)':>20} {'osc part':>12} {'sweeps':>6}")
@@ -40,7 +46,7 @@ print(f"fitted geometric rate theta = {orbit.theta_hat:.4f}  "
 
 print("\n=== unstable run: 1e-6 along Omega_0 ===")
 f0 = unstable_perturbation(GAMMA, 1e-6, PARAMS)
-orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS, x0_is_perturbation=True)
+orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS)
 cs = [unstable_coordinate(s) for s in orbit.states]
 print(f"{'n':>2} {'Omega coordinate':>17} {'growth factor':>14}")
 for n, c in enumerate(cs):

@@ -132,13 +132,18 @@ def config_hash(config: dict) -> str:
 
 
 def build_params(config: dict) -> RenormParams:
-    return RenormParams(
+    params = RenormParams(
         sigma=float(config["sigma"]),
         rho=float(config["rho"]),
         rho_prime=float(config["rho_prime"]),
         truncation=int(config["truncation"]),
         tol=float(config["tol"]),
     )
+    try:
+        params.kappa  # raises outside 0 < sigma < 1/3
+    except ValueError as exc:
+        raise ConfigInvalid(f"sigma {params.sigma}: {exc}") from exc
+    return params
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
@@ -147,7 +152,7 @@ def perturbation_field(config: dict, slope: Slope, params: RenormParams):
     kind, amp = parse_perturbation(config["perturb"])
     seed = int(config["seed"])
     if kind == "resonant":
-        f, _ = resonant_perturbation(slope, amp, params, seed, stabilize=False)
+        f = resonant_perturbation(slope, amp, params, seed)
     elif kind == "unstable":
         f = unstable_perturbation(float(slope), amp, params)
     else:
@@ -343,14 +348,14 @@ def scenario_orbit(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
     f, pert_info = perturbation_field(config, slope, params)
-    probe = None
+    # one table of far-mode solves for the secant's probes and the orbit
+    solves = FarSolves()
     if pert_info["kind"] == "resonant":
-        # the last probe orbit's far-mode solves are the orbit's to reuse
-        f, corrections, probe = stabilize_resonant_perturbation(f, slope, params)
+        f, corrections = stabilize_resonant_perturbation(f, slope, params,
+                                                         solves)
         pert_info["stabilizing_corrections"] = corrections
     steps = int(config["steps"])
-    orbit = renorm_orbit(f, slope, steps, params, x0_is_perturbation=True,
-                         prefix=probe)
+    orbit = renorm_orbit(f, slope, steps, params, solves)
     csv_path = out_dir / f"orbit_{tag}.csv"
     write_csv(csv_path, config, ORBIT_COLUMNS, orbit_rows(orbit))
     payload = {
@@ -361,7 +366,7 @@ def scenario_orbit(config, out_dir, tag):
         "transient": orbit.transient_applied,
         "failure": str(orbit.failure) if orbit.failure else None,
         "failure_step": orbit.failure_step,
-        "far_solves": orbit.solves.counts(),
+        "far_solves": solves.counts(),
     }
     return 0, payload, [csv_path]
 

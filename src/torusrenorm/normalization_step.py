@@ -272,22 +272,16 @@ class EliminationResult:
     perturbation: FourierVectorField
     sweeps: int
     residuals: list
-    converged: bool
     eps_hat: float
     inside_ball: bool
     contraction_lhs: float
     contraction_rhs: float
     du_sup_bound: float
-    grid: int
     fit: GridFitReport | None = None
     at_floor: bool = False
     gmres_failures: int = 0
     # the Newton solve was taken from an earlier identical problem
     reused: bool = False
-
-    @property
-    def contraction_ok(self) -> bool:
-        return self.contraction_lhs <= self.contraction_rhs
 
 
 @dataclass(frozen=True)
@@ -307,34 +301,20 @@ class FarSolve:
     gmres_failures: int
 
 
-class FarSolves:
-    """The far-mode Newton solves of one orbit, keyed by the bytes of each
-    problem.
+class FarSolves(dict):
+    """The far-mode Newton solves of one run, keyed by the bytes of each
+    problem; the caller owns the table and passes it to every elimination
+    of the run.
 
-    A problem is looked up among this orbit's solves, then among those of
-    the earlier orbit the table was started from.  Keys compare byte for
-    byte, so a hit returns exactly what a fresh solve would return.
-    computed and reused count the eliminations of this orbit and of the
-    chain of orbits it was started from, so the last orbit of a run counts
-    the whole run.
+    Keys compare byte for byte, so a hit returns exactly what a fresh solve
+    would return.  computed and reused count the eliminations that solved
+    a problem and those that found it here.
     """
 
-    def __init__(self, earlier: "FarSolves | None" = None):
-        self.solves = {}
-        self.earlier = {} if earlier is None else earlier.solves
-        self.computed = 0 if earlier is None else earlier.computed
-        self.reused = 0 if earlier is None else earlier.reused
-
-    def lookup(self, key) -> FarSolve | None:
-        found = self.solves.get(key)
-        return found if found is not None else self.earlier.get(key)
-
-    def record(self, key, solve: FarSolve, reused: bool):
-        self.solves[key] = solve
-        if reused:
-            self.reused += 1
-        else:
-            self.computed += 1
+    def __init__(self):
+        super().__init__()
+        self.computed = 0
+        self.reused = 0
 
     def counts(self) -> dict:
         return {"computed": self.computed, "reused": self.reused}
@@ -374,16 +354,14 @@ def eliminate_far_perturbation(
     input_size = norm_prime_r(g0, rho)
     inside_ball = input_size <= eps_hat
     contraction_rhs = contraction_constant(psi, sigma) * input_size
-    grid = next_fast_len(4 * truncation + 1)
 
     far = np.flatnonzero(~cone_mask(cone, truncation))
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
         ident = TorusMap.identity(width, truncation)
         return EliminationResult(
-            ident, _perturbation_from_fit(g0, psi), g0, 0, [0.0], True,
-            eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs,
-            0.0, grid,
+            ident, _perturbation_from_fit(g0, psi), g0, 0, [0.0],
+            eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs, 0.0,
         )
 
     g_avg = g0.average()
@@ -394,12 +372,16 @@ def eliminate_far_perturbation(
         np.array([sigma, width, tol, rho_prime], dtype=float).tobytes(),
         truncation, h.coeffs.tobytes(),
     )
-    solve = solves.lookup(key) if solves is not None else None
+    solve = solves.get(key) if solves is not None else None
     reused = solve is not None
-    if not reused:
+    if reused:
+        solves.reused += 1
+    else:
+        grid = next_fast_len(4 * truncation + 1)
         solve = _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid)
-    if solves is not None:
-        solves.record(key, solve, reused)
+        if solves is not None:
+            solves[key] = solve
+            solves.computed += 1
 
     g_final = _perturbation_from_fit(solve.fit_w, g_avg)
     return EliminationResult(
@@ -408,13 +390,11 @@ def eliminate_far_perturbation(
         perturbation=g_final,
         sweeps=solve.sweeps,
         residuals=list(solve.residuals),
-        converged=True,
         eps_hat=eps_hat,
         inside_ball=inside_ball,
         contraction_lhs=norm_r(g_final, rho_prime),
         contraction_rhs=contraction_rhs,
         du_sup_bound=solve.map.du_sup_bound(),
-        grid=grid,
         fit=replace(solve.fit),
         at_floor=solve.at_floor,
         gmres_failures=solve.gmres_failures,

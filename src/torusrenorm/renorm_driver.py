@@ -74,15 +74,25 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class RenormState:
-    """Snapshot at step n; `perturbation` is X_n - omega_n."""
+    """Snapshot at step n; `perturbation` is X_n - omega_n.  The slope
+    alpha_n, the coefficient a_n and omega_n are read off the expansion."""
 
     n: int
-    omega: np.ndarray
-    alpha: float
-    a: int
     perturbation: FourierVectorField
     cf: CFExpansion
     diagnostics: StepDiagnostics | None = None
+
+    @property
+    def alpha(self) -> float:
+        return self.cf.tail_float(self.n)
+
+    @property
+    def a(self) -> int:
+        return self.cf.coefficient(self.n)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return omega_of(self.cf, self.n)
 
 
 def omega_of(cf: CFExpansion, n: int) -> np.ndarray:
@@ -103,18 +113,6 @@ def constant_split(f_avg, omega):
     p = (omega @ f_avg) / (omega @ omega)
     c = (cap @ f_avg) / (cap @ cap)
     return complex(p), complex(c)
-
-
-def perturbed_state(f0: FourierVectorField, cf: CFExpansion) -> RenormState:
-    """State at n = 0 from the perturbation f0 = X_0 - omega_0."""
-    return RenormState(
-        n=0,
-        omega=omega_of(cf, 0),
-        alpha=cf.tail_float(0),
-        a=cf.coefficient(0),
-        perturbation=f0,
-        cf=cf,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +208,7 @@ def one_step(
         normalization=float(abs(1.0 + alpha_next * z_tilde)),
         zeta=zeta,
     )
-    return RenormState(
-        n=n + 1,
-        omega=omega_next,
-        alpha=alpha_next,
-        a=cf.coefficient(n + 1),
-        perturbation=f_next,
-        cf=cf,
-        diagnostics=diag,
-    )
+    return RenormState(n + 1, f_next, cf, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +302,6 @@ class OrbitResult:
     failure_step: int | None
     transient_applied: list
     transient_far_cleared: float
-    # the far-mode solves of this orbit's eliminations
-    solves: FarSolves
 
     @property
     def completed(self) -> int:
@@ -339,24 +327,21 @@ def fit_theta(norms, start: int = 2) -> float | None:
 
 
 def renorm_orbit(
-    x0: FourierVectorField,
+    f0: FourierVectorField,
     slope: Slope,
     n_steps: int,
     params: RenormParams,
-    x0_is_perturbation: bool = False,
-    prefix: OrbitResult | None = None,
+    solves: FarSolves | None = None,
 ) -> OrbitResult:
-    """Iterate the one-step operator along the expansion of the slope.
+    """Iterate the one-step operator along the expansion of the slope,
+    from the perturbation f0 = X_0 - omega_0 (which keeps components far
+    below the float granularity of ||omega_0||).
 
     A transient V/S adjustment (and, if needed, one far-mode elimination)
     brings the input into the resonant-restricted space at slope > 1.
-    The orbit stops at the first step failure, which is recorded.
-    With x0_is_perturbation the input is taken as X_0 - omega_0, which
-    preserves components far below the float granularity of ||omega_0||.
-    Each far-mode elimination whose problem is byte-identical to one that
-    the prefix orbit solved takes that solve instead of repeating it; the
-    prefix may be any earlier orbit, and the result is the same with it or
-    without it.
+    The orbit stops at the first step failure, which is recorded.  Every
+    far-mode solve is looked up in and recorded to solves, when given; the
+    result is the same with it or without it.
     """
     slope_t, applied = transient_slope(slope)
     cf = cf_expand(slope_t, n_steps + 2)
@@ -365,10 +350,7 @@ def renorm_orbit(
             f"slope certifies only {len(cf.coefficients)} coefficients; "
             f"{n_steps + 2} needed ({cf.termination})"
         )
-    solves = FarSolves(prefix.solves if prefix is not None else None)
-    f = x0 if x0_is_perturbation else x0.minus_constant(
-        np.array([1.0, float(slope)])
-    )
+    f = f0
     for name in applied:
         f = basis_change(f, V if name == "V" else S)
     omega = omega_of(cf, 0)
@@ -384,7 +366,7 @@ def renorm_orbit(
         f = project(elim.perturbation, cone, "inside")
     else:
         f = project(f, cone, "inside")
-    state = perturbed_state(f, cf)
+    state = RenormState(0, f, cf)
     states = [state]
     norms = [norm_r(f, params.rho_prime)]
     failure, failure_step = None, None
@@ -397,8 +379,6 @@ def renorm_orbit(
             break
         states.append(state)
         norms.append(state.diagnostics.norm_total)
-    # the result keeps its own solves only, not the prefix's
-    solves.earlier = {}
     return OrbitResult(
         states=states,
         norms=np.array(norms),
@@ -407,7 +387,6 @@ def renorm_orbit(
         failure_step=failure_step,
         transient_applied=applied,
         transient_far_cleared=far0,
-        solves=solves,
     )
 
 
@@ -432,7 +411,10 @@ def unstable_coordinate(state: RenormState) -> float:
 
 
 def stabilize_resonant_perturbation(
-    f0: FourierVectorField, slope: Slope, params: RenormParams
+    f0: FourierVectorField,
+    slope: Slope,
+    params: RenormParams,
+    solves: FarSolves | None = None,
 ):
     """Cancel the unstable constant component seeded by a perturbation.
 
@@ -446,22 +428,22 @@ def stabilize_resonant_perturbation(
     onto a scalar multiple of itself, so the secant absorbs the frame
     factor).
 
-    Each probe orbit is the next one's prefix.  Corrections below the
-    resolution of the far-mode problems leave them byte-identical, so the
-    later rounds reuse the earlier rounds' solves.
+    The probe orbits share one table of far-mode solves: solves, or a new
+    one.  Corrections below the resolution of the far-mode problems leave
+    them byte-identical, so the later rounds reuse the earlier rounds'
+    solves, and so does an orbit of f given the same table.
 
-    Returns (f, corrections, probe) with probe the last probe orbit; an
-    orbit of f given prefix=probe reuses its solves in the same way.
+    Returns (f, corrections).
     """
     corrections = []
     coords = []
     f = f0
     cap0 = cap_omega_of(float(slope))
     m_prev = None
-    orbit = None
+    if solves is None:
+        solves = FarSolves()
     for _ in range(STABILIZE_ROUNDS):
-        orbit = renorm_orbit(f, slope, PROBE_STEPS, params,
-                             x0_is_perturbation=True, prefix=orbit)
+        orbit = renorm_orbit(f, slope, PROBE_STEPS, params, solves)
         m = orbit.completed
         if m == 0:
             raise DomainExceeded("probe orbit failed at the first step")
@@ -482,34 +464,23 @@ def stabilize_resonant_perturbation(
         f = f + FourierVectorField.constant(
             delta * cap0, width=f.width, truncation=f.truncation
         )
-    return f, corrections, orbit
+    return f, corrections
 
 
 def resonant_perturbation(
-    slope: Slope,
-    amplitude: float,
-    params: RenormParams,
-    seed: int,
-    stabilize: bool = True,
-):
+    slope: Slope, amplitude: float, params: RenormParams, seed: int
+) -> FourierVectorField:
     """Reality-symmetric zero-average perturbation on the resonant cone.
 
-    With stabilize=True the perturbation is corrected along Omega_0 so the
-    perturbed field keeps the winding ratio of omega_0 (stays on the
-    contracting set); the correction sizes are returned alongside.
+    stabilize_resonant_perturbation corrects it along Omega_0 so that the
+    perturbed field keeps the winding ratio of omega_0.
     """
     rng = np.random.default_rng(seed)
     omega0 = np.array([1.0, float(slope)])
-    pert = random_resonant_field(
+    return random_resonant_field(
         omega0, params.sigma, amplitude, params.truncation, rng,
         width=params.rho_prime,
     )
-    corrections = []
-    if stabilize:
-        pert, corrections, _ = stabilize_resonant_perturbation(
-            pert, slope, params
-        )
-    return pert, corrections
 
 
 def mixed_perturbation(
@@ -740,8 +711,7 @@ def quadratic_remainder_probe(
     for frac in fractions:
         t = frac * zeta
         f = direction * t
-        state = perturbed_state(f, cf)
-        out = one_step(state, params)
+        out = one_step(RenormState(0, f, cf), params)
         linear = linearized_step(f, cf, 0, params)
         rem = norm_r(out.perturbation - linear, params.rho_prime)
         sizes.append(t)

@@ -18,15 +18,16 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
 )
-from torusrenorm.normalization_step import eliminate_far_perturbation
+from torusrenorm.normalization_step import FarSolves, eliminate_far_perturbation
 from torusrenorm.number_theory import QuadraticNumber, Slope, cf_expand
 from torusrenorm.renorm_driver import (
     RenormParams,
+    RenormState,
     one_step,
-    perturbed_state,
     quadratic_remainder_probe,
     renorm_orbit,
     resonant_perturbation,
+    stabilize_resonant_perturbation,
     stable_decay_probe,
     unstable_coordinate,
     unstable_perturbation,
@@ -194,9 +195,7 @@ def test_criterion_5_elimination_contract():
 
 def test_criterion_6_fixed_point_and_periodicity():
     cf = cf_expand(Slope.golden(), 6)
-    state = perturbed_state(
-        FourierVectorField.zero(0.9, PARAMS.truncation), cf
-    )
+    state = RenormState(0, FourierVectorField.zero(0.9, PARAMS.truncation), cf)
     out = one_step(state, PARAMS)
     dev = norm_r(out.perturbation, PARAMS.rho_prime) + float(
         np.abs(out.omega - np.array([1.0, GAMMA])).sum()
@@ -206,7 +205,8 @@ def test_criterion_6_fixed_point_and_periodicity():
     x0 = FourierVectorField.constant(
         [1.0, math.sqrt(2)], 0.9, PARAMS.truncation
     )
-    orbit = renorm_orbit(x0, Slope.sqrt2(), 8, PARAMS)
+    f0 = x0.minus_constant(np.array([1.0, float(Slope.sqrt2())]))
+    orbit = renorm_orbit(f0, Slope.sqrt2(), 8, PARAMS)
     alphas = [s.alpha for s in orbit.states]
     silver = 1 + math.sqrt(2)
     part_periodic = all(abs(a - silver) <= 1e-12 for a in alphas[1:])
@@ -217,9 +217,12 @@ def test_criterion_6_fixed_point_and_periodicity():
 
 def decay_run(slope, seed):
     started = time.time()
-    f0, _ = resonant_perturbation(slope, 1e-3, PARAMS, seed=seed,
-                                  stabilize=True)
-    orbit = renorm_orbit(f0, slope, 8, PARAMS, x0_is_perturbation=True)
+    # the secant and the orbit share one table of far-mode solves, as the
+    # orbit scenario does
+    solves = FarSolves()
+    f0 = resonant_perturbation(slope, 1e-3, PARAMS, seed=seed)
+    f0, _ = stabilize_resonant_perturbation(f0, slope, PARAMS, solves)
+    orbit = renorm_orbit(f0, slope, 8, PARAMS, solves)
     elapsed = time.time() - started
     norms = orbit.norms
     decreasing = all(
@@ -255,8 +258,7 @@ def test_criterion_7_convergence_experiment():
 
 def test_criterion_8_unstable_direction():
     f0 = unstable_perturbation(GAMMA, 1e-6, PARAMS)
-    orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS,
-                         x0_is_perturbation=True)
+    orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS)
     cs = [unstable_coordinate(s) for s in orbit.states]
     factors = [abs(cs[i + 1] / cs[i]) for i in range(4)]
     within = all(abs(f - GAMMA**2) <= 0.1 * GAMMA**2 for f in factors)

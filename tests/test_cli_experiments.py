@@ -217,6 +217,16 @@ class TestMain:
         code = main(["orbit", "--slope", "golden", "--out", str(tmp_path)])
         assert code == 2  # missing seed
 
+    def test_sigma_out_of_range_exit_two(self, tmp_path, capsys):
+        # 0 < sigma < 1/3 is checked where the parameters are built, so a
+        # scenario that never reads kappa rejects it too
+        for argv in (["orbit", "--seed", "1", "--steps", "1",
+                      "--truncation", "8", "--perturb", "mixed:1e-4"],
+                     ["decay-probe", "--steps", "2", "--truncation", "8"]):
+            code = main([*argv, "--sigma", "0.5", "--out", str(tmp_path)])
+            assert code == 2
+            assert "configuration error" in capsys.readouterr().err
+
     def test_artifact_paths_printed(self, tmp_path, capsys):
         main(["cf", "--slope", "golden", "--out", str(tmp_path)])
         out = capsys.readouterr().out

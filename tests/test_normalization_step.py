@@ -259,7 +259,7 @@ class TestSolveReuse:
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
         for name in ("sweeps", "residuals", "at_floor", "gmres_failures",
                      "fit", "eps_hat", "inside_ball", "contraction_lhs",
-                     "contraction_rhs", "du_sup_bound", "grid"):
+                     "contraction_rhs", "du_sup_bound"):
             assert getattr(reused, name) == getattr(fresh, name), name
         # a caller may change its result without touching the stored solve
         assert reused.residuals is not first.residuals

@@ -11,10 +11,14 @@ import scipy.sparse
 from torusrenorm import cli_experiments, normalization_step, renorm_driver
 from torusrenorm.errors import DomainExceeded, ZeroInput
 from torusrenorm.fourier_field import FourierVectorField, mode_l1, norm_r
+from torusrenorm.normalization_step import FarSolves
 from torusrenorm.number_theory import S, Slope, V, cf_expand
 from torusrenorm.scaling_step import resonant_modes
 from torusrenorm.renorm_driver import (
+    PROBE_STEPS,
+    STABILIZE_ROUNDS,
     RenormParams,
+    RenormState,
     basis_change,
     cap_omega_of,
     constant_block,
@@ -24,7 +28,6 @@ from torusrenorm.renorm_driver import (
     linearized_step,
     mixed_perturbation,
     one_step,
-    perturbed_state,
     power_iteration_norm,
     quadratic_remainder_probe,
     renorm_orbit,
@@ -49,7 +52,7 @@ def constant_state(cf, vec=None):
         if vec is None
         else FourierVectorField.constant(vec, 0.9, PARAMS.truncation)
     )
-    return perturbed_state(f, cf)
+    return RenormState(0, f, cf)
 
 
 class TestTransient:
@@ -79,8 +82,9 @@ class TestTransient:
     def test_zero_slope(self):
         # a zero slope has no continued-fraction expansion to step along
         x = FourierVectorField.constant([1.0, 0.0], 0.9, 8)
+        f = x.minus_constant(np.array([1.0, 0.0]))
         with pytest.raises(ZeroInput):
-            renorm_orbit(x, Slope.rational(0, 1), 3, RenormParams(truncation=8))
+            renorm_orbit(f, Slope.rational(0, 1), 3, RenormParams(truncation=8))
 
     def test_basis_change_preserves_norm(self):
         x = FourierVectorField(
@@ -118,10 +122,9 @@ class TestOneStep:
 
     def test_normalized_average_along_omega(self):
         # after one step the constant part along omega' is exactly omega'
-        f0, _ = resonant_perturbation(Slope.golden(), 1e-4, PARAMS, seed=2,
-                                      stabilize=False)
+        f0 = resonant_perturbation(Slope.golden(), 1e-4, PARAMS, seed=2)
         cf = cf_expand(Slope.golden(), 6)
-        out = one_step(perturbed_state(f0, cf), PARAMS)
+        out = one_step(RenormState(0, f0, cf), PARAMS)
         p, _ = constant_split(out.perturbation.average(), out.omega)
         assert abs(p) < 1e-15
 
@@ -129,9 +132,8 @@ class TestOneStep:
         # X' - omega' = (I - P E) L f + O(||f||^2)
         cf = cf_expand(Slope.golden(), 6)
         rng_amp = 1e-5
-        f0, _ = resonant_perturbation(Slope.golden(), rng_amp, PARAMS, seed=5,
-                                      stabilize=False)
-        out = one_step(perturbed_state(f0, cf), PARAMS)
+        f0 = resonant_perturbation(Slope.golden(), rng_amp, PARAMS, seed=5)
+        out = one_step(RenormState(0, f0, cf), PARAMS)
         linear = linearized_step(f0, cf, 0, PARAMS)
         err = norm_r(out.perturbation - linear, PARAMS.rho_prime)
         assert err < 50 * rng_amp**2
@@ -141,9 +143,9 @@ class TestOneStep:
         cf = cf_expand(Slope.golden(), 6)
         zeta = PARAMS.zeta(cf.tail_float(0), cf.tail_float(1))
         for seed in range(3):
-            f0, _ = resonant_perturbation(Slope.golden(), zeta / 20, PARAMS,
-                                          seed=seed, stabilize=False)
-            out = one_step(perturbed_state(f0, cf), PARAMS)
+            f0 = resonant_perturbation(Slope.golden(), zeta / 20, PARAMS,
+                                       seed=seed)
+            out = one_step(RenormState(0, f0, cf), PARAMS)
             lhs = norm_r(out.perturbation, PARAMS.rho_prime)
             assert lhs <= norm_r(f0, PARAMS.rho_prime) / zeta
 
@@ -198,30 +200,28 @@ class TestWindingConeCheck:
         f = osc + FourierVectorField.constant(
             delta * cap_omega_of(GAMMA), 0.9, PARAMS.truncation
         )
-        state = perturbed_state(f, cf)
+        state = RenormState(0, f, cf)
         assert winding_cone_check(state, PARAMS).passed
 
 
 class TestOrbit:
     def test_fixed_point_orbit_all_zero(self):
         x0 = FourierVectorField.constant([1.0, GAMMA], 0.9, PARAMS.truncation)
-        orbit = renorm_orbit(x0, Slope.golden(), 10, PARAMS)
+        f0 = x0.minus_constant(np.array([1.0, float(Slope.golden())]))
+        orbit = renorm_orbit(f0, Slope.golden(), 10, PARAMS)
         assert orbit.completed == 10
         assert np.all(orbit.norms == 0)
 
     def test_resonant_decay(self):
-        f0, _ = resonant_perturbation(Slope.golden(), 1e-3, PARAMS, seed=7,
-                                      stabilize=False)
-        orbit = renorm_orbit(f0, Slope.golden(), 5, PARAMS,
-                             x0_is_perturbation=True)
+        f0 = resonant_perturbation(Slope.golden(), 1e-3, PARAMS, seed=7)
+        orbit = renorm_orbit(f0, Slope.golden(), 5, PARAMS)
         assert orbit.completed == 5
         assert orbit.theta_hat < 1
         assert np.all(np.diff(orbit.norms[:5]) < 0)
 
     def test_unstable_growth_and_domain_exceeded(self):
         f0 = unstable_perturbation(GAMMA, 1e-6, PARAMS)
-        orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS,
-                             x0_is_perturbation=True)
+        orbit = renorm_orbit(f0, Slope.golden(), 16, PARAMS)
         assert isinstance(orbit.failure, DomainExceeded)
         cs = [unstable_coordinate(s) for s in orbit.states]
         for i in range(4):
@@ -229,13 +229,13 @@ class TestOrbit:
 
     def test_rational_slope_rejected(self):
         x0 = FourierVectorField.constant([1.0, 1.5], 0.9, PARAMS.truncation)
+        f0 = x0.minus_constant(np.array([1.0, float(Slope.rational(3, 2))]))
         with pytest.raises(ValueError):
-            renorm_orbit(x0, Slope.rational(3, 2), 10, PARAMS)
+            renorm_orbit(f0, Slope.rational(3, 2), 10, PARAMS)
 
     def test_transient_far_clearing(self):
         f0 = mixed_perturbation(Slope.golden(), 1e-4, PARAMS, seed=4)
-        orbit = renorm_orbit(f0, Slope.golden(), 3, PARAMS,
-                             x0_is_perturbation=True)
+        orbit = renorm_orbit(f0, Slope.golden(), 3, PARAMS)
         assert orbit.transient_far_cleared > PARAMS.tol
         assert orbit.completed == 3
 
@@ -279,23 +279,26 @@ def run_golden_orbit(seed, out_dir):
 
 
 class TestProbeReuse:
-    """Every far-mode elimination of an orbit whose problem is byte-identical
-    to one its prefix orbit solved reuses that solve; the stabilising probes
-    chain this way and the final orbit takes the last probe as its prefix."""
+    """Every far-mode elimination whose problem is byte-identical to one
+    already in the run's table of solves reuses that solve; the stabilising
+    probes and the final orbit share one table."""
 
-    def test_resumed_orbit_equals_a_fresh_one(self):
+    def test_resumed_orbit_equals_a_fresh_one(self, monkeypatch):
         slope = Slope.golden()
-        f0, _ = resonant_perturbation(slope, 1e-3, PARAMS, seed=7,
-                                      stabilize=False)
-        f, _, probe = stabilize_resonant_perturbation(f0, slope, PARAMS)
-        assert probe.completed == 6
-        resumed = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True,
-                               prefix=probe)
-        # the probe's 6 steps are reused, the last 2 computed
-        assert resumed.solves.computed == probe.solves.computed + 2
-        assert resumed.solves.reused == probe.solves.reused + 6
-        fresh = renorm_orbit(f, slope, 8, PARAMS, x0_is_perturbation=True)
-        assert fresh.solves.counts() == {"computed": 8, "reused": 0}
+        f0 = resonant_perturbation(slope, 1e-3, PARAMS, seed=7)
+        steps = count_steps(monkeypatch)
+        solves = FarSolves()
+        f, _ = stabilize_resonant_perturbation(f0, slope, PARAMS, solves)
+        # every probe orbit completed its steps
+        assert len(steps) == STABILIZE_ROUNDS * PROBE_STEPS
+        after_secant = solves.counts()
+        resumed = renorm_orbit(f, slope, 8, PARAMS, solves)
+        # the first 6 steps pose the probes' problems again, the last 2 are new
+        assert solves.computed == after_secant["computed"] + 2
+        assert solves.reused == after_secant["reused"] + 6
+        fresh_solves = FarSolves()
+        fresh = renorm_orbit(f, slope, 8, PARAMS, fresh_solves)
+        assert fresh_solves.counts() == {"computed": 8, "reused": 0}
         assert len(fresh.states) == 9
         assert_same_orbit(resumed, fresh)
 
@@ -310,20 +313,20 @@ class TestProbeReuse:
         assert len(steps) == 3 * 6 + 8
         assert results["far_solves"] == {"computed": 14, "reused": 12}
 
-    def test_prefix_of_another_input_changes_nothing(self):
+    def test_a_shared_table_never_changes_a_result(self):
         params = RenormParams(truncation=8)
         slope = Slope.golden()
-        f0, _ = resonant_perturbation(slope, 1e-3, params, seed=1,
-                                      stabilize=False)
-        probe = renorm_orbit(f0, slope, 2, params, x0_is_perturbation=True)
-        assert probe.solves.counts() == {"computed": 2, "reused": 0}
+        f0 = resonant_perturbation(slope, 1e-3, params, seed=1)
+        solves = FarSolves()
+        probe = renorm_orbit(f0, slope, 2, params, solves)
+        assert solves.counts() == {"computed": 2, "reused": 0}
         other_sigma = RenormParams(truncation=8, sigma=0.09)
         for x0, p, reused in ((f0 * 1.0, params, 2), (f0 * 1.5, params, 0),
                               (f0, other_sigma, 0)):
-            resumed = renorm_orbit(x0, slope, 3, p, x0_is_perturbation=True,
-                                   prefix=probe)
-            fresh = renorm_orbit(x0, slope, 3, p, x0_is_perturbation=True)
-            assert resumed.solves.reused == reused
+            reused_before = solves.reused
+            resumed = renorm_orbit(x0, slope, 3, p, solves)
+            fresh = renorm_orbit(x0, slope, 3, p)
+            assert solves.reused - reused_before == reused
             assert_same_orbit(resumed, fresh)
             if reused:
                 assert resumed.completed == 3
@@ -573,7 +576,8 @@ class TestPeriodicity:
         assert cf.period == (1, 2)
         x0 = FourierVectorField.constant([1.0, math.sqrt(3)], 0.9,
                                          PARAMS.truncation)
-        orbit = renorm_orbit(x0, slope, 8, PARAMS)
+        f0 = x0.minus_constant(np.array([1.0, float(slope)]))
+        orbit = renorm_orbit(f0, slope, 8, PARAMS)
         alphas = [s.alpha for s in orbit.states]
         for n in range(1, 7):
             assert alphas[n + 2] == pytest.approx(alphas[n], abs=1e-12)

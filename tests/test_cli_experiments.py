@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from torusrenorm.cli_experiments import (
@@ -233,6 +234,10 @@ class TestMain:
         assert ".csv" in out and ".json" in out
 
 
+# e - 2 to 320 digits at 1024 bits, the real slope that perfbench expands
+with mpmath.workdps(340):
+    E_MINUS_2_AT_1024 = f"{mpmath.nstr(mpmath.e - 2, 320, strip_zeros=False)}@1024"
+
 # SHA-256 of each artifact of a small run: the CSV body without its comment
 # header, the eliminate scenario's field and map JSON, and the manifest's
 # results (json.dumps with sorted keys).  A pin may change only with the
@@ -259,7 +264,28 @@ BYTE_PINS = {
         "map.json": "78bb46b712202881652b324feef0f911cc6bab88d0d04d96609e557b0ab080bd",
         "results": "e10e292a1c7d4dd48e23f7d5c2de861970c34d2d9c3ff9e6ba176bb55c4081dd",
     },
+    ("cf", "--slope", "sqrt2", "--n-terms", "400"): {
+        "csv": "a1b7a3e391c302ada5d6085670ea26a8a379d5b461d730f0c4e32bd8607bfe60",
+        "results": "8709ef3f25c0fcd3ee5f3bfcf7493f1e6ffd5f8c65bf28a6528fa02943e36c72",
+    },
+    ("cf", "--slope", "3,2,7,5", "--n-terms", "150"): {
+        "csv": "cc622237319bac3268dd59694f60d5c32a4208be7d18165a56d9ff8855762573",
+        "results": "c6eab7fcbd2e847b0c8c636b972dfa2ba93c44e248c21e1ea5d69cd5ea5b7930",
+    },
+    ("cf", "--slope", E_MINUS_2_AT_1024, "--n-terms", "400"): {
+        "csv": "db8070688402ba095eb3dd978041bc252ebb3a97777a0df4d85947ea81a227de",
+        "results": "6a0a9bd456c0f8ac7bc09e7438133f41cf15654d5ff0b18fd6d36bb32cc0c86e",
+    },
 }
+
+
+def pin_id(argv):
+    """The scenario name for its first pin; later pins add slope and length."""
+    first = next(pinned for pinned in BYTE_PINS if pinned[0] == argv[0])
+    if argv == first:
+        return argv[0]
+    slope = "e-2@1024" if argv[2] == E_MINUS_2_AT_1024 else argv[2]
+    return "-".join([argv[0], slope, *argv[4:]])
 
 
 def artifact_digests(argv, out_dir):
@@ -287,6 +313,6 @@ def artifact_digests(argv, out_dir):
     return digests
 
 
-@pytest.mark.parametrize("argv", BYTE_PINS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", BYTE_PINS, ids=pin_id)
 def test_outputs_keep_their_bytes(argv, tmp_path):
     assert artifact_digests(argv, tmp_path) == BYTE_PINS[argv]

@@ -454,6 +454,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
         diff = probe["far"] - state["far"]
         return norm_r(diff, rho_prime)
 
+    def floor_accepts(state):
+        """Accept a stall at STALL_ACCEPT * res0 or at twice the measured
+        floor; the probe runs only when the first test fails."""
+        return (state["res"] <= STALL_ACCEPT * res0
+                or state["res"] <= 2.0 * measured_floor(state))
+
     current = evaluate(np.zeros(2 * len(far), dtype=complex))
     residuals = [current["res"]]
 
@@ -510,7 +516,8 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
             if trial["res"] < res:
                 break
             step *= 0.5
-        if best["res"] < res:
+        moved = best["res"] < res
+        if moved:
             current = best
         res = current["res"]
         residuals.append(res)
@@ -521,14 +528,16 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
         # numerically unresolvable; accept a stall at that level
         stalls = stalls + 1 if res > 0.5 * residuals[-2] else 0
         if stalls >= 1:
-            if res <= max(STALL_ACCEPT * res0, 2.0 * measured_floor(current)):
+            if floor_accepts(current):
                 converged = True
                 at_floor = True
                 break
+            if not moved:
+                # every later sweep would repeat this one bit for bit
+                break
 
-    if not converged and res <= max(
-        STALL_ACCEPT * res0, 2.0 * measured_floor(current)
-    ):
+    # a last sweep that stalled has already made the floor test
+    if not converged and not stalls and floor_accepts(current):
         converged = True
         at_floor = True
     if not converged:

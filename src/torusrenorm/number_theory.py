@@ -28,8 +28,6 @@ from .errors import (
     ZeroInput,
 )
 
-GOLDEN = (1 + math.sqrt(5)) / 2
-
 DEFAULT_REAL_BITS = 256
 
 
@@ -112,12 +110,39 @@ def _square_free_split(d: int):
     return s, core
 
 
-class QuadraticNumber:
-    """Exact element a + b*sqrt(d) of a real quadratic field, d square-free."""
+def _canonical(p: int, q: int, r: int, d: int):
+    """(p + q*sqrt(d)) / r with r > 0, gcd(p, q, r) = 1 and d = 0 if q = 0."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    return p // g, q // g, r // g, d if q else 0
 
-    __slots__ = ("a", "b", "d")
+
+def _scaled_floor(p: int, q: int, r: int, d: int, k: int):
+    """divmod((p + floor(q*sqrt(d))) * 2**k, r) for r > 0, d square-free.
+
+    The quotient is floor((p + q*sqrt(d)) / r * 2**k); the remainder is the
+    exact one when q = 0.
+    """
+    if k >= 0:
+        p, q = p << k, q << k
+    else:
+        r <<= -k
+    s = isqrt(q * q * d)  # q*sqrt(d) is irrational unless q = 0
+    return divmod(p + (s if q >= 0 else -s - 1), r)
+
+
+class QuadraticNumber:
+    """Exact element (p + q*sqrt(d)) / r of a real quadratic field.
+
+    The four ints are canonical: r > 0, gcd(p, q, r) = 1, d square-free when
+    q != 0 and d = 0 when q = 0.  Equality and hashing compare them.
+    """
+
+    __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, a, b, d: int):
+        """a + b*sqrt(d) for rationals a and b."""
         a, b = Fraction(a), Fraction(b)
         if b != 0:
             if d <= 0:
@@ -125,10 +150,10 @@ class QuadraticNumber:
             s, core = _square_free_split(d)
             if core == 1:
                 raise ValueError(f"d = {d} is a perfect square; use a rational")
-            a, b, d = a, b * s, core
-        else:
-            d = 0
-        self.a, self.b, self.d = a, b, d
+            b, d = b * s, core
+        self.p, self.q, self.r, self.d = _canonical(
+            a.numerator * b.denominator, b.numerator * a.denominator,
+            a.denominator * b.denominator, d)
 
     @classmethod
     def from_surd(cls, u: int, v: int, d: int, w: int) -> "QuadraticNumber":
@@ -137,25 +162,39 @@ class QuadraticNumber:
             raise ValueError("w must be nonzero")
         return cls(Fraction(u, w), Fraction(v, w), d)
 
-    def _check_field(self, other: "QuadraticNumber"):
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise ValueError("mixed quadratic fields")
+    @classmethod
+    def _new(cls, p, q, r, d) -> "QuadraticNumber":
+        """(p + q*sqrt(d)) / r for d square-free (or q = 0) and r != 0."""
+        x = object.__new__(cls)
+        x.p, x.q, x.r, x.d = _canonical(p, q, r, d)
+        return x
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, QuadraticNumber):
             return other
-        return QuadraticNumber(other, 0, self.d if self.d else 1)
+        if isinstance(other, int):
+            return QuadraticNumber._new(other, 0, 1, 0)
+        return QuadraticNumber(other, 0, 0)
+
+    def _common_d(self, other: "QuadraticNumber") -> int:
+        if self.d and other.d and self.d != other.d:
+            raise ValueError("mixed quadratic fields")
+        return self.d or other.d
 
     def __add__(self, other):
         other = self._coerce(other)
-        self._check_field(other)
-        d = self.d or other.d
-        return QuadraticNumber(self.a + other.a, self.b + other.b, d or 1)
+        return QuadraticNumber._new(
+            self.p * other.r + other.p * self.r,
+            self.q * other.r + other.q * self.r,
+            self.r * other.r,
+            self._common_d(other),
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d or 1)
+        return QuadraticNumber._new(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -165,22 +204,22 @@ class QuadraticNumber:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        self._check_field(other)
-        d = self.d or other.d
-        return QuadraticNumber(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d or 1,
+        d = self._common_d(other)
+        return QuadraticNumber._new(
+            self.p * other.p + self.q * other.q * d,
+            self.p * other.q + self.q * other.p,
+            self.r * other.r,
+            d,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticNumber":
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d)
-        norm = self.a * self.a - self.b * self.b * (self.d or 0)
+        # r / (p + q sqrt d) = r (p - q sqrt d) / (p^2 - q^2 d)
+        norm = self.p * self.p - self.q * self.q * self.d
         if norm == 0:
             raise ZeroDivisionError("inverse of zero")
-        return QuadraticNumber(self.a / norm, -self.b / norm, self.d or 1)
+        return QuadraticNumber._new(self.r * self.p, -self.r * self.q, norm, self.d)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -189,26 +228,20 @@ class QuadraticNumber:
         return self._coerce(other) * self.inverse()
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d (d square-free, so != )
-        bigger_rational = a * a > b * b * self.d
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        # opposite signs: p^2 != q^2 d because d is square-free
+        larger = p if p * p > q * q * self.d else q
+        return 1 if larger > 0 else -1
 
     def __eq__(self, other):
         if not isinstance(other, (QuadraticNumber, int, Fraction)):
             return NotImplemented
-        diff = self - self._coerce(other)
-        return diff.a == 0 and diff.b == 0
+        other = self._coerce(other)
+        return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -223,53 +256,62 @@ class QuadraticNumber:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash((self.p, self.q, self.r, self.d))
 
     def floor(self) -> int:
-        if self.b == 0:
-            return math.floor(self.a)
-        # put over one positive denominator: (A + B sqrt d) / r
-        r = self.a.denominator * self.b.denominator
-        A = self.a.numerator * self.b.denominator
-        B = self.b.numerator * self.a.denominator
-        s = isqrt(B * B * self.d)
-        floor_b_sqrt = s if B >= 0 else -s - 1
-        return (A + floor_b_sqrt) // r
+        return _scaled_floor(self.p, self.q, self.r, self.d, 0)[0]
+
+    __floor__ = floor
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
-    def _cancellation_safe_bits(self) -> int:
-        # a + b*sqrt(d) can cancel down to ~1/(operand sizes); work wide
-        ops = (
-            self.a.numerator,
-            self.a.denominator,
-            self.b.numerator,
-            self.b.denominator,
-            self.d or 1,
-        )
-        return 64 + 2 * max(abs(int(o)).bit_length() for o in ops)
+    def _nearest(self, prec: int):
+        """(m, e) with m * 2**e the prec-bit value nearest to self.
+
+        2**(prec-1) <= |m| < 2**prec, or m = 0 for zero.  A tie, possible
+        only when q = 0, goes to the even m.
+        """
+        sign = self.sign()
+        if sign == 0:
+            return 0, 0
+        p, q, r, d = sign * self.p, sign * self.q, self.r, self.d
+        # log2 of |p| + |q|*sqrt(d), to a bit or two; with opposite signs the
+        # value is the norm over that sum, which shows any cancellation
+        bits = max(p.bit_length(), ((q * q * d).bit_length() + 1) // 2)
+        if p < 0 or q < 0:
+            bits = (p * p - q * q * d).bit_length() - bits
+        k = prec + 2 - bits + r.bit_length()
+        scaled, rem = _scaled_floor(p, q, r, d, k)
+        while scaled.bit_length() <= prec:
+            k += prec + 1 - scaled.bit_length()
+            scaled, rem = _scaled_floor(p, q, r, d, k)
+        shift = scaled.bit_length() - prec
+        m, low, half = scaled >> shift, scaled & ((1 << shift) - 1), 1 << (shift - 1)
+        # an irrational or inexact rest lies strictly above its floor
+        m += low > half or (low == half and bool(q or rem or m & 1))
+        if m >> prec:
+            m, shift = m >> 1, shift + 1
+        return sign * m, shift - k
 
     def to_mpf(self, prec_bits: int = 53):
-        work = max(prec_bits + 10, self._cancellation_safe_bits())
-        with mpmath.workprec(work):
-            val = mpmath.mpf(self.a.numerator) / self.a.denominator
-            if self.b:
-                val += (
-                    mpmath.mpf(self.b.numerator)
-                    / self.b.denominator
-                    * mpmath.sqrt(self.d)
-                )
-        with mpmath.workprec(prec_bits):
-            return +val
+        """The correctly rounded prec_bits-bit value."""
+        return mpmath.mpf(self._nearest(prec_bits), prec=prec_bits)
 
     def __float__(self):
-        return float(self.to_mpf(64))
+        # the correctly rounded 64-bit value, then to 53 bits, ties to even
+        m, e = self._nearest(64)
+        top, low = abs(m) >> 11, abs(m) & 0x7FF
+        top += low > 0x400 or low == 0x400 and top & 1
+        try:
+            return math.ldexp(top if m > 0 else -top, e + 11)
+        except OverflowError:
+            return math.copysign(math.inf, m)
 
     def __repr__(self):
-        if self.b == 0:
-            return f"QuadraticNumber({self.a})"
-        return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.d}))"
+        if self.q == 0:
+            return f"QuadraticNumber({self.p}/{self.r})"
+        return f"QuadraticNumber(({self.p} + {self.q}*sqrt({self.d}))/{self.r})"
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +420,7 @@ class Slope:
     # conversions ----------------------------------------------------------
 
     def __float__(self):
-        if self.kind == "rational":
-            return float(self.value)
-        if self.kind == "quadratic":
-            return float(self.value)
-        return float(self.value.mid)
-
-    def to_mpf(self, prec_bits: int = 53):
-        if self.kind == "rational":
-            with mpmath.workprec(prec_bits):
-                return mpmath.mpf(self.value.numerator) / self.value.denominator
-        if self.kind == "quadratic":
-            return self.value.to_mpf(prec_bits)
-        with mpmath.workprec(prec_bits):
-            return +mpmath.mpf(self.value.mid.a)
+        return _to_float(self.value)
 
     def is_zero(self) -> bool:
         if self.kind == "rational":
@@ -410,12 +439,7 @@ class Slope:
 
 def gauss_step(x):
     """One Gauss-map step x -> {1/x} for x > 0, exact when x is exact."""
-    if isinstance(x, QuadraticNumber):
-        if x.sign() <= 0:
-            raise ZeroInput("gauss_step needs x > 0")
-        inv = 1 / x
-        return inv - inv.floor()
-    if isinstance(x, Fraction):
+    if isinstance(x, (QuadraticNumber, Fraction)):
         if x <= 0:
             raise ZeroInput("gauss_step needs x > 0")
         inv = 1 / x
@@ -442,7 +466,7 @@ def act_on_slope(m: GL2Z, slope: Slope) -> Slope:
     if slope.kind == "quadratic":
         alpha = slope.value
         denom = alpha * m.b + m.a
-        if denom.a == 0 and denom.b == 0:
+        if denom == 0:
             raise PoleAtInput("slope is a pole of the action")
         return Slope("quadratic", (alpha * m.d + m.c) / denom)
     with _IvPrec(slope.bits):
@@ -458,9 +482,7 @@ def act_on_slope(m: GL2Z, slope: Slope) -> Slope:
 
 
 def _to_float(value) -> float:
-    if isinstance(value, QuadraticNumber):
-        return float(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (QuadraticNumber, int, Fraction)):
         return float(value)
     return float(value.mid)
 
@@ -469,11 +491,9 @@ def _float_once(value, floats: dict) -> float:
     """_to_float(value); a quadratic value is converted once per dict."""
     if not isinstance(value, QuadraticNumber):
         return _to_float(value)
-    # its exact parts as the key: QuadraticNumber.__eq__ builds a difference
-    key = (value.a, value.b, value.d)
-    out = floats.get(key)
+    out = floats.get(value)
     if out is None:
-        out = floats[key] = _to_float(value)
+        out = floats[value] = float(value)
     return out
 
 
@@ -590,25 +610,19 @@ def _expand_exact(alpha, n_terms: int):
     termination = "ok"
     x = alpha
     for n in range(n_terms):
-        if isinstance(x, QuadraticNumber):
-            key = (x.a, x.b, x.d)
-            if key in seen and period is None:
-                period = (seen[key], n - seen[key])
-            else:
-                seen.setdefault(key, n)
-            a = x.floor()
-        else:
-            a = math.floor(x)
+        # a repeated tail closes the period; rational tails never repeat
+        if period is None and x in seen:
+            period = (seen[x], n - seen[x])
+        seen.setdefault(x, n)
+        a = math.floor(x)
         coeffs.append(a)
         tails.append(x)
         rem = x - a
         remainders.append(rem)
-        is_zero = rem == 0
-        if is_zero:
+        if rem == 0:
             termination = "rational_exhausted"
             break
         x = 1 / rem
-    # extend the periodic pattern bookkeeping: tails already computed eagerly
     return coeffs, tails, remainders, period, termination
 
 

@@ -195,6 +195,25 @@ class TestEliminateFar:
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
                                        tol=1e-13)
 
+    def test_a_sweep_that_cannot_move_ends_the_solve(self, monkeypatch):
+        # at amplitude 100 no trial step of the first sweep lowers the far
+        # residual and the floor test fails: every later sweep would repeat
+        # that sweep bit for bit, 122 pullbacks in all over MAX_SWEEPS
+        calls = 0
+        core = normalization_step._pullback_core
+
+        def counting_core(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(normalization_step, "_pullback_core", counting_core)
+        x = mixed_perturbation_field(100.0)
+        with pytest.raises(NoConvergence, match="after 1 sweeps"):
+            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        # the initial state, 9 trial steps and one floor probe
+        assert calls == 11
+
     def test_contraction_estimate_reported(self):
         x = mixed_perturbation_field(1e-4)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)

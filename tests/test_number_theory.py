@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusrenorm import cli_experiments
 from torusrenorm.errors import (
@@ -78,6 +81,144 @@ class TestQuadraticNumber:
         s2 = QuadraticNumber.from_surd(0, 1, 2, 1)
         assert QuadraticNumber.from_surd(1, 0, 2, 1) < s2 < 2
         assert (-s2).sign() == -1
+
+
+SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 1001]
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def _operand_bits(x):
+    return max(abs(v).bit_length() for v in (x.p, x.q, x.r, x.d))
+
+
+@functools.lru_cache(maxsize=64)
+def _root(d, work):
+    with mpmath.workprec(work):
+        return mpmath.sqrt(d)
+
+
+def reference_mpf(x, prec, work=None):
+    """x rounded to prec bits from an evaluation at `work` bits, by default
+    4 * (operand bits) + prec + 64; far enough for the nearest prec-bit
+    value of a quadratic irrational of this height."""
+    work = work or 4 * _operand_bits(x) + prec + 64
+    with mpmath.workprec(work):
+        value = (mpmath.mpf(x.p) + mpmath.mpf(x.q) * _root(x.d, work)) / x.r
+    return mpmath.mpf(value, prec=prec)
+
+
+def reference_float(x, work=None):
+    """The 53-bit ties-to-even rounding of the nearest 64-bit value."""
+    return float(reference_mpf(x, 64, work))
+
+
+@st.composite
+def surds(draw, bits=700, count=1):
+    """count numbers (u + v sqrt(d)) / w of one field, some of them rational,
+    with operands of up to `bits` bits."""
+    d = draw(st.sampled_from(SQUARE_FREE))
+    big = st.integers(-(2**bits), 2**bits)
+    out = [QuadraticNumber.from_surd(draw(big), draw(big), d, draw(big.filter(bool)))
+           for _ in range(count)]
+    return out[0] if count == 1 else out
+
+
+class TestExactKernel:
+    @PROPERTY
+    @given(x=surds(), prec=st.integers(2, 300))
+    def test_roundings_are_correct(self, x, prec):
+        assert x.to_mpf(prec) == reference_mpf(x, prec)
+        assert float(x).hex() == reference_float(x).hex()
+
+    @PROPERTY
+    @given(xy=surds(bits=300, count=2))
+    def test_floor_is_exact(self, xy):
+        x, y = xy
+        for z in (x, x * y):
+            n = z.floor()
+            assert n <= z < n + 1
+
+    @PROPERTY
+    @given(xyz=surds(bits=600, count=3))
+    def test_field_identities_are_exact(self, xyz):
+        x, y, z = xyz
+        big = x * y * z  # operands of up to ~1800 bits
+        for a, b in ((x, y), (big, x), (big, z)):
+            if a.sign():
+                assert a * a.inverse() == 1
+            assert (a + b) - b == a
+            if b.sign():
+                assert (a * b) / b == a
+        assert big.to_mpf(200) == reference_mpf(big, 200)
+        assert float(big).hex() == reference_float(big).hex()
+
+    @PROPERTY
+    @given(x=surds(bits=200))
+    def test_canonical_form(self, x):
+        assert x.r > 0 and math.gcd(x.p, x.q, x.r) == 1
+        assert (x.d == 0) == (x.q == 0)
+        doubled = QuadraticNumber.from_surd(2 * x.p, 2 * x.q, x.d or 2, 2 * x.r)
+        assert doubled == x and hash(doubled) == hash(x)
+
+    def test_rational_ties_go_to_even(self):
+        # 2**53 + 1 and 2**53 + 3 lie halfway between two floats
+        for n in (2**53 + 1, 2**53 + 3, -(2**53) - 1):
+            assert float(QuadraticNumber.from_surd(n, 0, 0, 1)) == float(n)
+        assert QuadraticNumber.from_surd(5, 0, 0, 8).to_mpf(2) == 0.5
+        assert QuadraticNumber.from_surd(7, 0, 0, 8).to_mpf(2) == 1.0
+        assert float(QuadraticNumber(Fraction(1, 3), 0, 0)) == 1 / 3
+
+    def test_overflow_gives_infinity(self):
+        huge = QuadraticNumber.from_surd(-(2**1100), 1, 2, 1)
+        assert float(huge) == -math.inf
+        assert float(huge.inverse()) == -0.0
+
+    def test_misroundings_of_the_working_precision_guess(self):
+        # a conversion at 64 + 2 * (operand bits) gave ...021e-65 and ...912e-112
+        assert cf_expand(Slope.golden(), 400).beta_float(308) == 2.6473975508860206e-65
+        slope = Slope.quadratic(2, 4, 6, 6)
+        assert cf_expand(slope, 400).beta_float(223) == 1.0393246589330913e-112
+
+    def test_golden_betas_to_all_256_bits(self):
+        cf = cf_expand(Slope.golden(), 400)
+        for n in (200, 399):
+            beta = cf.beta(n)
+            assert beta.to_mpf(256) == reference_mpf(beta, 256, work=4000)
+
+    def test_float_views_match_a_3200_bit_reference(self):
+        slopes = [Slope.golden(), Slope.sqrt2(), Slope.silver(),
+                  Slope.quadratic(3, 2, 7, 5), *random_quadratic_slopes(40, seed=12)]
+        for slope in slopes:
+            cf = cf_expand(slope, 400)
+            refs = {}
+            for exact, floats in ((cf.tails, cf.tail_floats),
+                                  (cf.remainders, cf.remainder_floats),
+                                  (cf.betas, cf.beta_floats),
+                                  (cf.a_tildes, cf.a_tilde_floats)):
+                for x, got in zip(exact, floats):
+                    if x not in refs:
+                        refs[x] = reference_float(x, work=3200)
+                    assert got == refs[x], (slope, x)
+
+    def test_cf_expand_makes_no_fraction_and_no_workprec(self, monkeypatch):
+        counts = {"Fraction": 0, "workprec": 0}
+        new_fraction = Fraction.__new__
+        workprec = mpmath.workprec
+
+        def counting_fraction(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new_fraction(cls, *args, **kwargs)
+
+        def counting_workprec(*args, **kwargs):
+            counts["workprec"] += 1
+            return workprec(*args, **kwargs)
+
+        slope = Slope.golden()
+        monkeypatch.setattr(Fraction, "__new__", counting_fraction)
+        monkeypatch.setattr(mpmath, "workprec", counting_workprec)
+        cf = cf_expand(slope, 400)
+        assert len(cf.beta_floats) == 400
+        assert counts == {"Fraction": 0, "workprec": 0}
 
 
 class TestGL2Z:

@@ -11,6 +11,7 @@ drive the renormalisation scheme and its diagnostics.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -132,6 +133,7 @@ def _scaled_floor(p: int, q: int, r: int, d: int, k: int):
     return divmod(p + (s if q >= 0 else -s - 1), r)
 
 
+@functools.total_ordering
 class QuadraticNumber:
     """Exact element (p + q*sqrt(d)) / r of a real quadratic field.
 
@@ -245,15 +247,6 @@ class QuadraticNumber:
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
         return hash((self.p, self.q, self.r, self.d))

@@ -272,8 +272,8 @@ BYTE_PINS = {
         "csv": "cc622237319bac3268dd59694f60d5c32a4208be7d18165a56d9ff8855762573",
         "results": "c6eab7fcbd2e847b0c8c636b972dfa2ba93c44e248c21e1ea5d69cd5ea5b7930",
     },
-    # correctly rounded beta_n; at the first pin, row 308's beta_n and the
-    # K_beta of rows 307 and 308 were each one ulp off
+    # correctly rounded floats: a conversion at a guessed working precision
+    # put row 308's beta_n and the K_beta of rows 307 and 308 one ulp off
     ("cf", "--slope", "golden", "--n-terms", "400"): {
         "csv": "0491679eeceeab5cb27e99f662636f44b18d334bd6284c51207be27267c04fbe",
         "results": "4e22f5c1af5035e0b6b7d5ea90c9967b354ba2b028243bc3d44279118f326cc7",

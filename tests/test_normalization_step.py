@@ -51,6 +51,19 @@ def mixed_perturbation_field(amp, truncation=12, seed=0):
     return FourierVectorField.constant(PSI, width=0.9, truncation=truncation) + pert
 
 
+def count_pullbacks(monkeypatch):
+    """A list that gains one entry per _pullback_core call."""
+    calls = []
+    core = normalization_step._pullback_core
+
+    def counting_core(*args, **kwargs):
+        calls.append(1)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(normalization_step, "_pullback_core", counting_core)
+    return calls
+
+
 class TestTorusMap:
     def test_zero_average_required(self):
         with pytest.raises(ValueError):
@@ -189,30 +202,27 @@ class TestEliminateFar:
             assert not CONE.contains(k)
 
     def test_no_convergence(self, monkeypatch):
+        # the last allowed sweep moves without stalling: it still makes
+        # one floor test before the solve gives up
+        calls = count_pullbacks(monkeypatch)
         monkeypatch.setattr(normalization_step, "MAX_SWEEPS", 1)
         x = mixed_perturbation_field(3e-2)
         with pytest.raises(NoConvergence):
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
                                        tol=1e-13)
+        # the initial state, one trial step and one floor probe
+        assert len(calls) == 3
 
     def test_a_sweep_that_cannot_move_ends_the_solve(self, monkeypatch):
         # at amplitude 100 no trial step of the first sweep lowers the far
         # residual and the floor test fails: every later sweep would repeat
         # that sweep bit for bit, 122 pullbacks in all over MAX_SWEEPS
-        calls = 0
-        core = normalization_step._pullback_core
-
-        def counting_core(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return core(*args, **kwargs)
-
-        monkeypatch.setattr(normalization_step, "_pullback_core", counting_core)
+        calls = count_pullbacks(monkeypatch)
         x = mixed_perturbation_field(100.0)
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         # the initial state, 9 trial steps and one floor probe
-        assert calls == 11
+        assert len(calls) == 11
 
     def test_contraction_estimate_reported(self):
         x = mixed_perturbation_field(1e-4)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -265,8 +266,17 @@ def assert_same_orbit(a, b):
         assert x.perturbation.coeffs.tobytes() == y.perturbation.coeffs.tobytes()
 
 
+# SHA-256 of the seed-7 golden orbit's CSV body and of its manifest results
+# (json.dumps with sorted keys)
+GOLDEN_SEED7_CSV = (
+    "04c0416ade7879e5df6e8cd975ea5f91e8400e5595fcdc78f32107d8186a95a5")
+GOLDEN_SEED7_RESULTS = (
+    "02223ad8b3f12bcf36d50935e804d800b8a22815bae2dea01d839d526479243e")
+
+
 def run_golden_orbit(seed, out_dir):
-    """The CLI golden orbit (T=32, 8 steps); returns its manifest results."""
+    """The CLI golden orbit (T=32, 8 steps); returns its CSV body, without
+    the comment header, and its manifest results."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         code = cli_experiments.main(
@@ -274,8 +284,11 @@ def run_golden_orbit(seed, out_dir):
              "--steps", "8", "--truncation", "32", "--seed", str(seed),
              "--out", str(out_dir)])
     assert code == 0
-    manifest = printed.getvalue().splitlines()[-1]
-    return json.loads(Path(manifest).read_text())["results"]
+    csv_path, manifest = printed.getvalue().splitlines()[-2:]
+    body = "".join(line for line in
+                   Path(csv_path).read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    return body, json.loads(Path(manifest).read_text())["results"]
 
 
 class TestProbeReuse:
@@ -306,7 +319,7 @@ class TestProbeReuse:
                                                      tmp_path):
         # the last correction moves a bit of the perturbation at seed 2
         steps = count_steps(monkeypatch)
-        results = run_golden_orbit(2, tmp_path)
+        _, results = run_golden_orbit(2, tmp_path)
         # three 6-step probes, then all 8 steps of the final orbit; the
         # third probe and the final orbit's first 6 steps pose the second
         # probe's problems again
@@ -335,7 +348,9 @@ class TestProbeReuse:
 
 def test_golden_cli_orbit_pullback_work(monkeypatch, tmp_path):
     """The seed-7 golden orbit computes 14 of its 26 far-mode solves and
-    evaluates the pullback at most 66 times."""
+    evaluates the pullback at most 66 times.  Every computed solve stalls
+    and is accepted at the floor, so the pinned SHA-256 of the CSV body and
+    of the manifest results cover the stall and floor branches."""
     calls = []
     real_pullback = normalization_step._pullback_core
 
@@ -344,9 +359,12 @@ def test_golden_cli_orbit_pullback_work(monkeypatch, tmp_path):
         return real_pullback(*args, **kwargs)
 
     monkeypatch.setattr(normalization_step, "_pullback_core", counted)
-    results = run_golden_orbit(7, tmp_path)
+    body, results = run_golden_orbit(7, tmp_path)
     assert len(calls) <= 66
     assert results["far_solves"] == {"computed": 14, "reused": 12}
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_SEED7_CSV
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()
+                          ).hexdigest() == GOLDEN_SEED7_RESULTS
 
 
 class TestLambda:

@@ -20,7 +20,6 @@ from torusrenorm.renorm_driver import (
 )
 
 GAMMA = (1 + math.sqrt(5)) / 2
-PARAMS = RenormParams()
 
 print("=== constant block along the golden orbit ===")
 cb = constant_block(GAMMA)
@@ -41,7 +40,7 @@ for n in range(1, 7):
 
 print("\n=== composed truncated steps: super-geometric decay (golden, n=6) ===")
 cf = cf_expand(Slope.golden(), 10)
-rep = stable_decay_probe(cf, PARAMS.sigma, 60, 6, PARAMS)
+rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
 ratios = rep.log_ratios()
 print(f"{'j':>2} {'surviving':>9} {'||L_n...L_j(I-E)||':>19} {'power-l2':>10} "
       f"{'Lambda':>8} {'log gain':>9}")

@@ -100,6 +100,16 @@ def parse_perturbation(text: str):
     return kind, amp
 
 
+def config_number(config: dict, key: str, kind=float, default=None):
+    """config[key], or default when the key is absent, converted by kind
+    (int or float); ConfigInvalid when the text is not such a number."""
+    text = config.get(key, default)
+    try:
+        return kind(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{key} must be {kind.__name__}, got {text!r}") from exc
+
+
 def load_config_file(path: str) -> dict:
     out = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -133,11 +143,11 @@ def config_hash(config: dict) -> str:
 
 def build_params(config: dict) -> RenormParams:
     params = RenormParams(
-        sigma=float(config["sigma"]),
-        rho=float(config["rho"]),
-        rho_prime=float(config["rho_prime"]),
-        truncation=int(config["truncation"]),
-        tol=float(config["tol"]),
+        sigma=config_number(config, "sigma"),
+        rho=config_number(config, "rho"),
+        rho_prime=config_number(config, "rho_prime"),
+        truncation=config_number(config, "truncation", int),
+        tol=config_number(config, "tol"),
     )
     try:
         params.kappa  # raises outside 0 < sigma < 1/3
@@ -150,7 +160,7 @@ def perturbation_field(config: dict, slope: Slope, params: RenormParams):
     """(f, description) of the configured perturbation f = X_0 - omega_0,
     a resonant draw taken as it is, without stabilisation."""
     kind, amp = parse_perturbation(config["perturb"])
-    seed = int(config["seed"])
+    seed = config_number(config, "seed", int)
     if kind == "resonant":
         f = resonant_perturbation(slope, amp, params, seed)
     elif kind == "unstable":
@@ -198,9 +208,9 @@ def write_manifest(path: Path, config: dict, payload: dict, artifacts,
 
 def scenario_cf(config, out_dir, tag):
     slope = parse_slope(config["slope"])
-    n_terms = int(config["n_terms"])
+    n_terms = config_number(config, "n_terms", int)
     cf = cf_expand(slope, n_terms)
-    probe = diophantine_probe(cf, float(config["dc_order"]),
+    probe = diophantine_probe(cf, config_number(config, "dc_order"),
                               len(cf.coefficients))
     probe_cols = {int(n): i for i, n in enumerate(probe.n_values)}
     rows = []
@@ -241,7 +251,7 @@ def scenario_project(config, out_dir, tag):
     if "field_in" in config:
         field = load_field(config["field_in"])
     else:
-        rng = np.random.default_rng(int(config["seed"]))
+        rng = np.random.default_rng(config_number(config, "seed", int))
         omega = np.array([1.0, float(slope)])
         field = FourierVectorField.constant(
             omega, params.rho_prime, params.truncation
@@ -252,7 +262,7 @@ def scenario_project(config, out_dir, tag):
         omega = np.array([1.0, float(slope)])
         cone = FarResonant((omega[0], omega[1]), params.sigma)
     elif cone_kind == "kappa":
-        cone = Kappa(int(config.get("a", "1")), params.kappa)
+        cone = Kappa(config_number(config, "a", int, "1"), params.kappa)
     else:
         raise ConfigInvalid(f"unknown cone {cone_kind!r}")
     side = config.get("side", "inside")
@@ -280,12 +290,12 @@ def scenario_scale(config, out_dir, tag):
     slope = parse_slope(config["slope"])
     omega = np.array([1.0, float(slope)])
     a = int(float(slope))
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(config_number(config, "seed", int))
     _, amp = parse_perturbation(config["perturb"])
     bound = operator_norm_bound(a, params.rho, params.rho_prime, params.kappa)
     rows = []
     worst = 0.0
-    n_fields = int(config.get("n_fields", "100"))
+    n_fields = config_number(config, "n_fields", int, "100")
     for i in range(n_fields):
         field = random_resonant_field(omega, params.sigma, amp,
                                       params.truncation, rng,
@@ -354,7 +364,7 @@ def scenario_orbit(config, out_dir, tag):
         f, corrections = stabilize_resonant_perturbation(f, slope, params,
                                                          solves)
         pert_info["stabilizing_corrections"] = corrections
-    steps = int(config["steps"])
+    steps = config_number(config, "steps", int)
     orbit = renorm_orbit(f, slope, steps, params, solves)
     csv_path = out_dir / f"orbit_{tag}.csv"
     write_csv(csv_path, config, ORBIT_COLUMNS, orbit_rows(orbit))
@@ -401,7 +411,7 @@ def orbit_rows(orbit):
 
 def scenario_spectrum(config, out_dir, tag):
     slope = parse_slope(config["slope"])
-    steps = int(config["steps"])
+    steps = config_number(config, "steps", int)
     cf = cf_expand(slope, steps + 2)
     rows = []
     for n in range(min(steps, len(cf.coefficients) - 1)):
@@ -426,10 +436,9 @@ def scenario_spectrum(config, out_dir, tag):
 def scenario_decay_probe(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
-    n = int(config.get("steps", "6"))
-    truncation = int(config["truncation"])
+    n = config_number(config, "steps", int, "6")
     cf = cf_expand(slope, n + 4)
-    rep = stable_decay_probe(cf, params.sigma, truncation, n, params)
+    rep = stable_decay_probe(cf, n, params)
     ratios = rep.log_ratios()
     rows = []
     for i, j in enumerate(rep.j_values):
@@ -447,9 +456,9 @@ def scenario_decay_probe(config, out_dir, tag):
 
 
 def scenario_sweep(config, out_dir, tag):
-    _, amps_text = config["perturb"].split(":")
-    kind = config["perturb"].split(":")[0]
-    amplitudes = [float(v) for v in amps_text.split(";")]
+    kind, _, amps_text = config["perturb"].partition(":")
+    amplitudes = [parse_perturbation(f"{kind}:{text}")[1]
+                  for text in amps_text.split(";")]
     sub_results = []
     artifacts = []
     far_solves = {"computed": 0, "reused": 0}

@@ -90,7 +90,6 @@ class PullbackResult:
     field: FourierVectorField
     fit: GridFitReport
     min_jacobian_det: float
-    grid: int
 
 
 PHASE_CHUNK = 48
@@ -214,32 +213,44 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     return w, inv, min_det, dh_at_u
 
 
+@dataclass(frozen=True)
+class _Pullback:
+    """The pullback v + W of X = v + h by one map: the bracket grid W with
+    (DU)^{-1} and Dh o U on the same grid, and the fit of W."""
+
+    map: TorusMap
+    w: np.ndarray
+    inv_jac: np.ndarray
+    dh_at_u: np.ndarray | None
+    min_det: float
+    fit_w: FourierVectorField
+    fit: GridFitReport
+
+
+def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
+    """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
+    next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
+    that resolves the product spectrum."""
+    grid = next_fast_len(2 * (h.truncation + u.truncation) + 1)
+    u_grid = u.displacement.sample_grid(grid)
+    w, inv_jac, min_det, dh_at_u = _pullback_core(
+        v, h, u_grid, grid, with_derivative
+    )
+    fit_w, fit = fit_grid(w, h.width, h.truncation)
+    return _Pullback(u, w, inv_jac, dh_at_u, min_det, fit_w, fit)
+
+
 def _perturbation_from_fit(fit_w, avg):
     """Field Eg + fitted W (the pullback minus the reference psi)."""
     return fit_w.minus_constant(-np.asarray(avg, dtype=complex))
 
 
-def compose_pullback(
-    x: FourierVectorField,
-    u: TorusMap,
-    grid: int | None = None,
-) -> PullbackResult:
-    """Discrete Fourier fit of (DU)^{-1} X o U on a uniform grid.
-
-    The grid must resolve the product spectrum: at least
-    2 * (truncation(X) + truncation(u)) + 1 points per axis.
-    """
-    required = 2 * (x.truncation + u.truncation) + 1
-    if grid is None:
-        grid = next_fast_len(required)
-    if grid < required:
-        raise ValueError(f"grid {grid} below anti-aliasing size {required}")
-    u_grid = u.displacement.sample_grid(grid)
+def compose_pullback(x: FourierVectorField, u: TorusMap) -> PullbackResult:
+    """Discrete Fourier fit of (DU)^{-1} X o U on a uniform grid."""
     v = x.average()
-    w, _, min_det, _ = _pullback_core(v, x.oscillatory(), u_grid, grid)
-    fit_w, report = fit_grid(w, x.width, x.truncation)
-    fitted = _perturbation_from_fit(fit_w, v)
-    return PullbackResult(fitted, report, min_det, grid)
+    pull = _pull_back(v, x.oscillatory(), u)
+    return PullbackResult(_perturbation_from_fit(pull.fit_w, v), pull.fit,
+                          pull.min_det)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +388,7 @@ def eliminate_far_perturbation(
     if reused:
         solves.reused += 1
     else:
-        grid = next_fast_len(4 * truncation + 1)
-        solve = _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid)
+        solve = _far_newton_solve(psi, cone, far, v, h, tol, rho_prime)
         if solves is not None:
             solves[key] = solve
             solves.computed += 1
@@ -402,7 +412,18 @@ def eliminate_far_perturbation(
     )
 
 
-def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
+@dataclass(frozen=True)
+class _Iterate:
+    """A Newton iterate: the unknowns, their pullback, its far part and the
+    weighted far residual."""
+
+    uvec: np.ndarray
+    pull: _Pullback
+    far: FourierVectorField
+    res: float
+
+
+def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     """Newton solve for the displacement on the far modes `far` that clears
     the far residual of the pullback of X = v + h."""
     truncation = h.truncation
@@ -412,7 +433,6 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
     divisors = np.repeat(
         (TWO_PI * 1j) * (psi[0] * far_k[:, 0] + psi[1] * far_k[:, 1]), 2
     )
-    axes_count = grid * grid
 
     def displacement_from(uvec):
         coeffs = np.zeros((2, len(h.index)), dtype=complex)
@@ -421,24 +441,9 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
 
     def evaluate(uvec, with_derivative=True):
         """Pullback at the displacement uvec, in perturbation form."""
-        u_map = displacement_from(uvec)
-        u_grid = u_map.displacement.sample_grid(grid)
-        w, inv_jac, _, dh_at_u = _pullback_core(
-            v, h, u_grid, grid, with_derivative=with_derivative
-        )
-        fit_w, fit_report = fit_grid(w, width, truncation)
-        far_part = project(fit_w, cone, "outside")
-        return {
-            "uvec": uvec,
-            "map": u_map,
-            "w": w,
-            "inv_jac": inv_jac,
-            "dh_at_u": dh_at_u,
-            "fit_w": fit_w,
-            "fit": fit_report,
-            "far": far_part,
-            "res": norm_r(far_part, rho_prime),
-        }
+        pull = _pull_back(v, h, displacement_from(uvec), with_derivative)
+        far_part = project(pull.fit_w, cone, "outside")
+        return _Iterate(uvec, pull, far_part, norm_r(far_part, rho_prime))
 
     def measured_floor(state):
         """Weighted residual response to the float granularity of u.
@@ -449,20 +454,22 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
         actually available at this state.  Only the probe's far residual
         is read, so Dh o U is not formed.
         """
-        probe = evaluate(state["uvec"] * (1.0 + 8.0 * np.finfo(float).eps),
+        probe = evaluate(state.uvec * (1.0 + 8.0 * np.finfo(float).eps),
                          with_derivative=False)
-        diff = probe["far"] - state["far"]
-        return norm_r(diff, rho_prime)
+        return norm_r(probe.far - state.far, rho_prime)
 
     def floor_accepts(state):
         """Accept a stall at STALL_ACCEPT * res0 or at twice the measured
         floor; the probe runs only when the first test fails."""
-        return (state["res"] <= STALL_ACCEPT * res0
-                or state["res"] <= 2.0 * measured_floor(state))
+        return (state.res <= STALL_ACCEPT * res0
+                or state.res <= 2.0 * measured_floor(state))
 
     current = evaluate(np.zeros(2 * len(far), dtype=complex))
-    residuals = [current["res"]]
+    res0 = current.res
+    residuals = [res0]
 
+    grid = current.pull.w.shape[-1]
+    axes_count = grid * grid
     idx1 = far_k[:, 0] % grid
     idx2 = far_k[:, 1] % grid
     kfac = (TWO_PI * 1j) * far_k.astype(float)
@@ -477,30 +484,26 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
         dw_spec[:, 1, idx1, idx2] = pairs * kfac[:, 1]
         w_grid = ifft2(w_spec, axes=(1, 2)) * axes_count
         dw_grid = ifft2(dw_spec, axes=(2, 3)) * axes_count
-        p_grid = state["w"] + np.asarray(v, dtype=complex)[:, None, None]
-        rhs = np.einsum("ij...,j...->i...", state["dh_at_u"], w_grid)
+        p_grid = state.pull.w + np.asarray(v, dtype=complex)[:, None, None]
+        rhs = np.einsum("ij...,j...->i...", state.pull.dh_at_u, w_grid)
         rhs -= np.einsum("ij...,j...->i...", dw_grid, p_grid)
-        dp = np.einsum("ij...,j...->i...", state["inv_jac"], rhs)
+        dp = np.einsum("ij...,j...->i...", state.pull.inv_jac, rhs)
         spec = fft2(dp, axes=(1, 2)) / axes_count
         return spec[:, idx1, idx2].T.reshape(-1)
 
     sweeps = 0
-    res = current["res"]
-    res0 = res
-    converged = res <= tol
     at_floor = False
-    stalls = 0
     gmres_failures = 0
-    while not converged and sweeps < MAX_SWEEPS:
+    while current.res > tol:
         sweeps += 1
-        gvec = current["far"].coeffs[:, far].T.reshape(-1)
+        gvec = current.far.coeffs[:, far].T.reshape(-1)
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
         op = LinearOperator(
             (len(gvec), len(gvec)),
             matvec=lambda z: jacobian_matvec(-z / divisors, current),
             dtype=complex,
         )
-        rtol = max(1e-13, min(1e-2, 0.1 * res))
+        rtol = max(1e-13, min(1e-2, 0.1 * current.res))
         z, info = gmres(op, -gvec, rtol=rtol, atol=0.0, maxiter=GMRES_MAXITER)
         # a solve that stops short still yields a usable Newton direction;
         # the step test below judges it, the count reports it
@@ -510,45 +513,35 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime, grid) -> FarSolve:
         step = 1.0
         best = None
         for _halving in range(9):
-            trial = evaluate(current["uvec"] + step * delta)
-            if best is None or trial["res"] < best["res"]:
+            trial = evaluate(current.uvec + step * delta)
+            if best is None or trial.res < best.res:
                 best = trial
-            if trial["res"] < res:
+            if trial.res < current.res:
                 break
             step *= 0.5
-        moved = best["res"] < res
+        moved = best.res < current.res
         if moved:
             current = best
-        res = current["res"]
-        residuals.append(res)
-        if res <= tol:
-            converged = True
+        residuals.append(current.res)
+        if current.res <= tol:
             break
         # a residual at the granularity floor of the u representation is
-        # numerically unresolvable; accept a stall at that level
-        stalls = stalls + 1 if res > 0.5 * residuals[-2] else 0
-        if stalls >= 1:
-            if floor_accepts(current):
-                converged = True
-                at_floor = True
-                break
-            if not moved:
-                # every later sweep would repeat this one bit for bit
+        # numerically unresolvable: a stalled sweep, and the last one, accept
+        # it at that level; a sweep that took no step would repeat bit for bit
+        last = sweeps == MAX_SWEEPS
+        if current.res > 0.5 * residuals[-2] or last:
+            at_floor = floor_accepts(current)
+            if at_floor or not moved or last:
                 break
 
-    # a last sweep that stalled has already made the floor test
-    if not converged and not stalls and floor_accepts(current):
-        converged = True
-        at_floor = True
-    if not converged:
-        raise NoConvergence(
-            f"far residual {res:.3e} > tol {tol:.3e} after {sweeps} sweeps"
-        )
+    if not (at_floor or current.res <= tol):
+        raise NoConvergence(f"far residual {current.res:.3e} > tol {tol:.3e} "
+                            f"after {sweeps} sweeps")
 
     return FarSolve(
-        map=current["map"],
-        fit_w=current["fit_w"],
-        fit=current["fit"],
+        map=current.pull.map,
+        fit_w=current.pull.fit_w,
+        fit=current.pull.fit,
         sweeps=sweeps,
         residuals=tuple(residuals),
         at_floor=at_floor,

@@ -138,7 +138,8 @@ class QuadraticNumber:
     """Exact element (p + q*sqrt(d)) / r of a real quadratic field.
 
     The four ints are canonical: r > 0, gcd(p, q, r) = 1, d square-free when
-    q != 0 and d = 0 when q = 0.  Equality and hashing compare them.
+    q != 0 and d = 0 when q = 0.  Equality compares them; a rational
+    hashes as the int or Fraction it equals.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -249,6 +250,9 @@ class QuadraticNumber:
         return (self - self._coerce(other)).sign() < 0
 
     def __hash__(self):
+        # a rational hashes as the int or Fraction it equals
+        if self.q == 0:
+            return hash(self.p) if self.r == 1 else hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.r, self.d))
 
     def floor(self) -> int:

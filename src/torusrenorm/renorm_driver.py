@@ -180,8 +180,6 @@ def one_step(
         rho_prime=params.rho_prime, solves=solves,
     )
     cone = FarResonant((psi[0], psi[1]), sigma_eff)
-    far_mass = norm_r(project(elim.perturbation, cone, "outside"),
-                      params.rho_prime)
     g_res = project(elim.perturbation, cone, "inside")
 
     e_g = g_res.average()
@@ -203,7 +201,7 @@ def one_step(
         norm_osc=norm_r(f_next.oscillatory(), params.rho_prime),
         const_omega=abs(p) * float(np.abs(omega_next).sum()),
         const_Omega=abs(c) * float(np.abs(cap_omega_of(alpha_next)).sum()),
-        far_residual=far_mass,
+        far_residual=elim.residuals[-1],
         newton_sweeps=elim.sweeps,
         normalization=float(abs(1.0 + alpha_next * z_tilde)),
         zeta=zeta,
@@ -588,12 +586,7 @@ class DecayProbeReport:
 
 
 def stable_decay_probe(
-    cf: CFExpansion,
-    sigma: float,
-    truncation: int,
-    n: int,
-    params: RenormParams | None = None,
-    beta: float = 0.0,
+    cf: CFExpansion, n: int, params: RenormParams, beta: float = 0.0
 ) -> DecayProbeReport:
     """Estimate ||L_n o ... o L_j (I - E)|| on the truncated mode set.
 
@@ -603,10 +596,9 @@ def stable_decay_probe(
     an exact column maximum.  A sparse matrix of the survivors feeds the
     power-iteration l2 estimate.  The modes move as one integer array and
     the block is formed once per j, so the work follows the survivors.
+    The cone width sigma, the truncation and rho' are those of params.
     """
-    if params is None:
-        params = RenormParams(sigma=sigma, truncation=truncation)
-    rho_prime = params.rho_prime
+    sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [omega_of(cf, i) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []

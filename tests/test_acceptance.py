@@ -277,7 +277,7 @@ def test_criterion_9_quadratic_remainder():
 
 def test_criterion_10_stable_decay_probe():
     cf = cf_expand(Slope.golden(), 10)
-    rep = stable_decay_probe(cf, PARAMS.sigma, 60, 6, PARAMS)
+    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
     ratios = rep.log_ratios()
     js = sorted(ratios, reverse=True)
     vals = [ratios[j] for j in js]

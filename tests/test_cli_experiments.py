@@ -228,6 +228,17 @@ class TestMain:
             assert code == 2
             assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--seed", "x"],
+        ["decay-probe", "--truncation", "1.5"],
+        ["decay-probe", "--sigma", "abc"],
+        ["sweep", "--seed", "1", "--perturb", "resonant"],
+        ["sweep", "--seed", "1", "--perturb", "resonant:1e-3;abc"],
+    ])
+    def test_malformed_number_exit_two(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_artifact_paths_printed(self, tmp_path, capsys):
         main(["cf", "--slope", "golden", "--out", str(tmp_path)])
         out = capsys.readouterr().out

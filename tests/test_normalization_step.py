@@ -90,11 +90,6 @@ class TestComposePullback:
         assert norm_r(diff, 0.9) < 1e-12
         assert out.fit.alias_residual < 1e-14
 
-    def test_grid_validation(self):
-        x = mixed_perturbation_field(1e-2)
-        with pytest.raises(ValueError):
-            compose_pullback(x, TorusMap.identity(truncation=16), grid=16)
-
     def test_constant_field_small_u(self):
         eps = 1e-5
         u = displacement({(2, 1): [eps, -eps], (-2, -1): [eps, -eps]})

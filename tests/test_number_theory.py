@@ -56,6 +56,14 @@ class TestQuadraticNumber:
         g = QuadraticNumber.from_surd(1, 1, 5, 2)
         assert g * g == g + 1  # gamma^2 = gamma + 1
 
+    @pytest.mark.parametrize("value", [2, -7, 0, Fraction(1, 2),
+                                       Fraction(-22, 7)])
+    def test_rationals_hash_as_the_numbers_they_equal(self, value):
+        f = Fraction(value)
+        x = QuadraticNumber.from_surd(f.numerator, 0, 0, f.denominator)
+        assert x == value and hash(x) == hash(value)
+        assert value in {x} and x in {value}
+
     def test_floor_matches_float(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -393,14 +393,14 @@ class TestLambda:
 class TestStableDecayProbe:
     def test_single_factor_matches_exact(self):
         cf = cf_expand(Slope.golden(), 8)
-        rep = stable_decay_probe(cf, 0.1, 24, 0)
+        rep = stable_decay_probe(cf, 0, RenormParams(truncation=24))
         # j = n = 0: one factor; l2 estimate within the l1/l2 equivalence
         assert rep.norm_l1[0] > 0
         assert 0.3 * rep.norm_l1[0] < rep.norm_l2[0] <= 2.0 * rep.norm_l1[0]
 
     def test_composed_norms_decay_supergeometrically(self):
         cf = cf_expand(Slope.golden(), 10)
-        rep = stable_decay_probe(cf, 0.1, 60, 6)
+        rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
         ratios = rep.log_ratios()
         js = sorted(ratios, reverse=True)
         vals = [ratios[j] for j in js]
@@ -409,7 +409,7 @@ class TestStableDecayProbe:
 
     def test_zero_mode_excluded(self):
         cf = cf_expand(Slope.golden(), 8)
-        rep = stable_decay_probe(cf, 0.1, 16, 2)
+        rep = stable_decay_probe(cf, 2, RenormParams(truncation=16))
         assert np.all(rep.surviving >= 0)
         # the probe acts on (I - E): a pure constant has no column at all
 
@@ -433,12 +433,10 @@ def reference_power_iteration_norm(matrix, iters=60, seed=0):
     return float(sigma)
 
 
-def reference_decay_probe(cf, sigma, truncation, n, params=None, beta=0.0):
+def reference_decay_probe(cf, n, params, beta=0.0):
     """The probe's per-mode loop: each resonant mode and its 2x2 block
     carried through the levels one at a time."""
-    if params is None:
-        params = RenormParams(sigma=sigma, truncation=truncation)
-    rho_prime = params.rho_prime
+    sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []
@@ -515,8 +513,9 @@ class TestDecayProbeBits:
     ])
     def test_matches_the_per_mode_loop(self, slope, truncation, n):
         cf = cf_expand(PROBE_SLOPES[slope], n + 4)
-        rep = stable_decay_probe(cf, 0.1, truncation, n, PARAMS)
-        ref = reference_decay_probe(cf, 0.1, truncation, n, PARAMS)
+        params = RenormParams(truncation=truncation)
+        rep = stable_decay_probe(cf, n, params)
+        ref = reference_decay_probe(cf, n, params)
         got = (rep.norm_l1, rep.norm_l2, rep.lambdas, rep.surviving)
         for name, a, b in zip(("norm_l1", "norm_l2", "lambdas", "surviving"),
                               got, ref):
@@ -528,8 +527,9 @@ class TestDecayProbeBits:
         # [1; 10^20, 2]: the coefficient exceeds int64 products
         cf = cf_expand(Slope.rational(2 * 10**20 + 3, 2 * 10**20 + 1), 5)
         assert cf.coefficients == [1, 10**20, 2]
-        rep = stable_decay_probe(cf, 0.1, 24, 1)
-        ref = reference_decay_probe(cf, 0.1, 24, 1)
+        params = RenormParams(truncation=24)
+        rep = stable_decay_probe(cf, 1, params)
+        ref = reference_decay_probe(cf, 1, params)
         for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
                          rep.surviving), ref):
             assert a.tobytes() == b.tobytes()
@@ -571,7 +571,7 @@ def test_decay_probe_power_iteration_work(monkeypatch):
             return real(self, other)
         monkeypatch.setattr(cls, "__matmul__", recorded)
     cf = cf_expand(Slope.golden(), 10)
-    rep = stable_decay_probe(cf, 0.1, 60, 6)
+    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
     assert len(lengths) == 2 * 60 * np.count_nonzero(rep.surviving)
     assert set(lengths) == {2 * int(s) for s in rep.surviving if s}
 

@@ -250,7 +250,6 @@ class QuadraticNumber:
         return (self - self._coerce(other)).sign() < 0
 
     def __hash__(self):
-        # a rational hashes as the int or Fraction it equals
         if self.q == 0:
             return hash(self.p) if self.r == 1 else hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.r, self.d))

@@ -65,26 +65,26 @@ DEFAULTS = {
 
 
 def parse_slope(text: str) -> Slope:
+    """A named slope, p/q, the surd u,v,d,w = (u + v sqrt d)/w, or a decimal
+    with an optional @bits precision; ConfigInvalid for anything else."""
     text = text.strip()
     try:
         return Slope.named(text)
     except ValueError:
         pass
-    if "/" in text:
-        p, q = text.split("/")
-        return Slope.rational(int(p), int(q))
-    if "," in text:
-        parts = [int(v) for v in text.split(",")]
-        if len(parts) != 4:
-            raise ConfigInvalid("quadratic slope needs u,v,d,w")
-        return Slope.quadratic(*parts)
-    bits = 256
-    if "@" in text:
-        text, bits_text = text.split("@")
-        bits = int(bits_text)
     try:
-        return Slope.real(text, bits=bits)
-    except Exception as exc:
+        if "/" in text:
+            p, q = text.split("/")
+            return Slope.rational(int(p), int(q))
+        if "," in text:
+            u, v, d, w = (int(part) for part in text.split(","))
+            return Slope.quadratic(u, v, d, w)
+        decimal, at, bits = text.partition("@")
+        bits = int(bits) if at else 256
+        if bits < 1:
+            raise ValueError(f"precision must be at least 1 bit, got {bits}")
+        return Slope.real(decimal, bits=bits)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigInvalid(f"cannot parse slope {text!r}: {exc}") from exc
 
 
@@ -209,6 +209,8 @@ def write_manifest(path: Path, config: dict, payload: dict, artifacts,
 def scenario_cf(config, out_dir, tag):
     slope = parse_slope(config["slope"])
     n_terms = config_number(config, "n_terms", int)
+    if n_terms < 1:
+        raise ConfigInvalid(f"n_terms must be at least 1, got {n_terms}")
     cf = cf_expand(slope, n_terms)
     probe = diophantine_probe(cf, config_number(config, "dc_order"),
                               len(cf.coefficients))
@@ -437,6 +439,8 @@ def scenario_decay_probe(config, out_dir, tag):
     params = build_params(config)
     slope = parse_slope(config["slope"])
     n = config_number(config, "steps", int, "6")
+    if n < 0:
+        raise ConfigInvalid(f"steps must be at least 0, got {n}")
     cf = cf_expand(slope, n + 4)
     rep = stable_decay_probe(cf, n, params)
     ratios = rep.log_ratios()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.fft import fft2, ifft2
+# scipy is imported where it is called: it loads slower than a `cf` run
 
 TWO_PI = 2.0 * math.pi
 # fit_grid chops coefficients below this fraction of the largest grid value
@@ -272,6 +272,8 @@ class FourierVectorField:
 
     def sample_grid(self, grid: int) -> np.ndarray:
         """Values on the uniform grid theta = (j1, j2)/grid, shape (2, G, G)."""
+        from scipy.fft import ifft2
+
         spec = np.zeros((2, grid, grid), dtype=complex)
         i1, i2 = _grid_positions(self.truncation, grid)
         np.add.at(spec, (slice(None), i1, i2), self.coeffs)
@@ -299,6 +301,8 @@ def fit_grid(values: np.ndarray, width: float, truncation: int):
     amplifying FFT round-off.  Mass outside the truncation disc is
     reported as the aliasing residual, dropped noise as dropped_mass.
     """
+    from scipy.fft import fft2
+
     grid = values.shape[-1]
     if grid < 2 * truncation + 1:
         raise ValueError(f"grid {grid} cannot resolve truncation {truncation}")
@@ -484,7 +488,6 @@ def winding_ratio(
     growth_threshold and the directions over the last tenth of the
     trajectory (and across initial points) agree within tol.
     """
-    # scipy.integrate costs a fifth of the package import; only this needs it
     from scipy.integrate import solve_ivp
 
     if not x.is_real_symmetric(1e-9):

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
-from scipy.sparse.linalg import LinearOperator, gmres
+# scipy is imported where it is called: it loads slower than a `cf` run
 
 from .errors import NoConvergence, SingularJacobian
 from .fourier_field import (
@@ -42,6 +41,14 @@ DET_TOL = 1e-8
 MAX_SWEEPS = 12
 GMRES_MAXITER = 40
 STALL_ACCEPT = 1e-6
+
+
+def gmres(*args, **kwargs):
+    """scipy.sparse.linalg.gmres, imported when called; the Newton solve
+    calls it through this module attribute, which a test may rebind."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(*args, **kwargs)
 
 
 class TorusMap:
@@ -143,6 +150,8 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     FFT round-off then stays proportional to the signal being fitted.
     Returns (W, A^{-1}, min |det DU|, Dh o U) with W the bracket term.
     """
+    from scipy.fft import fft2, ifft2
+
     axes = np.arange(grid, dtype=float) / grid
     point1 = axes[:, None] + u_grid[0]
     point2 = axes[None, :] + u_grid[1]
@@ -231,6 +240,8 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
     next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
     that resolves the product spectrum."""
+    from scipy.fft import next_fast_len
+
     grid = next_fast_len(2 * (h.truncation + u.truncation) + 1)
     u_grid = u.displacement.sample_grid(grid)
     w, inv_jac, min_det, dh_at_u = _pullback_core(
@@ -426,6 +437,9 @@ class _Iterate:
 def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     """Newton solve for the displacement on the far modes `far` that clears
     the far residual of the pullback of X = v + h."""
+    from scipy.fft import fft2, ifft2
+    from scipy.sparse.linalg import LinearOperator
+
     truncation = h.truncation
     width = h.width
     # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode

@@ -755,8 +755,9 @@ def diophantine_probe(cf: CFExpansion, beta: float, n_max: int) -> DiophantinePr
     if beta < 0:
         raise ValueError("beta must be >= 0")
     limit = min(n_max, len(cf.coefficients) - 2)
-    if cf.termination == "rational_exhausted":
-        # the final remainder is exactly zero, so beta_{last} degenerates
+    if cf.beta_floats[-1] == 0.0:
+        # the final remainder is exactly zero (a rational, or a real that is
+        # rational at its precision), so beta_{last} degenerates
         limit = min(limit, len(cf.coefficients) - 3)
     ns, kq, ka, kb, kt = [], [], [], [], []
     for n in range(limit + 1):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+# scipy is imported where it is called: it loads slower than a `cf` run
 
 from .errors import DomainExceeded
 from .fourier_field import (
@@ -527,6 +527,8 @@ def power_iteration_norm(matrix, iters: int = 60, seed: int = 0) -> float:
     is taken over a full-length buffer, zero off those columns, because
     np.linalg.norm groups its BLAS dot by position.
     """
+    from scipy.sparse import csr_matrix
+
     rng = np.random.default_rng(seed)
     n = matrix.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -534,7 +536,7 @@ def power_iteration_norm(matrix, iters: int = 60, seed: int = 0) -> float:
     entries = matrix.tocoo()
     rows, row_of = np.unique(entries.row, return_inverse=True)
     cols, col_of = np.unique(entries.col, return_inverse=True)
-    sub = scipy.sparse.csr_matrix(
+    sub = csr_matrix(
         (entries.data, (row_of, col_of)), shape=(len(rows), len(cols))
     )
     adjoint = sub.conj().T
@@ -598,6 +600,8 @@ def stable_decay_probe(
     the block is formed once per j, so the work follows the survivors.
     The cone width sigma, the truncation and rho' are those of params.
     """
+    from scipy.sparse import coo_matrix
+
     sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [omega_of(cf, i) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
@@ -640,7 +644,7 @@ def stable_decay_probe(
             rows = (2 * dst[:, None] + [0, 0, 1, 1]).ravel()
             cols = (2 * src[:, None] + [0, 1, 0, 1]).ravel()
             vals = (weight[:, None] * block.ravel()).ravel()
-            mat = scipy.sparse.coo_matrix(
+            mat = coo_matrix(
                 (vals, (rows, cols)), shape=(size, size)
             ).tocsr()
             l2 = power_iteration_norm(mat)

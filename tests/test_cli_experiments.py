@@ -2,11 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
 import pytest
 
+import torusrenorm
 from torusrenorm.cli_experiments import (
     config_hash,
     main,
@@ -234,6 +238,16 @@ class TestMain:
         ["decay-probe", "--sigma", "abc"],
         ["sweep", "--seed", "1", "--perturb", "resonant"],
         ["sweep", "--seed", "1", "--perturb", "resonant:1e-3;abc"],
+        ["cf", "--slope", "1/x"],
+        ["cf", "--slope", "golden@x"],
+        ["cf", "--slope", "1,2,x,4"],
+        ["cf", "--slope", "1/2/3"],
+        ["cf", "--slope", "1/0"],
+        ["cf", "--slope", "0.5@0"],
+        ["cf", "--slope", "0.5@-5"],
+        ["cf", "--n-terms", "0"],
+        ["cf", "--n-terms", "-3"],
+        ["decay-probe", "--steps", "-2"],
     ])
     def test_malformed_number_exit_two(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -306,13 +320,18 @@ def pin_id(argv):
 
 
 def artifact_digests(argv, out_dir):
-    """SHA-256 of the CSV body, of any field/map JSON and of the manifest
-    results of a CLI run."""
+    """printed_digests of a CLI run in this process."""
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         assert main([*argv, "--out", str(out_dir)]) == 0
+    return printed_digests(argv, printed.getvalue().splitlines(), out_dir)
+
+
+def printed_digests(argv, printed, out_dir):
+    """SHA-256 of the CSV body, of any field/map JSON and of the manifest
+    results of a CLI run, from the lines it printed."""
     digests = {}
-    for line in printed.getvalue().splitlines():
+    for line in printed:
         path = Path(line)
         if path.parent != out_dir:
             continue
@@ -333,3 +352,45 @@ def artifact_digests(argv, out_dir):
 @pytest.mark.parametrize("argv", BYTE_PINS, ids=pin_id)
 def test_outputs_keep_their_bytes(argv, tmp_path):
     assert artifact_digests(argv, tmp_path) == BYTE_PINS[argv]
+
+
+# A fresh interpreter imports the package, runs the CLI arguments it is
+# given (if any), and prints the scipy modules it loaded as its last line.
+COLD_PROBE = """
+import json, sys
+import torusrenorm
+if sys.argv[1:]:
+    from torusrenorm.cli_experiments import main
+    assert main(sys.argv[1:]) == 0
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    pytest.param((), ("scipy",), id="import"),
+    pytest.param(("cf", "--slope", "golden", "--n-terms", "60"), ("scipy",),
+                 id="cf"),
+    pytest.param(("decay-probe", "--slope", "golden", "--steps", "6",
+                  "--truncation", "40"),
+                 ("scipy.fft", "scipy.linalg", "scipy.sparse.linalg"),
+                 id="decay-probe"),
+    pytest.param(("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
+                  "--truncation", "16"), (), id="eliminate"),
+])
+def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
+    # scipy is imported where it is called; a fresh process shows what a
+    # scenario loads (this one has scipy loaded already) and that the
+    # first call through each import gives the pinned bytes
+    env = dict(os.environ)
+    src = str(Path(torusrenorm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out_args = ("--out", str(tmp_path)) if argv else ()
+    run = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv, *out_args],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    *printed, modules = run.stdout.splitlines()
+    assert [m for m in json.loads(modules)
+            if any(m == name or m.startswith(name + ".") for name in unloaded)
+            ] == []
+    if argv:
+        assert printed_digests(argv, printed, tmp_path) == BYTE_PINS[argv]

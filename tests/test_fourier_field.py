@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import torusrenorm
 from torusrenorm.fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -229,13 +224,3 @@ class TestWindingRatio:
         assert report.status in ("bounded", "inconclusive")
         assert report.direction is None
 
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # only winding_ratio integrates flows; the package import should not pay for it
-    env = dict(os.environ)
-    src = str(Path(torusrenorm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, torusrenorm; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"

@@ -549,6 +549,18 @@ class TestDiophantineProbe:
         for arr in (probe.K_q, probe.K_a, probe.K_beta, probe.K_atilde):
             assert np.all(np.isfinite(arr))
 
+    @pytest.mark.parametrize("slope", [Slope.rational(5, 2),
+                                       Slope.real("2.5", bits=53),
+                                       Slope.real("2.5", bits=256)],
+                             ids=["rational", "real-53", "real-256"])
+    def test_exact_zero_remainder_stops_the_probe(self, slope):
+        # 2.5 = [2; 2] is exact at any precision: the last remainder is
+        # exactly zero and so is its beta, which no K_beta may divide by
+        cf = cf_expand(slope, 10)
+        assert cf.coefficients == [2, 2] and cf.beta_floats[-1] == 0.0
+        probe = diophantine_probe(cf, beta=0.0, n_max=10)
+        assert len(probe.n_values) == 0
+
     def test_geometric_coefficients_escape(self):
         slope = Slope.from_cf_coefficients([2**n for n in range(11)])
         cf = cf_expand(slope, 12)

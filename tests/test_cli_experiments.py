@@ -278,6 +278,12 @@ BYTE_PINS = {
         "csv": "7becaa2ae768927886e296fe45e8b00d049c84ff0a6275f997bdf485be6b860f",
         "results": "f53e984247be29fcaf8fa15a84eaf9bd4f9a28f9c097232a2ad782f8942c5c73",
     },
+    # the decay input of the cf-decay benchmark workload
+    ("decay-probe", "--slope", "golden", "--steps", "10",
+     "--truncation", "120"): {
+        "csv": "e0bf400aa29906b2796271a2a80e225347060e85ee6a9278b45cee9f9f0e4f05",
+        "results": "563e5246c3fd88058f3491ddd8aeb07c3154ebcc15d357312763f8e73a2c796a",
+    },
     ("cf", "--slope", "golden", "--n-terms", "60"): {
         "csv": "8315649ab64bf38ba94b3c713f597d202609e95d2b3bf0fa92ea4911fc082978",
         "results": "4e22f5c1af5035e0b6b7d5ea90c9967b354ba2b028243bc3d44279118f326cc7",
@@ -311,12 +317,14 @@ BYTE_PINS = {
 
 
 def pin_id(argv):
-    """The scenario name for its first pin; later pins add slope and length."""
+    """The scenario name for its first pin; later pins add the slope and
+    the values of their other options."""
     first = next(pinned for pinned in BYTE_PINS if pinned[0] == argv[0])
     if argv == first:
         return argv[0]
     slope = "e-2@1024" if argv[2] == E_MINUS_2_AT_1024 else argv[2]
-    return "-".join([argv[0], slope, *argv[4:]])
+    return "-".join([argv[0], slope,
+                     *(a for a in argv[3:] if not a.startswith("--"))])
 
 
 def artifact_digests(argv, out_dir):

@@ -42,7 +42,7 @@ print("\n=== composed truncated steps: super-geometric decay (golden, n=6) ===")
 cf = cf_expand(Slope.golden(), 10)
 rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
 ratios = rep.log_ratios()
-print(f"{'j':>2} {'surviving':>9} {'||L_n...L_j(I-E)||':>19} {'power-l2':>10} "
+print(f"{'j':>2} {'surviving':>9} {'||L_n...L_j(I-E)||':>19} {'l2':>10} "
       f"{'Lambda':>8} {'log gain':>9}")
 for i, j in enumerate(rep.j_values):
     gain = f"{ratios[int(j)]:.2f}" if int(j) in ratios else "-"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, DomainExceeded, NoConvergence
+from .errors import ConfigInvalid, DomainExceeded, NoConvergence, PrecisionExhausted
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -40,10 +40,12 @@ from .renorm_driver import (
     stable_decay_probe,
     unstable_perturbation,
 )
-from .scaling_step import operator_norm_bound, random_resonant_field, scale_step
-
-SCENARIOS = ("cf", "project", "scale", "eliminate", "orbit", "spectrum",
-             "decay-probe", "sweep")
+from .scaling_step import (
+    operator_norm_bound,
+    random_resonant_field,
+    resonant_modes,
+    scale_step,
+)
 
 DEFAULTS = {
     "slope": "golden",
@@ -66,12 +68,19 @@ DEFAULTS = {
 
 def parse_slope(text: str) -> Slope:
     """A named slope, p/q, the surd u,v,d,w = (u + v sqrt d)/w, or a decimal
-    with an optional @bits precision; ConfigInvalid for anything else."""
+    with an optional @bits precision; ConfigInvalid for anything else, and
+    for a slope that is zero or not a finite float."""
     text = text.strip()
     try:
-        return Slope.named(text)
+        slope = Slope.named(text)
     except ValueError:
-        pass
+        slope = _parse_numeric_slope(text)
+    if not 0 < abs(float(slope)) < np.inf:
+        raise ConfigInvalid(f"slope {text!r} is zero or not a finite float")
+    return slope
+
+
+def _parse_numeric_slope(text: str) -> Slope:
     try:
         if "/" in text:
             p, q = text.split("/")
@@ -100,14 +109,19 @@ def parse_perturbation(text: str):
     return kind, amp
 
 
-def config_number(config: dict, key: str, kind=float, default=None):
+def config_number(config: dict, key: str, kind=float, default=None,
+                  least=None):
     """config[key], or default when the key is absent, converted by kind
-    (int or float); ConfigInvalid when the text is not such a number."""
+    (int or float); ConfigInvalid when the text is not such a number, or
+    when the number is below least."""
     text = config.get(key, default)
     try:
-        return kind(text)
+        value = kind(text)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{key} must be {kind.__name__}, got {text!r}") from exc
+    if least is not None and value < least:
+        raise ConfigInvalid(f"{key} must be at least {least}, got {value}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
@@ -141,19 +155,29 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def build_params(config: dict) -> RenormParams:
+def build_params(config: dict):
+    """(params, slope) of a configuration; ConfigInvalid for a sigma outside
+    0 < sigma < 1/3 or a truncation whose resonant cone at the slope holds
+    no mode."""
+    slope = parse_slope(config["slope"])
     params = RenormParams(
         sigma=config_number(config, "sigma"),
         rho=config_number(config, "rho"),
         rho_prime=config_number(config, "rho_prime"),
-        truncation=config_number(config, "truncation", int),
+        truncation=config_number(config, "truncation", int, least=1),
         tol=config_number(config, "tol"),
     )
     try:
         params.kappa  # raises outside 0 < sigma < 1/3
     except ValueError as exc:
         raise ConfigInvalid(f"sigma {params.sigma}: {exc}") from exc
-    return params
+    omega = np.array([1.0, float(slope)])
+    if not len(resonant_modes(omega, params.sigma, params.truncation)):
+        raise ConfigInvalid(
+            f"truncation {params.truncation} holds no resonant mode of slope "
+            f"{config['slope']} at sigma {params.sigma}"
+        )
+    return params, slope
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
@@ -208,9 +232,7 @@ def write_manifest(path: Path, config: dict, payload: dict, artifacts,
 
 def scenario_cf(config, out_dir, tag):
     slope = parse_slope(config["slope"])
-    n_terms = config_number(config, "n_terms", int)
-    if n_terms < 1:
-        raise ConfigInvalid(f"n_terms must be at least 1, got {n_terms}")
+    n_terms = config_number(config, "n_terms", int, least=1)
     cf = cf_expand(slope, n_terms)
     probe = diophantine_probe(cf, config_number(config, "dc_order"),
                               len(cf.coefficients))
@@ -248,8 +270,7 @@ def scenario_cf(config, out_dir, tag):
 
 
 def scenario_project(config, out_dir, tag):
-    params = build_params(config)
-    slope = parse_slope(config["slope"])
+    params, slope = build_params(config)
     if "field_in" in config:
         field = load_field(config["field_in"])
     else:
@@ -288,8 +309,7 @@ def scenario_project(config, out_dir, tag):
 
 
 def scenario_scale(config, out_dir, tag):
-    params = build_params(config)
-    slope = parse_slope(config["slope"])
+    params, slope = build_params(config)
     omega = np.array([1.0, float(slope)])
     a = int(float(slope))
     rng = np.random.default_rng(config_number(config, "seed", int))
@@ -315,8 +335,7 @@ def scenario_scale(config, out_dir, tag):
 
 
 def scenario_eliminate(config, out_dir, tag):
-    params = build_params(config)
-    slope = parse_slope(config["slope"])
+    params, slope = build_params(config)
     omega = np.array([1.0, float(slope)])
     f, pert_info = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(
@@ -357,8 +376,8 @@ def scenario_eliminate(config, out_dir, tag):
 
 
 def scenario_orbit(config, out_dir, tag):
-    params = build_params(config)
-    slope = parse_slope(config["slope"])
+    params, slope = build_params(config)
+    steps = config_number(config, "steps", int, least=0)
     f, pert_info = perturbation_field(config, slope, params)
     # one table of far-mode solves for the secant's probes and the orbit
     solves = FarSolves()
@@ -366,7 +385,6 @@ def scenario_orbit(config, out_dir, tag):
         f, corrections = stabilize_resonant_perturbation(f, slope, params,
                                                          solves)
         pert_info["stabilizing_corrections"] = corrections
-    steps = config_number(config, "steps", int)
     orbit = renorm_orbit(f, slope, steps, params, solves)
     csv_path = out_dir / f"orbit_{tag}.csv"
     write_csv(csv_path, config, ORBIT_COLUMNS, orbit_rows(orbit))
@@ -413,7 +431,7 @@ def orbit_rows(orbit):
 
 def scenario_spectrum(config, out_dir, tag):
     slope = parse_slope(config["slope"])
-    steps = config_number(config, "steps", int)
+    steps = config_number(config, "steps", int, least=0)
     cf = cf_expand(slope, steps + 2)
     rows = []
     for n in range(min(steps, len(cf.coefficients) - 1)):
@@ -436,11 +454,8 @@ def scenario_spectrum(config, out_dir, tag):
 
 
 def scenario_decay_probe(config, out_dir, tag):
-    params = build_params(config)
-    slope = parse_slope(config["slope"])
-    n = config_number(config, "steps", int, "6")
-    if n < 0:
-        raise ConfigInvalid(f"steps must be at least 0, got {n}")
+    params, slope = build_params(config)
+    n = config_number(config, "steps", int, "6", least=0)
     cf = cf_expand(slope, n + 4)
     rep = stable_decay_probe(cf, n, params)
     ratios = rep.log_ratios()
@@ -451,7 +466,7 @@ def scenario_decay_probe(config, out_dir, tag):
                      ratios.get(int(j), "")])
     csv_path = out_dir / f"decay-probe_{tag}.csv"
     write_csv(csv_path, config,
-              ["j", "surviving_modes", "norm_l1", "norm_l2_power",
+              ["j", "surviving_modes", "norm_l1", "norm_l2",
                "lambda_jn", "log_ratio"], rows)
     vals = [ratios[j] for j in sorted(ratios, reverse=True)]
     super_geometric = bool(np.all(np.diff(vals) > 0)) if len(vals) >= 2 else False
@@ -521,34 +536,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="torusrenorm",
         description="Renormalisation experiments for torus vector fields",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--slope", help="golden|sqrt2|silver, p/q, u,v,d,w, "
-                                       "or decimal[@bits]")
-        p.add_argument("--sigma")
-        p.add_argument("--rho")
-        p.add_argument("--rho-prime", dest="rho_prime")
-        p.add_argument("--truncation")
-        p.add_argument("--steps")
-        p.add_argument("--perturb", help="resonant:amp | unstable:amp | mixed:amp")
-        p.add_argument("--seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--tol")
-        p.add_argument("--n-terms", dest="n_terms")
-        p.add_argument("--dc-order", dest="dc_order")
-        p.add_argument("--field-in", dest="field_in")
-        p.add_argument("--side")
-        p.add_argument("--cone")
-        p.add_argument("--n-fields", dest="n_fields")
+    parser.add_argument("scenario", choices=RUNNERS)
+    parser.add_argument("--config", help="key=value configuration file")
+    parser.add_argument("--slope", help="golden|sqrt2|silver, p/q, u,v,d,w, "
+                                        "or decimal[@bits]")
+    parser.add_argument("--sigma")
+    parser.add_argument("--rho")
+    parser.add_argument("--rho-prime", dest="rho_prime")
+    parser.add_argument("--truncation")
+    parser.add_argument("--steps")
+    parser.add_argument("--perturb", help="resonant:amp | unstable:amp | mixed:amp")
+    parser.add_argument("--seed")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--tol")
+    parser.add_argument("--n-terms", dest="n_terms")
+    parser.add_argument("--dc-order", dest="dc_order")
+    parser.add_argument("--field-in", dest="field_in")
+    parser.add_argument("--side")
+    parser.add_argument("--cone")
+    parser.add_argument("--n-fields", dest="n_fields")
     return parser
 
 
 def main(argv=None) -> int:
-    # accept `--scenario name` as an alias for the subcommand form
+    # accept `--scenario name` as an alias for the positional form
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--scenario" in argv:
+    if "--scenario" in argv[:-1]:
         i = argv.index("--scenario")
         name = argv[i + 1]
         argv = [name] + argv[:i] + argv[i + 2 :]
@@ -561,7 +574,8 @@ def main(argv=None) -> int:
         file_config = load_config_file(args.config) if args.config else {}
         config = resolve_config(args.scenario, file_config, overrides)
         code, artifacts = run_scenario(config)
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, PrecisionExhausted) as exc:
+        # the configured @bits of a real slope certify no digit at all
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DomainExceeded, NoConvergence) as exc:

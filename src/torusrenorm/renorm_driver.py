@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy is imported where it is called: it loads slower than a `cf` run
 
 from .errors import DomainExceeded
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
-    mode_index,
     norm_r,
     project,
 )
@@ -520,48 +518,13 @@ def lambda_jn(cf: CFExpansion, sigma: float, beta: float, j: int, n: int) -> flo
     return float((num / den) ** (1.0 / (2.0 + beta)))
 
 
-def power_iteration_norm(matrix, iters: int = 60, seed: int = 0) -> float:
-    """Largest singular value of a sparse operator by power iteration on A*A.
-
-    The products run on the rows and columns that hold entries.  Each norm
-    is taken over a full-length buffer, zero off those columns, because
-    np.linalg.norm groups its BLAS dot by position.
-    """
-    from scipy.sparse import csr_matrix
-
-    rng = np.random.default_rng(seed)
-    n = matrix.shape[1]
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    entries = matrix.tocoo()
-    rows, row_of = np.unique(entries.row, return_inverse=True)
-    cols, col_of = np.unique(entries.col, return_inverse=True)
-    sub = csr_matrix(
-        (entries.data, (row_of, col_of)), shape=(len(rows), len(cols))
-    )
-    adjoint = sub.conj().T
-    full = np.zeros(n, dtype=complex)
-    v = v[cols]
-    sigma = 0.0
-    for _ in range(iters):
-        v_next = adjoint @ (sub @ v)
-        full[cols] = v_next
-        norm = np.linalg.norm(full)
-        if norm == 0:
-            return 0.0
-        sigma = math.sqrt(norm)
-        v = v_next / norm
-    return float(sigma)
-
-
 @dataclass
 class DecayProbeReport:
     """Norm table of the composed truncated linear steps L_n ... L_j (I - E).
 
-    norm_l1 is the exact operator norm in the weighted-l1 field norm
-    (column maximisation: each basis mode transports to a single mode);
-    norm_l2 is a power-iteration estimate in weighted-l2 coordinates.
-    Zero entries mean that no truncated mode survives all projections.
+    norm_l1 and norm_l2 are the exact operator norms in the weighted-l1
+    and weighted-l2 field norms (see stable_decay_probe).  Zero entries
+    mean that no truncated mode survives all projections.
     """
 
     n: int
@@ -590,26 +553,24 @@ class DecayProbeReport:
 def stable_decay_probe(
     cf: CFExpansion, n: int, params: RenormParams, beta: float = 0.0
 ) -> DecayProbeReport:
-    """Estimate ||L_n o ... o L_j (I - E)|| on the truncated mode set.
+    """||L_n o ... o L_j (I - E)|| on the truncated mode set, exactly.
 
     Each factor L_i = alpha_{i+1} [resonant projection at omega_{i+1}] o
     [mode transport by T_{a_i}]; a basis mode either dies at some
-    projection or transports to a single mode, so the weighted-l1 norm is
-    an exact column maximum.  A sparse matrix of the survivors feeds the
-    power-iteration l2 estimate.  The modes move as one integer array and
-    the block is formed once per j, so the work follows the survivors.
-    The cone width sigma, the truncation and rho' are those of params.
+    projection or transports to a single mode.  The transport
+    (k1, k2) -> (k2, k1 + a k2) is a bijection of Z^2, so survivors have
+    distinct sources and distinct images, and survivor s carries the
+    block w_s B.  The composed operator A is then block-diagonal up to a
+    permutation: the weighted-l1 norm is a column maximum, and
+    A*A = diag(w_s^2 B^T B) gives ||A||_2 = max_s w_s sigma_max(B).  The
+    modes move as one integer array and the block is formed once per j,
+    so the work follows the survivors.  The cone width sigma, the
+    truncation and rho' are those of params.
     """
-    from scipy.sparse import coo_matrix
-
     sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [omega_of(cf, i) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []
-    # the universe is the mode index without its central zero mode
-    index = mode_index(truncation)
-    centre = len(index) // 2
-    size = 2 * (len(index) - 1)
     # e^{rho' d} for every change d of ||k||_1, from math.exp
     exp_table = np.array([math.exp(rho_prime * d)
                           for d in range(-truncation, truncation + 1)])
@@ -634,20 +595,10 @@ def stable_decay_probe(
         if len(k):
             weight = exp_table[np.abs(kk).sum(axis=1) - np.abs(k).sum(axis=1)
                                + truncation]
-            # weighted-l1 operator norm is an exact column maximum (rounding
-            # is monotone, so the largest weight gives the largest product)
+            # both norms are maxima over the survivors' blocks (rounding is
+            # monotone, so the largest weight gives the largest product)
             best = np.abs(block).sum(axis=0).max() * weight.max()
-            src, dst = index.positions(k), index.positions(kk)
-            src -= src > centre
-            dst -= dst > centre
-            # per survivor, the entries (r, c) of its block in row order
-            rows = (2 * dst[:, None] + [0, 0, 1, 1]).ravel()
-            cols = (2 * src[:, None] + [0, 1, 0, 1]).ravel()
-            vals = (weight[:, None] * block.ravel()).ravel()
-            mat = coo_matrix(
-                (vals, (rows, cols)), shape=(size, size)
-            ).tocsr()
-            l2 = power_iteration_norm(mat)
+            l2 = weight.max() * np.linalg.norm(block, 2)
         norms_l1.append(best)
         norms_l2.append(l2)
         lambdas.append(lambda_jn(cf, sigma, beta, int(j), n) if n > 0 else np.nan)

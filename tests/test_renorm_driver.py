@@ -29,7 +29,6 @@ from torusrenorm.renorm_driver import (
     linearized_step,
     mixed_perturbation,
     one_step,
-    power_iteration_norm,
     quadratic_remainder_probe,
     renorm_orbit,
     resonant_perturbation,
@@ -394,7 +393,7 @@ class TestStableDecayProbe:
     def test_single_factor_matches_exact(self):
         cf = cf_expand(Slope.golden(), 8)
         rep = stable_decay_probe(cf, 0, RenormParams(truncation=24))
-        # j = n = 0: one factor; l2 estimate within the l1/l2 equivalence
+        # j = n = 0: one factor; the l2 norm within the l1/l2 equivalence
         assert rep.norm_l1[0] > 0
         assert 0.3 * rep.norm_l1[0] < rep.norm_l2[0] <= 2.0 * rep.norm_l1[0]
 
@@ -415,8 +414,8 @@ class TestStableDecayProbe:
 
 
 def reference_power_iteration_norm(matrix, iters=60, seed=0):
-    """The power iteration on full-length vectors, as the probe ran it
-    before its products moved to the rows and columns with entries."""
+    """Largest singular value by power iteration on A*A, on full-length
+    vectors: the estimate the probe made before its l2 norm was exact."""
     rng = np.random.default_rng(seed)
     n = matrix.shape[1]
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -433,22 +432,29 @@ def reference_power_iteration_norm(matrix, iters=60, seed=0):
     return float(sigma)
 
 
-def reference_decay_probe(cf, n, params, beta=0.0):
-    """The probe's per-mode loop: each resonant mode and its 2x2 block
-    carried through the levels one at a time."""
-    sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
-    omegas = [np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
-    j_values = np.arange(n, -1, -1)
-    norms_l1, norms_l2, lambdas, surviving = [], [], [], []
-    universe = sorted(
+def mode_universe(truncation):
+    """The nonzero modes with ||k||_1 <= truncation, sorted."""
+    return sorted(
         (k1, k2)
         for k1 in range(-truncation, truncation + 1)
         for k2 in range(-(truncation - abs(k1)), truncation - abs(k1) + 1)
         if (k1, k2) != (0, 0)
     )
+
+
+def reference_decay_probe(cf, n, params, beta=0.0):
+    """The probe's per-mode loop: each resonant mode and its 2x2 block
+    carried through the levels one at a time.  Returns the four outputs and,
+    per level, the sparse weighted operator on the mode universe (None
+    where no mode survives)."""
+    sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
+    omegas = [np.array([1.0, cf.tail_float(i)]) for i in range(n + 2)]
+    j_values = np.arange(n, -1, -1)
+    norms_l1, norms_l2, lambdas, surviving, matrices = [], [], [], [], []
+    universe = mode_universe(truncation)
     position = {k: i for i, k in enumerate(universe)}
     for j in j_values:
-        best = 0.0
+        best = l2 = 0.0
         alive = 0
         rows, cols, vals = [], [], []
         # rows as Python ints: a huge coefficient overflows int64 products
@@ -473,26 +479,52 @@ def reference_decay_probe(cf, n, params, beta=0.0):
             alive += 1
             weight = math.exp(rho_prime * (mode_l1(kk) - mode_l1(k)))
             best = max(best, max(np.abs(block).sum(axis=0)) * weight)
+            l2 = max(l2, weight * np.linalg.norm(block, 2))
             src, dst = position[k], position[kk]
             for r in range(2):
                 for c in range(2):
                     rows.append(2 * dst + r)
                     cols.append(2 * src + c)
                     vals.append(block[r, c] * weight)
-        if vals:
-            size = 2 * len(universe)
-            mat = scipy.sparse.coo_matrix(
-                (vals, (rows, cols)), shape=(size, size)
-            ).tocsr()
-            l2 = reference_power_iteration_norm(mat)
-        else:
-            l2 = 0.0
+        size = 2 * len(universe)
+        matrices.append(scipy.sparse.coo_matrix(
+            (vals, (rows, cols)), shape=(size, size)
+        ).tocsr() if vals else None)
         norms_l1.append(best)
         norms_l2.append(l2)
         lambdas.append(lambda_jn(cf, sigma, beta, int(j), n) if n > 0 else np.nan)
         surviving.append(alive)
     return (np.array(norms_l1), np.array(norms_l2), np.array(lambdas),
-            np.array(surviving))
+            np.array(surviving)), matrices
+
+
+def dense_decay_operator(cf, n, j, params):
+    """L_n ... L_j (I - E) as a dense matrix in weighted-l2 coordinates on
+    the truncated mode universe, composed factor by factor: each L_i maps
+    the block of mode k to that of (k2, k1 + a_i k2) when the image lies
+    in the truncation and in the resonant cone of omega_{i+1}."""
+    sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
+    universe = mode_universe(truncation)
+    position = {k: i for i, k in enumerate(universe)}
+    weights = np.repeat([math.exp(rho_prime * mode_l1(k)) for k in universe], 2)
+
+    def cone(omega):
+        keep = np.zeros(2 * len(universe))
+        for k in map(tuple, resonant_modes(omega, sigma, truncation)):
+            keep[2 * position[k]: 2 * position[k] + 2] = 1.0
+        return np.diag(keep)
+
+    op = cone((1.0, cf.tail_float(j)))
+    for i in range(j, n + 1):
+        a_i = cf.coefficient(i)
+        t_inv = cf.tail_float(i + 1) * np.array([[-float(a_i), 1.0], [1.0, 0.0]])
+        factor = np.zeros((2 * len(universe),) * 2)
+        for k, src in position.items():
+            dst = position.get((k[1], k[0] + a_i * k[1]))
+            if dst is not None:
+                factor[2 * dst: 2 * dst + 2, 2 * src: 2 * src + 2] = t_inv
+        op = cone((1.0, cf.tail_float(i + 1))) @ factor @ op
+    return weights[:, None] * op / weights[None, :]
 
 
 PROBE_SLOPES = {
@@ -500,12 +532,14 @@ PROBE_SLOPES = {
     "sqrt2": Slope.sqrt2(),
     "(3+2sqrt7)/5": Slope.quadratic(3, 2, 7, 5),
 }
+EPS = np.finfo(float).eps
 
 
 class TestDecayProbeBits:
-    """The probe transports its surviving modes as arrays and runs the
-    power iteration on the entries' rows and columns; every output keeps
-    the bits of the per-mode loop."""
+    """The probe transports its surviving modes as arrays and takes both
+    norms off the one shared block; every output keeps the bits of the
+    per-mode loop, and the power iteration on the per-mode loop's operator
+    agrees with the exact l2 norm."""
 
     @pytest.mark.parametrize("slope", PROBE_SLOPES)
     @pytest.mark.parametrize("truncation, n", [
@@ -515,13 +549,16 @@ class TestDecayProbeBits:
         cf = cf_expand(PROBE_SLOPES[slope], n + 4)
         params = RenormParams(truncation=truncation)
         rep = stable_decay_probe(cf, n, params)
-        ref = reference_decay_probe(cf, n, params)
+        ref, matrices = reference_decay_probe(cf, n, params)
         got = (rep.norm_l1, rep.norm_l2, rep.lambdas, rep.surviving)
         for name, a, b in zip(("norm_l1", "norm_l2", "lambdas", "surviving"),
                               got, ref):
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
         assert np.array_equal(rep.j_values, np.arange(n, -1, -1))
+        for exact, mat in zip(rep.norm_l2, matrices):
+            power = reference_power_iteration_norm(mat) if mat is not None else 0.0
+            assert abs(power - exact) <= 8 * EPS * exact
 
     def test_huge_coefficient(self):
         # [1; 10^20, 2]: the coefficient exceeds int64 products
@@ -529,51 +566,66 @@ class TestDecayProbeBits:
         assert cf.coefficients == [1, 10**20, 2]
         params = RenormParams(truncation=24)
         rep = stable_decay_probe(cf, 1, params)
-        ref = reference_decay_probe(cf, 1, params)
+        ref, _ = reference_decay_probe(cf, 1, params)
         for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
                          rep.surviving), ref):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("slope", PROBE_SLOPES)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_l2_is_the_dense_operator_norm(self, slope, n):
+        cf = cf_expand(PROBE_SLOPES[slope], n + 4)
+        params = RenormParams(truncation=12)
+        rep = stable_decay_probe(cf, n, params)
+        for i, j in enumerate(rep.j_values):
+            dense = np.linalg.norm(dense_decay_operator(cf, n, int(j), params), 2)
+            assert abs(rep.norm_l2[i] - dense) <= 8 * EPS * dense
+            assert (rep.norm_l2[i] == 0) == (rep.surviving[i] == 0)
+
     @pytest.mark.parametrize("shape", [(40, 40), (40, 30)])
     def test_power_iteration_on_zero_matrices(self, shape):
+        # the cross-check reads 0.0 where no mode survives, as the probe does
         empty = scipy.sparse.csr_matrix(shape)
         stored_zeros = scipy.sparse.coo_matrix(
             (np.zeros(3), ([0, 5, 7], [1, 2, 9])), shape=shape).tocsr()
         for mat in (empty, stored_zeros):
-            assert power_iteration_norm(mat) == 0.0
             assert reference_power_iteration_norm(mat) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_power_iteration_with_empty_rows_and_columns(self, seed):
+        # a block-injective operator as the probe builds: 2x2 blocks w_s B
+        # between distinct sources and distinct images, most rows and
+        # columns empty; max_s w_s ||B||_2 is its norm
         rng = np.random.default_rng(seed)
-        shape = (300, 240)
-        rows = rng.choice(shape[0], size=25, replace=False)
-        cols = rng.choice(shape[1], size=30, replace=False)
-        nnz = 60
-        mat = scipy.sparse.coo_matrix(
-            (rng.normal(size=nnz) + 1j * rng.normal(size=nnz),
-             (rng.choice(rows, nnz), rng.choice(cols, nnz))),
-            shape=shape,
-        ).tocsr()
-        for iters in (1, 7, 60):
-            got = power_iteration_norm(mat, iters=iters, seed=seed)
-            assert got == reference_power_iteration_norm(mat, iters, seed)
-            assert got > 0
+        size, survivors = 150, 12
+        src = rng.choice(size, survivors, replace=False)
+        dst = rng.choice(size, survivors, replace=False)
+        weight = np.exp(0.9 * rng.integers(-4, 5, survivors))
+        block = np.eye(2)
+        for a in rng.integers(1, 4, 3):
+            block = np.array([[-float(a), 1.0], [1.0, 0.0]]) @ block
+        dense = np.zeros((2 * size, 2 * size))
+        for s, d, w in zip(src, dst, weight):
+            dense[2 * d: 2 * d + 2, 2 * s: 2 * s + 2] = w * block
+        exact = weight.max() * np.linalg.norm(block, 2)
+        assert abs(np.linalg.norm(dense, 2) - exact) <= 8 * EPS * exact
+        power = reference_power_iteration_norm(scipy.sparse.csr_matrix(dense))
+        assert abs(power - exact) <= 8 * EPS * exact
 
 
 def test_decay_probe_power_iteration_work(monkeypatch):
-    """The power iteration's products act on vectors of length
-    2 * (surviving modes), not 2 * |universe|."""
-    lengths = []
-    for cls in (scipy.sparse.csr_matrix, scipy.sparse.csc_matrix):
-        def recorded(self, other, real=cls.__matmul__):
-            lengths.append(len(other))
-            return real(self, other)
-        monkeypatch.setattr(cls, "__matmul__", recorded)
+    """The probe iterates nothing: its one norm per level with survivors
+    is that of the shared 2x2 block, never of a universe-length vector."""
+    shapes = []
+
+    def recorded(x, *args, real=np.linalg.norm, **kwargs):
+        shapes.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
     cf = cf_expand(Slope.golden(), 10)
     rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
-    assert len(lengths) == 2 * 60 * np.count_nonzero(rep.surviving)
-    assert set(lengths) == {2 * int(s) for s in rep.surviving if s}
+    assert shapes == [(2, 2)] * np.count_nonzero(rep.surviving)
 
 
 class TestQuadraticRemainder:

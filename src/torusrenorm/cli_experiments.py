@@ -297,7 +297,7 @@ def scenario_project(config, out_dir, tag):
     complementary = set(recombined.modes) == set(field.modes) and all(
         np.allclose(recombined.modes[k], field.modes[k]) for k in field.modes
     )
-    out_path = out_dir / f"project_{tag}.json"
+    out_path = out_dir / f"project_{tag}_field.json"
     save_field(kept, out_path)
     rows = [[side, len(kept), norm_r(kept, params.rho_prime),
              norm_prime_r(kept, params.rho_prime), complementary]]

@@ -103,43 +103,55 @@ PHASE_CHUNK = 48
 # exp(x) rounds to exactly 1 for |x| < 2^-54; half of that leaves room for
 # the rounding of the bound and of the exponents it bounds
 MIRROR_BOUND = 2.0 ** -55
+# bytes of the phase rows of one block of grid columns
+BLOCK_BYTES = 2 ** 19
 
 
-def _phase_chunks(ks, mirror, point1, point2):
-    """The phase grids exp(2 pi i k.(theta + u)) of the rows ks, in chunks
-    of PHASE_CHUNK rows: yields (first row, (n, G, G) view), the view being
-    overwritten by the next chunk.
+def _column_width(rows, points):
+    """Grid columns per block: BLOCK_BYTES of complex phase rows, rounded
+    down to a multiple of 64 columns, at least 64, at most all.
 
-    mirror[r] is the row of -ks[r], or -1.  Of the pairs (r, mirror[r]) with
-    r first, the PHASE_CHUNK nearest the zero mode (the last r) are computed
-    once: r's grid is held until its partner's row, which is its complex
-    conjugate.  Every other row is computed directly.
+    The BLAS product of a chunk with a block of columns gives each column
+    the bits of the product with all columns only while every block but
+    the last spans a multiple of 4 columns (OpenBLAS 0.3.31 zgemm).
     """
-    rows = np.arange(len(ks))
-    first = np.flatnonzero(mirror > rows)[-PHASE_CHUNK:]
-    slot = np.full(len(ks), -1)
-    slot[first] = np.arange(len(first))
-    conjugated = np.full(len(ks), -1)
-    conjugated[mirror[first]] = np.arange(len(first))
-    phases = np.empty((PHASE_CHUNK,) + point1.shape, dtype=complex)
-    held = np.empty((len(first),) + point1.shape, dtype=complex)
-    term = np.empty_like(point2)
-    for start in range(0, len(ks), PHASE_CHUNK):
-        stop = min(start + PHASE_CHUNK, len(ks))
-        for r in range(start, stop):
-            row = phases[r - start]
-            if conjugated[r] >= 0:
-                np.conjugate(held[conjugated[r]], out=row)
-                continue
-            # exp((2 pi i) * (k1 * point1 + k2 * point2)), elementwise
-            np.multiply(ks[r, 0], point1, out=row)
-            np.multiply(ks[r, 1], point2, out=term)
-            np.add(row, term, out=row)
-            np.multiply(TWO_PI * 1j, row, out=row)
-            np.exp(row, out=row)
-            if slot[r] >= 0:
-                held[slot[r]] = row
-        yield start, phases[: stop - start]
+    width = max(64, BLOCK_BYTES // (16 * max(rows, 1)) // 64 * 64)
+    return min(width, points)
+
+
+def _phase_runs(mirror):
+    """Runs of rows filled alike: (start, stop, None) for rows whose phase
+    grids are computed, (start, stop, source) for rows that are the
+    conjugates of the rows source, source - 1, ..., source - (stop - start) + 1.
+
+    mirror[r] is the row of -k_r, or -1; the later row of each pair is the
+    conjugate of the earlier one.
+    """
+    rows = np.arange(len(mirror))
+    source = np.where(mirror < rows, mirror, -1)
+    computed = source < 0
+    joined = (computed[1:] & computed[:-1]) | (
+        (source[1:] >= 0) & (source[1:] == source[:-1] - 1))
+    starts = np.flatnonzero(np.concatenate(([True], ~joined)))[: len(mirror)]
+    stops = np.append(starts[1:], len(mirror))
+    return [(int(start), int(stop), None if computed[start] else int(source[start]))
+            for start, stop in zip(starts, stops)]
+
+
+def _fill_phases(phases, term, runs, k1, k2, p1, p2):
+    """phases[r] = exp(2 pi i (k1[r] p1 + k2[r] p2)) for the rows of runs,
+    term being a work array of the shape of phases."""
+    for start, stop, source in runs:
+        rows = phases[start:stop]
+        if source is None:
+            np.multiply(k1[start:stop, None], p1, out=rows)
+            np.multiply(k2[start:stop, None], p2, out=term[start:stop])
+            np.add(rows, term[start:stop], out=rows)
+            np.multiply(TWO_PI * 1j, rows, out=rows)
+            np.exp(rows, out=rows)
+        else:
+            count = stop - start
+            np.conjugate(phases[source - count + 1 : source + 1][::-1], out=rows)
 
 
 def _pullback_core(v, h, u_grid, grid, with_derivative=False):
@@ -152,13 +164,14 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     """
     from scipy.fft import fft2, ifft2
 
+    points = grid * grid
     axes = np.arange(grid, dtype=float) / grid
-    point1 = axes[:, None] + u_grid[0]
-    point2 = axes[None, :] + u_grid[1]
+    point1 = (axes[:, None] + u_grid[0]).reshape(-1)
+    point2 = (axes[None, :] + u_grid[1]).reshape(-1)
 
-    h_at_u = np.zeros((2, grid, grid), dtype=complex)
+    h_at_u = np.zeros((2, points), dtype=complex)
     dh_at_u = (
-        np.zeros((2, 2, grid, grid), dtype=complex) if with_derivative else None
+        np.zeros((2, 2, points), dtype=complex) if with_derivative else None
     )
     # the sorted nonzero modes, 48 at a time; the coefficients reach the
     # contractions as a C-ordered (M, 2) array because BLAS rounding can
@@ -166,6 +179,16 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     support = h.support()
     all_ks = h.index.k[support].astype(float)
     all_cs = np.ascontiguousarray(h.coeffs[:, support].T)
+    chunks = []
+    for start in range(0, len(support), PHASE_CHUNK):
+        ks = all_ks[start : start + PHASE_CHUNK]
+        cs = all_cs[start : start + PHASE_CHUNK]
+        jacs = ((TWO_PI * 1j) * np.einsum("mi,mj->ijm", cs, ks)).reshape(4, -1)
+        chunks.append((start, start + len(cs), cs.T, jacs))
+    # complex factors: a float factor against complex points is cast in the
+    # ufunc's buffers, to the same values
+    k1 = all_ks[:, 0].astype(complex)
+    k2 = all_ks[:, 1].astype(complex)
     # Mirror identity: the exponent z = 2 pi i k.(theta + u) of -k is exactly
     # -z, since rounding to nearest is symmetric: negating k negates every
     # rounded product and sum.  The only real part of z is 2 pi k.Im(u),
@@ -180,13 +203,27 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     im_u = np.abs(u_grid.imag).max(axis=(1, 2))
     if not TWO_PI * h.truncation * (im_u[0] + im_u[1]) < MIRROR_BOUND:
         mirror[:] = -1
-    for start, phases in _phase_chunks(all_ks, mirror, point1, point2):
-        ks = all_ks[start : start + PHASE_CHUNK]
-        cs = all_cs[start : start + PHASE_CHUNK]
-        h_at_u += np.tensordot(cs.T, phases, axes=(1, 0))
-        if with_derivative:
-            jacs = (TWO_PI * 1j) * np.einsum("mi,mj->ijm", cs, ks)
-            dh_at_u += np.tensordot(jacs, phases, axes=(2, 0))
+    runs = _phase_runs(mirror)
+
+    # the phase rows of one block of grid columns at a time; every operand
+    # of a product is a C-ordered view of the buffers, as with all columns
+    width = _column_width(len(support), points)
+    phase_buffer = np.empty(len(support) * width, dtype=complex)
+    term_buffer = np.empty_like(phase_buffer)
+    for first in range(0, points, width):
+        cols = slice(first, min(first + width, points))
+        count = cols.stop - first
+        phases = phase_buffer[: len(support) * count].reshape(-1, count)
+        term = term_buffer[: len(support) * count].reshape(-1, count)
+        _fill_phases(phases, term, runs, k1, k2, point1[cols], point2[cols])
+        for start, stop, cs_t, jacs in chunks:
+            h_at_u[:, cols] += np.dot(cs_t, phases[start:stop])
+            if with_derivative:
+                dh_at_u[:, :, cols] += np.dot(jacs, phases[start:stop]).reshape(
+                    2, 2, count)
+    h_at_u = h_at_u.reshape(2, grid, grid)
+    if with_derivative:
+        dh_at_u = dh_at_u.reshape(2, 2, grid, grid)
 
     # DU = I + Du on the grid; u is band-limited so spectral differentiation
     # of its samples is exact
@@ -196,6 +233,7 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     du_spec[:, 0] = u_spec * ((TWO_PI * 1j) * k_axis)[None, :, None]
     du_spec[:, 1] = u_spec * ((TWO_PI * 1j) * k_axis)[None, None, :]
     du = ifft2(du_spec, axes=(2, 3))
+    del u_spec, du_spec
     a11 = 1.0 + du[0, 0]
     a12 = du[0, 1]
     a21 = du[1, 0]
@@ -532,6 +570,8 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
                 best = trial
             if trial.res < current.res:
                 break
+            # release a rejected trial's grids before the next is formed
+            del trial
             step *= 0.5
         moved = best.res < current.res
         if moved:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded
+from .errors import ConfigInvalid, DomainExceeded
 from .fourier_field import (
     FarResonant,
     FourierVectorField,
@@ -91,6 +91,15 @@ class RenormState:
     @property
     def omega(self) -> np.ndarray:
         return omega_of(self.cf, self.n)
+
+
+def _require_coefficients(cf: CFExpansion, needed: int) -> None:
+    """Raise ConfigInvalid unless cf certifies `needed` coefficients."""
+    if len(cf.coefficients) < needed:
+        raise ConfigInvalid(
+            f"slope certifies only {len(cf.coefficients)} coefficients; "
+            f"{needed} needed ({cf.termination})"
+        )
 
 
 def omega_of(cf: CFExpansion, n: int) -> np.ndarray:
@@ -341,11 +350,7 @@ def renorm_orbit(
     """
     slope_t, applied = transient_slope(slope)
     cf = cf_expand(slope_t, n_steps + 2)
-    if len(cf.coefficients) < n_steps + 2:
-        raise ValueError(
-            f"slope certifies only {len(cf.coefficients)} coefficients; "
-            f"{n_steps + 2} needed ({cf.termination})"
-        )
+    _require_coefficients(cf, n_steps + 2)
     f = f0
     for name in applied:
         f = basis_change(f, V if name == "V" else S)
@@ -567,6 +572,7 @@ def stable_decay_probe(
     so the work follows the survivors.  The cone width sigma, the
     truncation and rho' are those of params.
     """
+    _require_coefficients(cf, n + 2)
     sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [omega_of(cf, i) for i in range(n + 2)]
     j_values = np.arange(n, -1, -1)

@@ -189,6 +189,18 @@ class TestScenarios:
             and p.suffix == ".json").read_text())
         assert manifest["results"]["complementary"] is True
 
+    def test_project_keeps_its_field(self, tmp_path):
+        _, (code, artifacts) = run("project", tmp_path, slope="golden",
+                                   seed="2", side="outside")
+        assert code == 0
+        assert len(set(artifacts)) == len(artifacts) == 3
+        field_path = next(p for p in artifacts if p.name.endswith("_field.json"))
+        field = load_field(field_path)
+        manifest = json.loads(next(
+            p for p in artifacts if p.suffix == ".json" and p != field_path
+        ).read_text())
+        assert len(field) == manifest["results"]["modes_kept"] > 0
+
     def test_sweep(self, tmp_path):
         _, (code, artifacts) = run(
             "sweep", tmp_path, slope="golden", seed="1",
@@ -268,6 +280,18 @@ class TestMain:
     def test_malformed_number_exit_two(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, needed", [
+        (["decay-probe", "--slope", "7/5"], 10),
+        (["decay-probe", "--slope", "1e-300"], 10),
+        # the stabilising secant's probe orbits need 8 coefficients
+        (["orbit", "--slope", "7/5", "--seed", "1", "--steps", "2",
+          "--truncation", "12"], 8),
+    ])
+    def test_short_expansion_exit_two(self, argv, needed, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{needed} needed" in err
 
     def test_every_scenario_parses(self):
         parser = build_parser()

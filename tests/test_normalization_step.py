@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,97 +327,163 @@ class TestSolveReuse:
         assert solves.counts() == {"computed": 0, "reused": 0}
 
 
-def direct_phase_chunks(ks, mirror, point1, point2):
-    """Reference: every phase grid computed from its own exponent, 48 rows
-    at a time, by the whole-chunk expression."""
-    for start in range(0, len(ks), 48):
-        k = ks[start : start + 48]
-        yield start, np.exp(
-            (2.0 * math.pi * 1j)
-            * (k[:, 0, None, None] * point1 + k[:, 1, None, None] * point2)
-        )
+def direct_fill_phases(phases, term, runs, k1, k2, p1, p2):
+    """Reference: every phase row of the block computed from its own
+    exponent, by the whole-block expression with the float modes."""
+    phases[:] = np.exp((2.0 * math.pi * 1j)
+                       * (k1.real[:, None] * p1 + k2.real[:, None] * p2))
+
+
+def computed_rows(runs):
+    return sum(stop - start for start, stop, source in runs if source is None)
+
+
+def support_field(m, unpaired=0, seed=0, truncation=16):
+    """m nonzero modes: pairs +-k, one unpaired k if m is odd, and
+    `unpaired` pairs with the -k partner replaced by an unpaired k."""
+    rng = np.random.default_rng(seed)
+    n = len(FourierVectorField.zero(0.9, truncation).index)
+    lower = rng.permutation(n // 2)
+    pairs, extra = lower[: m // 2], lower[m // 2 : m // 2 + m % 2 + unpaired]
+    coeffs = np.zeros((2, n), dtype=complex)
+    coeffs[:, pairs] = rng.normal(size=(2, len(pairs))) + 1j * rng.normal(
+        size=(2, len(pairs)))
+    coeffs[:, n - 1 - pairs] = np.conj(coeffs[:, pairs])
+    coeffs[:, extra] = 0.3 - 0.7j
+    coeffs[:, n - 1 - pairs[:unpaired]] = 0.0
+    x = FourierVectorField.from_array(coeffs, 0.9, truncation)
+    assert len(x) == m
+    return x
+
+
+def displacement_grid(imag_size, grid=24, seed=1):
+    rng = np.random.default_rng(seed)
+    shape = (2, grid, grid)
+    if imag_size is None:
+        return np.zeros(shape, dtype=complex)
+    return 1e-7 * rng.normal(size=shape) + 1j * imag_size * rng.normal(size=shape)
 
 
 class TestMirrorPhases:
-    """_pullback_core computes one exponential per +-k pair and returns the
-    bytes of the direct loop, signed zeros included."""
-
-    TRUNCATION = 16
-    GRID = 24
-
-    def support_field(self, m, unpaired=0, seed=0):
-        """m nonzero modes: pairs +-k, one unpaired k if m is odd, and
-        `unpaired` pairs with the -k partner replaced by an unpaired k."""
-        rng = np.random.default_rng(seed)
-        n = len(FourierVectorField.zero(0.9, self.TRUNCATION).index)
-        lower = rng.permutation(n // 2)
-        pairs, extra = lower[: m // 2], lower[m // 2 : m // 2 + m % 2 + unpaired]
-        coeffs = np.zeros((2, n), dtype=complex)
-        coeffs[:, pairs] = rng.normal(size=(2, len(pairs))) + 1j * rng.normal(
-            size=(2, len(pairs)))
-        coeffs[:, n - 1 - pairs] = np.conj(coeffs[:, pairs])
-        coeffs[:, extra] = 0.3 - 0.7j
-        coeffs[:, n - 1 - pairs[:unpaired]] = 0.0
-        x = FourierVectorField.from_array(coeffs, 0.9, self.TRUNCATION)
-        assert len(x) == m
-        return x
-
-    def displacement_grid(self, imag_size, seed=1):
-        rng = np.random.default_rng(seed)
-        shape = (2, self.GRID, self.GRID)
-        if imag_size is None:
-            return np.zeros(shape, dtype=complex)
-        return 1e-7 * rng.normal(size=shape) + 1j * imag_size * rng.normal(size=shape)
+    """_pullback_core fills the phase rows one block of grid columns at a
+    time, computes one exponential per +-k pair, and returns the bytes of
+    the direct loop, signed zeros included, whatever the block width."""
 
     def both(self, monkeypatch, h, u_grid, with_derivative):
-        mirrors = []
-        real_chunks = normalization_step._phase_chunks
+        """The runs of the blocked fill, after checking that it returns the
+        bytes of the direct fill."""
+        runs = []
+        real_fill = normalization_step._fill_phases
 
-        def recorded(ks, mirror, point1, point2):
-            mirrors.append(mirror.copy())
-            return real_chunks(ks, mirror, point1, point2)
+        def recorded(phases, term, block_runs, *args):
+            runs.append(block_runs)
+            return real_fill(phases, term, block_runs, *args)
 
         v = PSI.astype(complex)
-        args = (v, h, u_grid, self.GRID, with_derivative)
-        monkeypatch.setattr(normalization_step, "_phase_chunks", recorded)
+        args = (v, h, u_grid, u_grid.shape[-1], with_derivative)
+        monkeypatch.setattr(normalization_step, "_fill_phases", recorded)
         new = normalization_step._pullback_core(*args)
-        monkeypatch.setattr(normalization_step, "_phase_chunks",
-                            direct_phase_chunks)
+        monkeypatch.setattr(normalization_step, "_fill_phases",
+                            direct_fill_phases)
         old = normalization_step._pullback_core(*args)
         monkeypatch.undo()
-        for a, b in zip(new, old):
-            if isinstance(a, np.ndarray):
-                assert a.tobytes() == b.tobytes()
-            else:
-                assert a == b
-        return mirrors[0]
+        assert_same_bytes(new, old)
+        return runs[0]
 
     @pytest.mark.parametrize("m", [1, 47, 48, 49, 80, 150])
     @pytest.mark.parametrize("imag_size", [None, 1e-23])
     @pytest.mark.parametrize("with_derivative", [False, True])
     def test_pairs_share_one_exponential(self, monkeypatch, m, imag_size,
                                          with_derivative):
-        h = self.support_field(m)
-        mirror = self.both(monkeypatch, h, self.displacement_grid(imag_size),
-                           with_derivative)
-        assert np.count_nonzero(mirror >= 0) == 2 * (m // 2)
+        h = support_field(m)
+        runs = self.both(monkeypatch, h, displacement_grid(imag_size),
+                         with_derivative)
+        # every pair, not only the 48 nearest the zero mode: 75 rows of 150
+        assert computed_rows(runs) == (m + 1) // 2
 
     @pytest.mark.parametrize("with_derivative", [False, True])
     def test_unpaired_modes(self, monkeypatch, with_derivative):
-        h = self.support_field(80, unpaired=5)
-        mirror = self.both(monkeypatch, h, self.displacement_grid(1e-23),
-                           with_derivative)
-        assert np.count_nonzero(mirror >= 0) == 70
+        h = support_field(80, unpaired=5)
+        runs = self.both(monkeypatch, h, displacement_grid(1e-23),
+                         with_derivative)
+        assert computed_rows(runs) == 80 - 35
 
     @pytest.mark.parametrize("with_derivative", [False, True])
     def test_imaginary_displacement_takes_the_direct_path(
             self, monkeypatch, with_derivative):
         # 2 pi T (max|Im u1| + max|Im u2|) ~ 1e-9, far above 2^-55: the
         # conjugate would differ from the direct grid in the last bits
-        h = self.support_field(80)
-        mirror = self.both(monkeypatch, h, self.displacement_grid(1e-12),
-                           with_derivative)
-        assert np.all(mirror == -1)
+        h = support_field(80)
+        runs = self.both(monkeypatch, h, displacement_grid(1e-12),
+                         with_derivative)
+        assert runs == [(0, 80, None)]
+
+    @pytest.mark.parametrize("m", [49, 150])
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_odd_grid(self, monkeypatch, m, with_derivative):
+        # 25^2 = 625 = 1 mod 4 columns; at 150 modes, blocks of 192, 192,
+        # 192 and 49
+        runs = self.both(monkeypatch, support_field(m),
+                         displacement_grid(1e-23, grid=25), with_derivative)
+        assert computed_rows(runs) == (m + 1) // 2
+
+    @pytest.mark.parametrize("grid", [24, 25])
+    @pytest.mark.parametrize("m", [47, 80, 150])
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_block_width_keeps_the_bytes(self, monkeypatch, grid, m,
+                                         with_derivative):
+        # blocks of 64 and 128 columns leave a shorter last block on 25^2
+        # columns, and 128 on 24^2; one block of all columns is the
+        # product over the whole grid, as before the blocks
+        h = support_field(m, unpaired=3)
+        args = (PSI.astype(complex), h, displacement_grid(1e-23, grid=grid),
+                grid, with_derivative)
+        widths, outputs = [], []
+        for width in (64, 128, None):
+            block_bytes = 16 * m * width if width else 2 ** 40
+            monkeypatch.setattr(normalization_step, "BLOCK_BYTES", block_bytes)
+            widths.append(normalization_step._column_width(m, grid * grid))
+            outputs.append(normalization_step._pullback_core(*args))
+        assert widths == [64, 128, grid * grid]
+        for output in outputs[:-1]:
+            assert_same_bytes(output, outputs[-1])
+
+
+def assert_same_bytes(new, old):
+    for a, b in zip(new, old, strict=True):
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+def test_column_width_is_a_multiple_of_64_but_in_the_last_block():
+    for rows in (1, 42, 80, 150, 600, 10_000):
+        for points in (9, 625, 17_424, 69_696):
+            width = normalization_step._column_width(rows, points)
+            assert width == points or (width % 64 == 0 and 0 < width < points)
+            assert 16 * rows * width <= max(normalization_step.BLOCK_BYTES,
+                                            16 * rows * 64)
+
+
+def test_pullback_peak_memory_is_a_few_blocks():
+    # one T = 32 call on 80 modes: the phase rows of all columns, 48 at a
+    # time plus 48 held partners, peaked near 27 MB; the blocked rows and
+    # the grids of the result stay under 12 MB
+    from scipy.fft import next_fast_len
+
+    h = support_field(80, truncation=32)
+    grid = next_fast_len(4 * 32 + 1)
+    u_grid = displacement_grid(1e-23, grid=grid)
+    args = (PSI.astype(complex), h, u_grid, grid, True)
+    normalization_step._pullback_core(*args)
+    tracemalloc.start()
+    try:
+        normalization_step._pullback_core(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_pullback_core_keeps_the_parameters_tracers_read():

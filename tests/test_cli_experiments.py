@@ -366,6 +366,16 @@ BYTE_PINS = {
         "csv": "db8070688402ba095eb3dd978041bc252ebb3a97777a0df4d85947ea81a227de",
         "results": "6a0a9bd456c0f8ac7bc09e7438133f41cf15654d5ff0b18fd6d36bb32cc0c86e",
     },
+    # rational slopes: a finite expansion, and an orbit that starts on one
+    ("cf", "--slope", "355/113", "--n-terms", "10"): {
+        "csv": "2b2cc44bc7394a1bb43ad60ddda3738e0579f8c966ec69d594627a7daca0cf86",
+        "results": "c6e0c028f257df3507e7e64e678fb56bca435102ec09a939e6e8abdba7d8d68f",
+    },
+    ("orbit", "--slope", "987/610", "--perturb", "resonant:1e-3", "--seed", "7",
+     "--steps", "3", "--truncation", "16"): {
+        "csv": "fcb32d5a3a53c8db34bb8a3c6a61277b237c1e01431d0da533845aa990d1e377",
+        "results": "33197d205987bca1270794c37de0a655e1c385b6bea47e20da8301452ca71e4b",
+    },
 }
 
 

@@ -262,10 +262,11 @@ class QuadraticNumber:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def _nearest(self, prec: int):
+    def _nearest(self, prec: int, emin: int | None = None):
         """(m, e) with m * 2**e the prec-bit value nearest to self.
 
-        2**(prec-1) <= |m| < 2**prec, or m = 0 for zero.  A tie, possible
+        2**(prec-1) <= |m| < 2**prec, or m = 0 for zero.  With emin, e is
+        at least emin and |m| has fewer bits where it must.  A tie, possible
         only when q = 0, goes to the even m.
         """
         sign = self.sign()
@@ -283,6 +284,8 @@ class QuadraticNumber:
             k += prec + 1 - scaled.bit_length()
             scaled, rem = _scaled_floor(p, q, r, d, k)
         shift = scaled.bit_length() - prec
+        if emin is not None:
+            shift = max(shift, k + emin)
         m, low, half = scaled >> shift, scaled & ((1 << shift) - 1), 1 << (shift - 1)
         # an irrational or inexact rest lies strictly above its floor
         m += low > half or (low == half and bool(q or rem or m & 1))
@@ -295,12 +298,12 @@ class QuadraticNumber:
         return mpmath.mpf(self._nearest(prec_bits), prec=prec_bits)
 
     def __float__(self):
-        # the correctly rounded 64-bit value, then to 53 bits, ties to even
-        m, e = self._nearest(64)
-        top, low = abs(m) >> 11, abs(m) & 0x7FF
-        top += low > 0x400 or low == 0x400 and top & 1
+        # correctly rounded: 53 bits, or the subnormal grid 2**-1074
+        m, e = self._nearest(53, emin=-1074)
+        if m == 0:
+            return math.copysign(0.0, self.sign())
         try:
-            return math.ldexp(top if m > 0 else -top, e + 11)
+            return math.ldexp(m, e)
         except OverflowError:
             return math.copysign(math.inf, m)
 

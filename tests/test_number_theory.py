@@ -116,8 +116,8 @@ def reference_mpf(x, prec, work=None):
 
 
 def reference_float(x, work=None):
-    """The 53-bit ties-to-even rounding of the nearest 64-bit value."""
-    return float(reference_mpf(x, 64, work))
+    """The nearest float, for a value in the normal range."""
+    return float(reference_mpf(x, 53, work))
 
 
 @st.composite
@@ -175,6 +175,26 @@ class TestExactKernel:
         assert QuadraticNumber.from_surd(5, 0, 0, 8).to_mpf(2) == 0.5
         assert QuadraticNumber.from_surd(7, 0, 0, 8).to_mpf(2) == 1.0
         assert float(QuadraticNumber(Fraction(1, 3), 0, 0)) == 1 / 3
+
+    def test_rational_floats_match_fraction(self):
+        # CPython rounds int / int correctly, subnormals included
+        rng = random.Random(5)
+        panel = [(355, 113), (987, 610), (-22, 7), (60672, 891898132631),
+                 (1, 3 * 2**1074), (-(2**1100) + 1, 2**1100 - 3)]
+        for _ in range(4000):
+            p = rng.getrandbits(rng.randint(1, 1100)) * rng.choice([-1, 1])
+            panel.append((p, rng.getrandbits(rng.randint(1, 1100)) or 1))
+        for _ in range(1000):
+            panel.append((rng.getrandbits(rng.randint(1, 60)) or 1,
+                          rng.getrandbits(rng.randint(1000, 1140)) or 1))
+        for p, q in panel:
+            exact = Fraction(p, q)
+            try:
+                want = float(exact)
+            except OverflowError:
+                continue
+            got = float(QuadraticNumber(exact, 0, 0))
+            assert got.hex() == want.hex(), (p, q)
 
     def test_overflow_gives_infinity(self):
         huge = QuadraticNumber.from_surd(-(2**1100), 1, 2, 1)

@@ -1,16 +1,16 @@
 """Exact continued-fraction arithmetic and integer matrix actions on slopes.
 
-Slopes come in three flavours: rationals (finite expansions), quadratic
-irrationals (exact surd arithmetic, eventually periodic expansions) and
-high-precision reals (interval arithmetic, digits emitted only while
-certified).  The expansion carries convergents, the approximation
+A slope is exact or an interval.  An exact slope is a QuadraticNumber:
+a rational (finite expansion) or a quadratic irrational (eventually
+periodic expansion), both in exact surd arithmetic.  Any other real is
+an interval at a chosen precision, and its digits are emitted only while
+certified.  The expansion carries convergents, the approximation
 quality sequence beta_n and the tail product sequence Atilde_n, which
 drive the renormalisation scheme and its diagnostics.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -318,14 +318,16 @@ class QuadraticNumber:
 
 
 class _IvPrec:
-    """Temporarily set the interval-context precision."""
+    """Temporarily set the interval-context precision; bits None (an exact
+    slope) leaves it as it is."""
 
     def __init__(self, bits):
         self.bits = bits
 
     def __enter__(self):
         self.saved = mpmath.iv.prec
-        mpmath.iv.prec = self.bits
+        if self.bits is not None:
+            mpmath.iv.prec = self.bits
 
     def __exit__(self, *exc):
         mpmath.iv.prec = self.saved
@@ -343,43 +345,33 @@ def _iv_floor_certified(x):
 
 
 class Slope:
-    """A frequency slope in one of three representations.
+    """A frequency slope: its value and the precision of that value.
 
-    kind 'rational'   -> Fraction
-    kind 'quadratic'  -> QuadraticNumber (irrational)
-    kind 'real'       -> mpmath interval together with its precision bits
+    bits None  -> an exact QuadraticNumber, rational when value.is_rational()
+    bits       -> an mpmath interval at that many bits
     """
 
-    def __init__(self, kind: str, value, bits: int | None = None):
-        self.kind = kind
+    def __init__(self, value, bits: int | None = None):
         self.value = value
         self.bits = bits
-        if kind == "quadratic":
-            if value.is_rational():
-                raise ValueError("quadratic slope must be irrational")
-        elif kind == "real":
-            if bits is None:
-                raise ValueError("real slope needs a precision")
-        elif kind != "rational":
-            raise ValueError(f"unknown slope kind {kind!r}")
 
     # constructors ---------------------------------------------------------
 
     @classmethod
     def rational(cls, p: int, q: int) -> "Slope":
-        return cls("rational", Fraction(p, q))
+        return cls(QuadraticNumber.from_surd(p, 0, 0, q))
 
     @classmethod
     def quadratic(cls, u: int, v: int, d: int, w: int) -> "Slope":
         if v == 0:
             raise ValueError("v must be nonzero for a quadratic slope")
-        return cls("quadratic", QuadraticNumber.from_surd(u, v, d, w))
+        return cls(QuadraticNumber.from_surd(u, v, d, w))
 
     @classmethod
     def real(cls, decimal: str, bits: int = DEFAULT_REAL_BITS) -> "Slope":
         with _IvPrec(bits):
             val = mpmath.iv.mpf(decimal)
-        return cls("real", val, bits)
+        return cls(val, bits)
 
     @classmethod
     def golden(cls) -> "Slope":
@@ -411,25 +403,23 @@ class Slope:
         if len(coeffs) > 1 and coeffs[-1] == 1:
             # canonical form [..., a, 1] == [..., a + 1]
             coeffs = coeffs[:-2] + [coeffs[-2] + 1]
-        x = Fraction(coeffs[-1])
+        x = QuadraticNumber.from_surd(coeffs[-1], 0, 0, 1)
         for a in reversed(coeffs[:-1]):
             x = a + 1 / x
-        return cls("rational", x)
+        return cls(x)
 
     # conversions ----------------------------------------------------------
 
     def __float__(self):
-        return _to_float(self.value)
+        return float(self.value if self.bits is None else self.value.mid)
 
     def is_zero(self) -> bool:
-        if self.kind == "rational":
-            return self.value == 0
-        if self.kind == "quadratic":
-            return False
+        if self.bits is None:
+            return self.value.sign() == 0
         return mpmath.mpf(0) in self.value
 
     def __repr__(self):
-        return f"Slope({self.kind}, {self.value})"
+        return f"Slope({self.value}, bits={self.bits})"
 
 
 # ---------------------------------------------------------------------------
@@ -456,44 +446,17 @@ def gauss_step(x):
 
 def act_on_slope(m: GL2Z, slope: Slope) -> Slope:
     """Action alpha -> (c + d*alpha) / (a + b*alpha) of [[a,b],[c,d]]."""
-    if slope.kind == "rational":
-        alpha = slope.value
-        denom = m.a + m.b * alpha
-        if denom == 0:
-            raise PoleAtInput("slope is a pole of the action")
-        return Slope("rational", (m.c + m.d * alpha) / denom)
-    if slope.kind == "quadratic":
-        alpha = slope.value
-        denom = alpha * m.b + m.a
-        if denom == 0:
-            raise PoleAtInput("slope is a pole of the action")
-        return Slope("quadratic", (alpha * m.d + m.c) / denom)
     with _IvPrec(slope.bits):
         alpha = slope.value
         denom = m.a + m.b * alpha
-        if mpmath.mpf(0) in denom:
-            raise PoleAtInput("denominator interval contains zero")
-        return Slope("real", (m.c + m.d * alpha) / denom, slope.bits)
+        pole = denom == 0 if slope.bits is None else mpmath.mpf(0) in denom
+        if pole:
+            raise PoleAtInput("slope is a pole of the action")
+        return Slope((m.c + m.d * alpha) / denom, slope.bits)
 
 
 # ---------------------------------------------------------------------------
 # Continued-fraction expansion
-
-
-def _to_float(value) -> float:
-    if isinstance(value, (QuadraticNumber, int, Fraction)):
-        return float(value)
-    return float(value.mid)
-
-
-def _float_once(value, floats: dict) -> float:
-    """_to_float(value); a quadratic value is converted once per dict."""
-    if not isinstance(value, QuadraticNumber):
-        return _to_float(value)
-    out = floats.get(value)
-    if out is None:
-        out = floats[value] = float(value)
-    return out
 
 
 @dataclass
@@ -529,17 +492,17 @@ class CFExpansion:
 
     def __post_init__(self):
         # left to right, beta_n = beta_{n-1} x_n; intervals at the slope's bits
-        real = self.slope.kind == "real"
-        with _IvPrec(self.slope.bits) if real else contextlib.nullcontext():
+        with _IvPrec(self.slope.bits):
             self.betas = list(itertools.accumulate(self.remainders, operator.mul))
             self.a_tildes = list(itertools.accumulate(self.tails, operator.mul))
         # a periodic expansion repeats its tails: convert each value once
-        floats = {}
-        self.tail_floats = [_float_once(v, floats) for v in self.tails]
-        self.remainder_floats = [_float_once(v, floats) for v in self.remainders]
+        to_float = (functools.cache(float) if self.slope.bits is None
+                    else lambda v: float(v.mid))
+        self.tail_floats = [to_float(v) for v in self.tails]
+        self.remainder_floats = [to_float(v) for v in self.remainders]
         # through the accessors, so perfbench's spans on beta/a_tilde see them
-        self.beta_floats = [_to_float(self.beta(n)) for n in range(len(self))]
-        self.a_tilde_floats = [_to_float(self.a_tilde(n)) for n in range(len(self))]
+        self.beta_floats = [to_float(self.beta(n)) for n in range(len(self))]
+        self.a_tilde_floats = [to_float(self.a_tilde(n)) for n in range(len(self))]
 
     def __len__(self):
         return len(self.coefficients)
@@ -582,13 +545,8 @@ class CFExpansion:
             return 1
         p, q = self.convergent(n)
         sign = 1 if n % 2 == 0 else -1
-        a = self.slope
-        if a.kind == "rational":
-            return sign * (a.value * q - p)
-        if a.kind == "quadratic":
-            return (a.value * q - p) * sign
-        with _IvPrec(a.bits):
-            return sign * (a.value * q - p)
+        with _IvPrec(self.slope.bits):
+            return sign * (self.slope.value * q - p)
 
     def beta_float(self, n: int) -> float:
         return self._entry(self.beta_floats, n, "beta", 1.0)
@@ -601,8 +559,7 @@ class CFExpansion:
         return self._entry(self.a_tilde_floats, n, "Atilde", 1.0)
 
 
-def _expand_exact(alpha, n_terms: int):
-    """Shared loop for Fraction / QuadraticNumber inputs."""
+def _expand_exact(alpha: QuadraticNumber, n_terms: int):
     coeffs, tails, remainders = [], [], []
     seen = {}
     period = None
@@ -663,17 +620,16 @@ def cf_expand(alpha: Slope, n_terms: int) -> CFExpansion:
     if alpha.is_zero():
         raise ZeroInput("slope is zero (or its interval contains zero)")
 
-    if alpha.kind == "real":
+    if alpha.bits is None:
+        coeffs, tails, remainders, period, termination = _expand_exact(
+            alpha.value, n_terms
+        )
+    else:
         coeffs, tails, remainders, period, termination = _expand_real(
             alpha.value, alpha.bits, n_terms
         )
         if not coeffs:
             raise PrecisionExhausted("not even the first digit is certified")
-    else:
-        value = alpha.value
-        coeffs, tails, remainders, period, termination = _expand_exact(
-            value, n_terms
-        )
 
     p, q = [], []
     p_prev, q_prev = 1, 0  # (p_{-1}, q_{-1})

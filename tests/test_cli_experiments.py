@@ -27,22 +27,23 @@ from torusrenorm.fourier_field import load_field
 
 class TestParsing:
     def test_named_slopes(self):
-        assert parse_slope("golden").kind == "quadratic"
-        assert parse_slope("sqrt2").kind == "quadratic"
-        assert parse_slope("silver").kind == "quadratic"
+        for name in ("golden", "sqrt2", "silver"):
+            s = parse_slope(name)
+            assert s.bits is None and not s.value.is_rational()
 
     def test_rational(self):
         s = parse_slope("7/5")
-        assert s.kind == "rational" and float(s) == pytest.approx(1.4)
+        assert s.bits is None and s.value.is_rational()
+        assert float(s) == pytest.approx(1.4)
 
     def test_quadratic_tuple(self):
         s = parse_slope("1,1,5,2")
-        assert s.kind == "quadratic"
+        assert s.bits is None and not s.value.is_rational()
         assert float(s) == pytest.approx((1 + 5**0.5) / 2)
 
     def test_decimal_with_bits(self):
         s = parse_slope("1.4142135623730950488@128")
-        assert s.kind == "real" and s.bits == 128
+        assert s.bits == 128 and isinstance(s.value, mpmath.ctx_iv.ivmpf)
 
     def test_bad_slope(self):
         with pytest.raises(ConfigInvalid):

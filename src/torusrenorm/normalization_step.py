@@ -562,20 +562,21 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         gmres_failures += info != 0
         delta = -z / divisors
 
+        # halve the step until a trial lowers the residual; a trial whose DU
+        # is singular is rejected like one that does not
         step = 1.0
-        best = None
+        moved = False
         for _halving in range(9):
-            trial = evaluate(current.uvec + step * delta)
-            if best is None or trial.res < best.res:
-                best = trial
-            if trial.res < current.res:
+            try:
+                trial = evaluate(current.uvec + step * delta)
+            except SingularJacobian:
+                trial = None
+            if trial is not None and trial.res < current.res:
+                current, moved = trial, True
                 break
             # release a rejected trial's grids before the next is formed
-            del trial
+            trial = None
             step *= 0.5
-        moved = best.res < current.res
-        if moved:
-            current = best
         residuals.append(current.res)
         if current.res <= tol:
             break

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,46 @@ class TestEliminateFar:
         # that sweep bit for bit, 122 pullbacks in all over MAX_SWEEPS
         calls = count_pullbacks(monkeypatch)
         x = mixed_perturbation_field(100.0)
+        with pytest.raises(NoConvergence, match="after 1 sweeps"):
+            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        # the initial state, 9 trial steps and one floor probe
+        assert len(calls) == 11
+
+    def test_a_nan_trial_is_rejected_and_a_shorter_step_taken(self, monkeypatch):
+        # the first trial step of the first sweep has a NaN far residual;
+        # the half step that follows lowers the residual and is accepted
+        pull_back = normalization_step._pull_back
+        calls = []
+
+        def first_trial_nan(*args, **kwargs):
+            pull = pull_back(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:
+                pull = replace(pull, fit_w=pull.fit_w * math.nan)
+            return pull
+
+        monkeypatch.setattr(normalization_step, "_pull_back", first_trial_nan)
+        x = mixed_perturbation_field(1e-3)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            tol=1e-12)
+        assert result.residuals[1] < result.residuals[0]
+        assert norm_r(project(result.field, CONE, "outside"), 0.9) <= 1e-12
+
+    def test_a_singular_trial_is_a_rejected_step(self, monkeypatch):
+        # all 9 trial steps of the first sweep meet a singular DU: the sweep
+        # cannot move, and the solve ends in NoConvergence, not the error
+        core = normalization_step._pullback_core
+        calls = []
+
+        def singular_trials(*args, **kwargs):
+            calls.append(1)
+            if 2 <= len(calls) <= 10:
+                raise SingularJacobian("det DU changes sign")
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(normalization_step, "_pullback_core",
+                            singular_trials)
+        x = mixed_perturbation_field(1e-3)
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         # the initial state, 9 trial steps and one floor probe

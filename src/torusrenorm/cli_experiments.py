@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -98,7 +99,8 @@ def _parse_numeric_slope(text: str) -> Slope:
 
 
 def parse_perturbation(text: str):
-    """'kind:amplitude' with kind in resonant | unstable | mixed."""
+    """'kind:amplitude' with kind in resonant | unstable | mixed and a
+    finite amplitude."""
     try:
         kind, amp = text.split(":")
         amp = float(amp)
@@ -106,19 +108,23 @@ def parse_perturbation(text: str):
         raise ConfigInvalid(f"perturbation must be kind:amp, got {text!r}") from exc
     if kind not in ("resonant", "unstable", "mixed"):
         raise ConfigInvalid(f"unknown perturbation kind {kind!r}")
+    if not math.isfinite(amp):
+        raise ConfigInvalid(f"perturbation amplitude must be finite, got {amp}")
     return kind, amp
 
 
 def config_number(config: dict, key: str, kind=float, default=None,
                   least=None):
     """config[key], or default when the key is absent, converted by kind
-    (int or float); ConfigInvalid when the text is not such a number, or
-    when the number is below least."""
+    (int or float); ConfigInvalid when the text is not such a number, when
+    a float is not finite, or when the number is below least."""
     text = config.get(key, default)
     try:
         value = kind(text)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{key} must be {kind.__name__}, got {text!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigInvalid(f"{key} must be finite, got {value}")
     if least is not None and value < least:
         raise ConfigInvalid(f"{key} must be at least {least}, got {value}")
     return value
@@ -157,20 +163,25 @@ def config_hash(config: dict) -> str:
 
 def build_params(config: dict):
     """(params, slope) of a configuration; ConfigInvalid for a sigma outside
-    0 < sigma < 1/3 or a truncation whose resonant cone at the slope holds
-    no mode."""
+    0 < sigma < 1/3, widths outside 0 < kappa rho < rho', a negative tol,
+    or a truncation whose resonant cone at the slope holds no mode."""
     slope = parse_slope(config["slope"])
     params = RenormParams(
         sigma=config_number(config, "sigma"),
         rho=config_number(config, "rho"),
         rho_prime=config_number(config, "rho_prime"),
         truncation=config_number(config, "truncation", int, least=1),
-        tol=config_number(config, "tol"),
+        tol=config_number(config, "tol", least=0),
     )
     try:
-        params.kappa  # raises outside 0 < sigma < 1/3
+        kappa = params.kappa  # raises outside 0 < sigma < 1/3
     except ValueError as exc:
         raise ConfigInvalid(f"sigma {params.sigma}: {exc}") from exc
+    if not 0 < kappa * params.rho < params.rho_prime:
+        raise ConfigInvalid(
+            f"widths need 0 < kappa*rho < rho', got kappa*rho = "
+            f"{kappa * params.rho:.4g} and rho' = {params.rho_prime}"
+        )
     omega = np.array([1.0, float(slope)])
     if not len(resonant_modes(omega, params.sigma, params.truncation)):
         raise ConfigInvalid(
@@ -234,7 +245,7 @@ def scenario_cf(config, out_dir, tag):
     slope = parse_slope(config["slope"])
     n_terms = config_number(config, "n_terms", int, least=1)
     cf = cf_expand(slope, n_terms)
-    probe = diophantine_probe(cf, config_number(config, "dc_order"),
+    probe = diophantine_probe(cf, config_number(config, "dc_order", least=0),
                               len(cf.coefficients))
     probe_cols = {int(n): i for i, n in enumerate(probe.n_values)}
     rows = []
@@ -272,7 +283,11 @@ def scenario_cf(config, out_dir, tag):
 def scenario_project(config, out_dir, tag):
     params, slope = build_params(config)
     if "field_in" in config:
-        field = load_field(config["field_in"])
+        try:
+            field = load_field(config["field_in"])
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ConfigInvalid(
+                f"cannot load field {config['field_in']!r}: {exc!r}") from exc
     else:
         rng = np.random.default_rng(config_number(config, "seed", int))
         omega = np.array([1.0, float(slope)])
@@ -285,7 +300,8 @@ def scenario_project(config, out_dir, tag):
         omega = np.array([1.0, float(slope)])
         cone = FarResonant((omega[0], omega[1]), params.sigma)
     elif cone_kind == "kappa":
-        cone = Kappa(config_number(config, "a", int, "1"), params.kappa)
+        cone = Kappa(config_number(config, "a", int, "1", least=1),
+                     params.kappa)
     else:
         raise ConfigInvalid(f"unknown cone {cone_kind!r}")
     side = config.get("side", "inside")
@@ -312,12 +328,14 @@ def scenario_scale(config, out_dir, tag):
     params, slope = build_params(config)
     omega = np.array([1.0, float(slope)])
     a = int(float(slope))
+    if a < 1:
+        raise ConfigInvalid(f"scale needs a slope of at least 1, got {float(slope)}")
     rng = np.random.default_rng(config_number(config, "seed", int))
     _, amp = parse_perturbation(config["perturb"])
     bound = operator_norm_bound(a, params.rho, params.rho_prime, params.kappa)
     rows = []
     worst = 0.0
-    n_fields = config_number(config, "n_fields", int, "100")
+    n_fields = config_number(config, "n_fields", int, "100", least=1)
     for i in range(n_fields):
         field = random_resonant_field(omega, params.sigma, amp,
                                       params.truncation, rng,
@@ -455,7 +473,7 @@ def scenario_spectrum(config, out_dir, tag):
 
 def scenario_decay_probe(config, out_dir, tag):
     params, slope = build_params(config)
-    n = config_number(config, "steps", int, "6", least=0)
+    n = config_number(config, "steps", int, least=0)
     cf = cf_expand(slope, n + 4)
     rep = stable_decay_probe(cf, n, params)
     ratios = rep.log_ratios()

@@ -277,10 +277,50 @@ class TestMain:
         ["decay-probe", "--truncation", "0"],
         # golden at sigma 0.1: the first resonant mode, (-3, 2), has norm 5
         ["orbit", "--truncation", "4", "--seed", "1"],
+        # widths need 0 < kappa rho < rho' (kappa = 0.767 at sigma 0.1)
+        ["orbit", "--rho", "2", "--seed", "1"],
+        ["orbit", "--rho", "nan", "--seed", "1"],
+        ["orbit", "--rho-prime", "0", "--seed", "1"],
+        ["decay-probe", "--rho-prime", "-1"],
+        ["orbit", "--tol", "-1", "--seed", "1"],
+        ["cf", "--dc-order", "-1"],
+        ["scale", "--slope", "1/2", "--seed", "1"],
+        ["scale", "--n-fields", "-1", "--seed", "1"],
+        ["orbit", "--perturb", "resonant:nan", "--seed", "1"],
+        # a rational that overflows a float
+        ["cf", "--slope", f"{10**400}/1"],
     ])
     def test_malformed_number_exit_two(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, '{"width": 0.9}', "[1, 2]", "{"],
+                             ids=["missing", "no-modes", "list", "broken"])
+    def test_unloadable_field_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "field.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["project", "--field-in", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "cannot load field" in capsys.readouterr().err
+
+    def test_kappa_cone_needs_a_positive_shift(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=0\n")
+        argv = ["project", "--cone", "kappa", "--config", str(cfg),
+                "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "a must be at least 1" in capsys.readouterr().err
+
+    def test_singular_newton_trial_exits_three(self, tmp_path, capsys):
+        # the full Newton step meets a singular DU and no shorter step
+        # lowers the residual: the solve ends in NoConvergence, reported
+        argv = ["eliminate", "--perturb", "mixed:2", "--seed", "2",
+                "--truncation", "12", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        manifest = next(tmp_path.glob("eliminate_*.json"))
+        error = json.loads(manifest.read_text())["results"]["error"]
+        assert error.startswith("far residual") and "after 1 sweeps" in error
 
     @pytest.mark.parametrize("argv, needed", [
         (["decay-probe", "--slope", "7/5"], 10),

@@ -12,6 +12,8 @@ quadratically once inside the contraction region.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,8 +105,11 @@ PHASE_CHUNK = 48
 # exp(x) rounds to exactly 1 for |x| < 2^-54; half of that leaves room for
 # the rounding of the bound and of the exponents it bounds
 MIRROR_BOUND = 2.0 ** -55
-# bytes of the phase rows of one block of grid columns
-BLOCK_BYTES = 2 ** 19
+# bytes of the phase rows of one block of grid columns.  A block's widest
+# product, 4 rows by at most M modes by its columns, then has at most 2^16
+# multiply-adds; OpenBLAS 0.3.31 runs a zgemm that small on the calling
+# thread, so BLAS starts no threads beside the two that share the blocks
+BLOCK_BYTES = 2 ** 18
 
 
 def _column_width(rows, points):
@@ -154,6 +159,41 @@ def _fill_phases(phases, term, runs, k1, k2, p1, p2):
             np.conjugate(phases[source - count + 1 : source + 1][::-1], out=rows)
 
 
+def _inverse_jacobian(u_grid, grid):
+    """Du, (DU)^{-1} and min |det DU| on the grid, DU = I + Du; raises
+    SingularJacobian where DU is (nearly) singular."""
+    from scipy.fft import fft2, ifft2
+
+    # u is band-limited so spectral differentiation of its samples is exact
+    u_spec = fft2(u_grid, axes=(1, 2))
+    k_axis = np.fft.fftfreq(grid, d=1.0 / grid)
+    du_spec = np.zeros((2, 2, grid, grid), dtype=complex)
+    du_spec[:, 0] = u_spec * ((TWO_PI * 1j) * k_axis)[None, :, None]
+    du_spec[:, 1] = u_spec * ((TWO_PI * 1j) * k_axis)[None, None, :]
+    du = ifft2(du_spec, axes=(2, 3))
+    del u_spec, du_spec
+    a11 = 1.0 + du[0, 0]
+    a12 = du[0, 1]
+    a21 = du[1, 0]
+    a22 = 1.0 + du[1, 1]
+    det = a11 * a22 - a12 * a21
+    min_det = float(np.min(np.abs(det)))
+    if min_det < DET_TOL:
+        raise SingularJacobian(
+            f"min |det DU| = {min_det:.3e} on the collocation grid"
+        )
+    # a real determinant changing sign vanishes between collocation points
+    if np.max(np.abs(det.imag)) < 1e-10 * np.max(np.abs(det.real)):
+        if np.min(det.real) < 0.0 < np.max(det.real):
+            raise SingularJacobian("det DU changes sign on the collocation grid")
+    inv = np.empty((2, 2, grid, grid), dtype=complex)
+    inv[0, 0] = a22 / det
+    inv[0, 1] = -a12 / det
+    inv[1, 0] = -a21 / det
+    inv[1, 1] = a11 / det
+    return du, inv, min_det
+
+
 def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     """Perturbation-form pullback grids for X = v + h (v constant, h oscillatory).
 
@@ -162,8 +202,6 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     FFT round-off then stays proportional to the signal being fitted.
     Returns (W, A^{-1}, min |det DU|, Dh o U) with W the bracket term.
     """
-    from scipy.fft import fft2, ifft2
-
     points = grid * grid
     axes = np.arange(grid, dtype=float) / grid
     point1 = (axes[:, None] + u_grid[0]).reshape(-1)
@@ -206,53 +244,54 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     runs = _phase_runs(mirror)
 
     # the phase rows of one block of grid columns at a time; every operand
-    # of a product is a C-ordered view of the buffers, as with all columns
+    # of a product is a C-ordered view of the buffers, as with all columns.
+    # Two threads take the next block from one range iterator (next() on
+    # it is atomic under the GIL), each filling its own buffers and its
+    # blocks' columns: a block's bytes do not depend on the thread that
+    # computes it
     width = _column_width(len(support), points)
-    phase_buffer = np.empty(len(support) * width, dtype=complex)
-    term_buffer = np.empty_like(phase_buffer)
-    for first in range(0, points, width):
-        cols = slice(first, min(first + width, points))
-        count = cols.stop - first
-        phases = phase_buffer[: len(support) * count].reshape(-1, count)
-        term = term_buffer[: len(support) * count].reshape(-1, count)
-        _fill_phases(phases, term, runs, k1, k2, point1[cols], point2[cols])
-        for start, stop, cs_t, jacs in chunks:
-            h_at_u[:, cols] += np.dot(cs_t, phases[start:stop])
-            if with_derivative:
-                dh_at_u[:, :, cols] += np.dot(jacs, phases[start:stop]).reshape(
-                    2, 2, count)
+    starts = iter(range(0, points, width))
+
+    def fill_blocks():
+        phase_buffer = np.empty(len(support) * width, dtype=complex)
+        term_buffer = np.empty_like(phase_buffer)
+        for first in starts:
+            cols = slice(first, min(first + width, points))
+            count = cols.stop - first
+            phases = phase_buffer[: len(support) * count].reshape(-1, count)
+            term = term_buffer[: len(support) * count].reshape(-1, count)
+            _fill_phases(phases, term, runs, k1, k2, point1[cols], point2[cols])
+            for start, stop, cs_t, jacs in chunks:
+                h_at_u[:, cols] += np.dot(cs_t, phases[start:stop])
+                if with_derivative:
+                    dh_at_u[:, :, cols] += np.dot(
+                        jacs, phases[start:stop]).reshape(2, 2, count)
+
+    failures = []
+
+    def work():
+        try:
+            fill_blocks()
+        except BaseException as exc:
+            failures.append(exc)
+
+    worker = None
+    if points > width and len(os.sched_getaffinity(0)) > 1:
+        worker = threading.Thread(target=work, name="pullback-blocks")
+        worker.start()
+    try:
+        du, inv, min_det = _inverse_jacobian(u_grid, grid)
+        fill_blocks()
+    finally:
+        if worker is not None:
+            for _ in starts:  # leave the worker no further block
+                pass
+            worker.join()
+    if failures:
+        raise failures[0]
     h_at_u = h_at_u.reshape(2, grid, grid)
     if with_derivative:
         dh_at_u = dh_at_u.reshape(2, 2, grid, grid)
-
-    # DU = I + Du on the grid; u is band-limited so spectral differentiation
-    # of its samples is exact
-    u_spec = fft2(u_grid, axes=(1, 2))
-    k_axis = np.fft.fftfreq(grid, d=1.0 / grid)
-    du_spec = np.zeros((2, 2, grid, grid), dtype=complex)
-    du_spec[:, 0] = u_spec * ((TWO_PI * 1j) * k_axis)[None, :, None]
-    du_spec[:, 1] = u_spec * ((TWO_PI * 1j) * k_axis)[None, None, :]
-    du = ifft2(du_spec, axes=(2, 3))
-    del u_spec, du_spec
-    a11 = 1.0 + du[0, 0]
-    a12 = du[0, 1]
-    a21 = du[1, 0]
-    a22 = 1.0 + du[1, 1]
-    det = a11 * a22 - a12 * a21
-    min_det = float(np.min(np.abs(det)))
-    if min_det < DET_TOL:
-        raise SingularJacobian(
-            f"min |det DU| = {min_det:.3e} on the collocation grid"
-        )
-    # a real determinant changing sign vanishes between collocation points
-    if np.max(np.abs(det.imag)) < 1e-10 * np.max(np.abs(det.real)):
-        if np.min(det.real) < 0.0 < np.max(det.real):
-            raise SingularJacobian("det DU changes sign on the collocation grid")
-    inv = np.empty((2, 2, grid, grid), dtype=complex)
-    inv[0, 0] = a22 / det
-    inv[0, 1] = -a12 / det
-    inv[1, 0] = -a21 / det
-    inv[1, 1] = a11 / det
 
     v = np.asarray(v, dtype=complex)
     bracket = h_at_u - np.einsum("ij...,j->i...", du, v)

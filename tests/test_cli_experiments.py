@@ -467,13 +467,15 @@ def test_outputs_keep_their_bytes(argv, tmp_path):
 
 
 # A fresh interpreter imports the package, runs the CLI arguments it is
-# given (if any), and prints the scipy modules it loaded as its last line.
+# given (if any), and prints the number of live threads and then the scipy
+# modules it loaded as its last two lines.
 COLD_PROBE = """
-import json, sys
+import json, sys, threading
 import torusrenorm
 if sys.argv[1:]:
     from torusrenorm.cli_experiments import main
     assert main(sys.argv[1:]) == 0
+print(threading.active_count())
 print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
 """
 
@@ -498,7 +500,9 @@ def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
     run = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv, *out_args],
                          env=env, check=True, capture_output=True, text=True,
                          timeout=300)
-    *printed, modules = run.stdout.splitlines()
+    *printed, threads, modules = run.stdout.splitlines()
+    # no scenario leaves a thread behind
+    assert threads == "1"
     assert [m for m in json.loads(modules)
             if any(m == name or m.startswith(name + ".") for name in unloaded)
             ] == []

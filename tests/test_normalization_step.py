@@ -1,5 +1,9 @@
 import inspect
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +18,7 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
 )
-from torusrenorm import normalization_step
+from torusrenorm import fourier_field, normalization_step
 from torusrenorm.normalization_step import (
     FarSolves,
     TorusMap,
@@ -462,8 +466,8 @@ class TestMirrorPhases:
     @pytest.mark.parametrize("m", [49, 150])
     @pytest.mark.parametrize("with_derivative", [False, True])
     def test_odd_grid(self, monkeypatch, m, with_derivative):
-        # 25^2 = 625 = 1 mod 4 columns; at 150 modes, blocks of 192, 192,
-        # 192 and 49
+        # 25^2 = 625 = 1 mod 4 columns; at 150 modes, nine blocks of 64 and
+        # one of 49
         runs = self.both(monkeypatch, support_field(m),
                          displacement_grid(1e-23, grid=25), with_derivative)
         assert computed_rows(runs) == (m + 1) // 2
@@ -531,3 +535,112 @@ def test_pullback_core_keeps_the_parameters_tracers_read():
     # the benchmark's pullback hook binds the call's arguments by name
     parameters = inspect.signature(normalization_step._pullback_core).parameters
     assert {"h", "grid"} <= set(parameters)
+
+
+MULTI_CORE = len(os.sched_getaffinity(0)) > 1
+
+
+def on_threads(threads, name, fn):
+    """fn, recording in threads[name] the ident of each thread calling it."""
+
+    def recorded(*args, **kwargs):
+        threads.setdefault(name, set()).add(threading.get_ident())
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+def test_only_the_phase_blocks_leave_the_calling_thread(monkeypatch):
+    # the benchmark's tracer wraps the field code and the fits, and its span
+    # stack is not thread-safe; the worker only fills and contracts blocks
+    threads = {}
+    for name in ("fit_grid", "project", "norm_r"):
+        recorded = on_threads(threads, name, getattr(fourier_field, name))
+        monkeypatch.setattr(fourier_field, name, recorded)
+        monkeypatch.setattr(normalization_step, name, recorded)
+    monkeypatch.setattr(FourierVectorField, "__init__", on_threads(
+        threads, "__init__", FourierVectorField.__init__))
+    monkeypatch.setattr(normalization_step, "_fill_phases", on_threads(
+        threads, "_fill_phases", normalization_step._fill_phases))
+    x = mixed_perturbation_field(1e-3, truncation=32)
+    eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+    caller = {threading.get_ident()}
+    for name in ("fit_grid", "project", "norm_r", "__init__"):
+        assert threads[name] == caller, name
+    # 10 modes on 132^2 grid columns, in blocks of 1,600: the worker took
+    # some
+    assert (threads["_fill_phases"] > caller) == MULTI_CORE
+
+
+@pytest.mark.skipif(not MULTI_CORE, reason="one core: no worker is started")
+def test_the_worker_is_joined_before_the_pullback_returns(monkeypatch):
+    h = support_field(150)
+    grid = 64
+    args = (PSI.astype(complex), h, displacement_grid(1e-23, grid=grid),
+            grid, True)
+    baseline = threading.active_count()
+    normalization_step._pullback_core(*args)
+    assert threading.active_count() == baseline
+
+    # u1 = 0.3 sin(2 pi theta1): det DU = 1 + 0.6 pi cos(2 pi theta1)
+    # changes sign.  The determinant is formed while the worker sleeps in
+    # its first block; the error waits for the worker
+    filling = threading.Event()
+    fill = normalization_step._fill_phases
+    inverse = normalization_step._inverse_jacobian
+    filled = []
+
+    def slow_fill(*fill_args):
+        filled.append(threading.get_ident())
+        filling.set()
+        time.sleep(0.05)
+        return fill(*fill_args)
+
+    def inverse_while_filling(*inverse_args):
+        assert filling.wait(10)
+        return inverse(*inverse_args)
+
+    monkeypatch.setattr(normalization_step, "_fill_phases", slow_fill)
+    monkeypatch.setattr(normalization_step, "_inverse_jacobian",
+                        inverse_while_filling)
+    u_grid = np.zeros((2, grid, grid), dtype=complex)
+    u_grid[0] = 0.3 * np.sin(2.0 * math.pi * np.arange(grid) / grid)[:, None]
+    with pytest.raises(SingularJacobian, match="changes sign"):
+        normalization_step._pullback_core(*args[:2], u_grid, grid, True)
+    assert threading.active_count() == baseline
+    # 64 blocks of 64 columns; the worker took none after the error
+    assert len(filled) == 1 and filled[0] != threading.get_ident()
+
+
+def test_concurrent_pullbacks_keep_their_bytes():
+    # each call owns its buffers: two calls at once on different inputs,
+    # each with its worker (4 blocks of 625 columns), give the bytes of
+    # serial calls; a short switch interval interleaves the four threads
+    grid = 25
+    inputs = [(PSI.astype(complex), support_field(80, seed=seed),
+               displacement_grid(1e-23, grid=grid, seed=seed), grid, True)
+              for seed in (1, 2)]
+    serial = [normalization_step._pullback_core(*args) for args in inputs]
+    barrier = threading.Barrier(len(inputs))
+    outputs = [[] for _ in inputs]
+
+    def call(args, out):
+        barrier.wait(timeout=30)
+        out.extend(normalization_step._pullback_core(*args) for _ in range(20))
+
+    callers = [threading.Thread(target=call, args=pair)
+               for pair in zip(inputs, outputs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for expected, got in zip(serial, outputs, strict=True):
+        assert len(got) == 20
+        for output in got:
+            assert_same_bytes(output, expected)

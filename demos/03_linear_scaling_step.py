@@ -25,13 +25,13 @@ SIGMA = 0.1
 KAPPA = kappa_from_sigma(SIGMA)
 
 print("=== the constant field is an eigen-direction ===")
-x = FourierVectorField.constant(OMEGA, width=RHO_PRIME)
+x = FourierVectorField.constant(OMEGA)
 y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
 print(f"T_1^(-1) (1, gamma) = {np.real(y.average())}  "
       f"(= (1, gamma)/gamma: same slope, contracted by 1/gamma)")
 
 print("\n=== one oscillatory mode: the l1 norm of k halves ===")
-x = FourierVectorField({(1, -1): [1e-3, 0]}, RHO_PRIME, 8)
+x = FourierVectorField({(1, -1): [1e-3, 0]}, 8)
 y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
 print(f"mode (1,-1) -> {list(y.modes)[0]}")
 

@@ -33,9 +33,9 @@ def perturbed(eps, seed=0):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         modes[k] = c * math.exp(-0.9 * (abs(k[0]) + abs(k[1])))
         modes[(-k[0], -k[1])] = np.conj(modes[k])
-    pert = FourierVectorField(modes, 0.9, TRUNC)
+    pert = FourierVectorField(modes, TRUNC)
     pert = pert * (eps / norm_r(pert, 0.9))
-    return FourierVectorField.constant(PSI, 0.9, TRUNC) + pert, pert
+    return FourierVectorField.constant(PSI, TRUNC) + pert, pert
 
 
 print("=== Newton sweep residuals at perturbation 1e-3 ===")
@@ -62,8 +62,8 @@ print("\n=== the derivative at psi is the resonant projection ===")
 eps = 1e-6
 _, f = perturbed(1.0, seed=4)
 f = f * (1.0 / norm_r(f, 0.9))
-x_plus = FourierVectorField.constant(PSI, 0.9, TRUNC) + f * eps
-x_minus = FourierVectorField.constant(PSI, 0.9, TRUNC) + f * (-eps)
+x_plus = FourierVectorField.constant(PSI, TRUNC) + f * eps
+x_minus = FourierVectorField.constant(PSI, TRUNC) + f * (-eps)
 plus = eliminate_far_perturbation(PSI, x_plus.minus_constant(PSI), SIGMA,
                                   tol=1e-13).field
 minus = eliminate_far_perturbation(PSI, x_minus.minus_constant(PSI), SIGMA,

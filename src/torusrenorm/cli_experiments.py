@@ -291,10 +291,9 @@ def scenario_project(config, out_dir, tag):
     else:
         rng = np.random.default_rng(config_number(config, "seed", int))
         omega = np.array([1.0, float(slope)])
-        field = FourierVectorField.constant(
-            omega, params.rho_prime, params.truncation
-        ) + random_resonant_field(omega, 3 * params.sigma, 1e-3,
-                                  params.truncation, rng)
+        field = FourierVectorField.constant(omega, params.truncation) + (
+            random_resonant_field(omega, 3 * params.sigma, 1e-3,
+                                  params.truncation, rng))
     cone_kind = config.get("cone", "far")
     if cone_kind == "far":
         omega = np.array([1.0, float(slope)])
@@ -356,9 +355,7 @@ def scenario_eliminate(config, out_dir, tag):
     params, slope = build_params(config)
     omega = np.array([1.0, float(slope)])
     f, pert_info = perturbation_field(config, slope, params)
-    x = FourierVectorField.constant(
-        omega, params.rho_prime, params.truncation
-    ) + f
+    x = FourierVectorField.constant(omega, params.truncation) + f
     far_modes_in = len(project(x, FarResonant((omega[0], omega[1]),
                                               params.sigma), "outside"))
     solves = FarSolves()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -33,6 +34,16 @@ def _l1(v) -> float:
 
 def mode_l1(k) -> int:
     return abs(k[0]) + abs(k[1])
+
+
+def _truncation(t) -> int:
+    """t as an int; anything but a non-negative integer raises ValueError."""
+    try:
+        if operator.index(t) >= 0:
+            return operator.index(t)
+    except TypeError:
+        pass
+    raise ValueError(f"truncation must be a non-negative integer, got {t!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -114,13 +125,14 @@ class FourierVectorField:
 
     coeffs is a read-only (2, N_T) complex array over
     mode_index(truncation); modes is a read-only mapping view of the
-    nonzero modes, in sorted order.
+    nonzero modes, in sorted order.  A field has no width of its own: the
+    norms norm_r and norm_prime_r take the width as an argument.
     """
 
-    __slots__ = ("coeffs", "width", "truncation", "_modes")
+    __slots__ = ("coeffs", "truncation", "_modes")
 
-    def __init__(self, modes, width: float, truncation: int):
-        index = mode_index(int(truncation))
+    def __init__(self, modes, truncation: int):
+        index = mode_index(_truncation(truncation))
         coeffs = np.zeros((2, len(index)), dtype=complex)
         if modes:
             keys = [(int(k[0]), int(k[1])) for k in modes]
@@ -129,25 +141,22 @@ class FourierVectorField:
             if any(c.shape != (2,) for c in values):
                 raise ValueError("coefficients must be 2-vectors")
             coeffs[:, positions] = np.array(values).T
-        self._set(coeffs, width, truncation)
+        self._set(coeffs, truncation)
 
     @classmethod
-    def from_array(cls, coeffs: np.ndarray, width: float, truncation: int):
+    def from_array(cls, coeffs: np.ndarray, truncation: int):
         """Field over mode_index(truncation) with the complex (2, N_T)
         array coeffs, which it keeps without a copy and marks read-only."""
         x = cls.__new__(cls)
-        x._set(coeffs, width, truncation)
+        x._set(coeffs, truncation)
         return x
 
-    def _set(self, coeffs, width, truncation):
-        if width <= 0:
-            raise ValueError("width must be positive")
-        truncation = int(truncation)
+    def _set(self, coeffs, truncation):
+        truncation = _truncation(truncation)
         if coeffs.shape != (2, len(mode_index(truncation))) or coeffs.dtype != complex:
             raise ValueError(f"coefficients must be a complex (2, N_T) array "
                              f"for truncation {truncation}")
         object.__setattr__(self, "coeffs", _frozen(coeffs))
-        object.__setattr__(self, "width", float(width))
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_modes", None)
 
@@ -157,12 +166,12 @@ class FourierVectorField:
     # constructors ----------------------------------------------------------
 
     @classmethod
-    def constant(cls, vec, width: float = 1.0, truncation: int = 32):
-        return cls({(0, 0): np.asarray(vec, dtype=complex)}, width, truncation)
+    def constant(cls, vec, truncation: int = 32):
+        return cls({(0, 0): np.asarray(vec, dtype=complex)}, truncation)
 
     @classmethod
-    def zero(cls, width: float = 1.0, truncation: int = 32):
-        return cls({}, width, truncation)
+    def zero(cls, truncation: int = 32):
+        return cls({}, truncation)
 
     # basic queries ---------------------------------------------------------
 
@@ -206,10 +215,11 @@ class FourierVectorField:
     # algebra ---------------------------------------------------------------
 
     def _combined(self, other, op):
-        trunc = max(self.truncation, other.truncation)
-        a = self.with_truncation(trunc).coeffs
-        b = other.with_truncation(trunc).coeffs
-        return FourierVectorField.from_array(op(a, b), self.width, trunc)
+        if other.truncation != self.truncation:
+            raise ValueError(f"truncations {self.truncation} and "
+                             f"{other.truncation} differ")
+        return FourierVectorField.from_array(op(self.coeffs, other.coeffs),
+                                             self.truncation)
 
     def __add__(self, other):
         return self._combined(other, np.add)
@@ -218,17 +228,10 @@ class FourierVectorField:
         return self._combined(other, np.subtract)
 
     def __mul__(self, scalar):
-        return FourierVectorField.from_array(
-            self.coeffs * scalar, self.width, self.truncation
-        )
+        return FourierVectorField.from_array(self.coeffs * scalar,
+                                             self.truncation)
 
     __rmul__ = __mul__
-
-    def matrix_apply(self, m) -> "FourierVectorField":
-        """Apply a 2x2 matrix to every coefficient."""
-        return FourierVectorField.from_array(
-            _matrix_apply(np.asarray(m), self.coeffs), self.width, self.truncation
-        )
 
     def transport(self, mode_map, m) -> "FourierVectorField":
         """Move the coefficient c of mode k to mode mode_map @ k, as m @ c.
@@ -242,31 +245,19 @@ class FourierVectorField:
         out[:, self.index.positions(images)] = _matrix_apply(
             np.asarray(m), self.coeffs[:, nz]
         )
-        return FourierVectorField.from_array(out, self.width, self.truncation)
+        return FourierVectorField.from_array(out, self.truncation)
 
     def minus_constant(self, vec) -> "FourierVectorField":
         out = self.coeffs.copy()
         z = out.shape[1] // 2
         out[:, z] = out[:, z] - np.asarray(vec, dtype=complex)
-        return FourierVectorField.from_array(out, self.width, self.truncation)
+        return FourierVectorField.from_array(out, self.truncation)
 
     def oscillatory(self) -> "FourierVectorField":
         """The field minus its spatial average: (I - E)X."""
         out = self.coeffs.copy()
         out[:, out.shape[1] // 2] = 0
-        return FourierVectorField.from_array(out, self.width, self.truncation)
-
-    def with_width(self, width: float) -> "FourierVectorField":
-        return FourierVectorField.from_array(self.coeffs, width, self.truncation)
-
-    def with_truncation(self, truncation: int) -> "FourierVectorField":
-        if truncation == self.truncation:
-            return self
-        target = mode_index(truncation)
-        nz = self.support()
-        out = np.zeros((2, len(target)), dtype=complex)
-        out[:, target.positions(self.index.k[nz])] = self.coeffs[:, nz]
-        return FourierVectorField.from_array(out, self.width, truncation)
+        return FourierVectorField.from_array(out, self.truncation)
 
     # grids -----------------------------------------------------------------
 
@@ -281,7 +272,7 @@ class FourierVectorField:
 
     def __repr__(self):
         return (
-            f"FourierVectorField({len(self)} modes, width={self.width}, "
+            f"FourierVectorField({len(self)} modes, "
             f"truncation={self.truncation})"
         )
 
@@ -293,7 +284,7 @@ class GridFitReport:
     floor: float
 
 
-def fit_grid(values: np.ndarray, width: float, truncation: int):
+def fit_grid(values: np.ndarray, truncation: int):
     """Fit grid values (2, G, G) into a truncated field.
 
     Coefficients below CHOP_REL * max|values| are treated as grid noise
@@ -317,7 +308,7 @@ def fit_grid(values: np.ndarray, width: float, truncation: int):
     i1, i2 = _grid_positions(truncation, grid)
     coeffs = spec[:, i1, i2]
     coeffs[:, mass[i1, i2] < floor] = 0
-    field = FourierVectorField.from_array(coeffs, width, truncation)
+    field = FourierVectorField.from_array(coeffs, truncation)
     return field, GridFitReport(dropped_mass=dropped, alias_residual=alias,
                                 floor=floor)
 
@@ -405,9 +396,8 @@ def project(x: FourierVectorField, cone, side: str) -> FourierVectorField:
     keep = cone_mask(cone, x.truncation)
     if side == "outside":
         keep = ~keep
-    return FourierVectorField.from_array(
-        np.where(keep, x.coeffs, 0), x.width, x.truncation
-    )
+    return FourierVectorField.from_array(np.where(keep, x.coeffs, 0),
+                                         x.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +414,7 @@ def field_to_dict(x: FourierVectorField, displacement: bool = False) -> dict:
                 "im": [float(c[0].imag), float(c[1].imag)],
             }
         )
-    out = {"width": x.width, "truncation": x.truncation, "modes": entries}
+    out = {"truncation": x.truncation, "modes": entries}
     if displacement:
         out["displacement"] = True
     return out
@@ -440,7 +430,8 @@ def field_from_dict(data: dict) -> FourierVectorField:
                 entry["re"][1] + 1j * entry["im"][1],
             ]
         )
-    return FourierVectorField(modes, data["width"], data["truncation"])
+    # a "width" key, which older files carry, is ignored
+    return FourierVectorField(modes, data["truncation"])
 
 
 def save_field(x: FourierVectorField, path, displacement: bool = False):
@@ -493,9 +484,9 @@ def winding_ratio(
     if not x.is_real_symmetric(1e-9):
         raise ValueError("winding ratio needs a field that is real on real theta")
 
-    # sufficient no-equilibria condition; advisory, not enforced
-    osc_size = norm_prime_r(x.oscillatory(), x.width) if len(x) else 0.0
-    no_equilibria = osc_size < _l1(np.real(x.average()))
+    # sufficient no-equilibria condition, advisory and not enforced: on real
+    # theta, ||X - E X||_1 <= sum_{k != 0} ||f_k||_1 < ||Re E X||_1
+    no_equilibria = np.sum(_mass(x.oscillatory())) < _l1(np.real(x.average()))
     note = "" if no_equilibria else "; no-equilibria condition not certified"
 
     if set(x.modes) <= {(0, 0)}:
@@ -538,7 +529,9 @@ def winding_ratio(
         t_end = sol.t[-1]
         phi_end = sol.y[:, -1]
         growth = max(growth, _l1(phi_end - theta0))
-        if _l1(phi_end - theta0) < growth_threshold:
+        # status 1: the growth event ended the integration.  Its located
+        # root may sit a rounding below growth_threshold
+        if sol.status != 1:
             status = "bounded" if _l1(phi_end - theta0) < 1.0 else "inconclusive"
             return WindingReport(
                 status, None, None, growth, 0.0,

@@ -67,8 +67,8 @@ class TorusMap:
         raise AttributeError("TorusMap is immutable")
 
     @classmethod
-    def identity(cls, width: float = 1.0, truncation: int = 32) -> "TorusMap":
-        return cls(FourierVectorField.zero(width, truncation))
+    def identity(cls, truncation: int = 32) -> "TorusMap":
+        return cls(FourierVectorField.zero(truncation))
 
     def is_identity(self) -> bool:
         return len(self.displacement) == 0
@@ -324,7 +324,7 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     w, inv_jac, min_det, dh_at_u = _pullback_core(
         v, h, u_grid, grid, with_derivative
     )
-    fit_w, fit = fit_grid(w, h.width, h.truncation)
+    fit_w, fit = fit_grid(w, h.truncation)
     return _Pullback(u, w, inv_jac, dh_at_u, min_det, fit_w, fit)
 
 
@@ -448,7 +448,6 @@ def eliminate_far_perturbation(
     psi = np.asarray(psi, dtype=complex)
     cone = FarResonant((psi[0], psi[1]), sigma)
     truncation = g0.truncation
-    width = g0.width
     eps_hat = guaranteed_ball_radius(psi, sigma, rho, rho_prime)
     input_size = norm_prime_r(g0, rho)
     inside_ball = input_size <= eps_hat
@@ -457,7 +456,7 @@ def eliminate_far_perturbation(
     far = np.flatnonzero(~cone_mask(cone, truncation))
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
-        ident = TorusMap.identity(width, truncation)
+        ident = TorusMap.identity(truncation)
         return EliminationResult(
             ident, _perturbation_from_fit(g0, psi), g0, 0, [0.0],
             eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs, 0.0,
@@ -468,7 +467,7 @@ def eliminate_far_perturbation(
     h = g0.oscillatory()
     key = (
         psi.tobytes(), v.tobytes(),
-        np.array([sigma, width, tol, rho_prime], dtype=float).tobytes(),
+        np.array([sigma, tol, rho_prime], dtype=float).tobytes(),
         truncation, h.coeffs.tobytes(),
     )
     solve = solves.get(key) if solves is not None else None
@@ -518,7 +517,6 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     from scipy.sparse.linalg import LinearOperator
 
     truncation = h.truncation
-    width = h.width
     # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode
     far_k = h.index.k[far]
     divisors = np.repeat(
@@ -528,7 +526,7 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     def displacement_from(uvec):
         coeffs = np.zeros((2, len(h.index)), dtype=complex)
         coeffs[:, far] = uvec.reshape(-1, 2).T
-        return TorusMap(FourierVectorField.from_array(coeffs, width, truncation))
+        return TorusMap(FourierVectorField.from_array(coeffs, truncation))
 
     def evaluate(uvec, with_derivative=True):
         """Pullback at the displacement uvec, in perturbation form."""

@@ -596,11 +596,8 @@ def _expand_real(value, bits: int, n_terms: int):
             tails.append(x)
             rem = x - a
             remainders.append(rem)
-            if not rem.b > 0:
-                # cannot certify rem > 0: either rational or out of digits
-                termination = "precision_exhausted"
-                break
             if not rem.a > 0:
+                # cannot certify rem > 0: either rational or out of digits
                 termination = "precision_exhausted"
                 break
             x = 1 / rem

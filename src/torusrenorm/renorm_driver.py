@@ -198,9 +198,7 @@ def one_step(
             step=n, norm=norm_f, bound=zeta,
         )
     z = 1.0 / alpha_next + z_tilde
-    f_next = (g_res.minus_constant(z_tilde * omega_next) * (1.0 / z)).with_width(
-        params.rho_prime
-    )
+    f_next = g_res.minus_constant(z_tilde * omega_next) * (1.0 / z)
 
     p, c = constant_split(f_next.average(), omega_next)
     diag = StepDiagnostics(
@@ -269,8 +267,7 @@ def linearized_step(
     )
     lf = resonant * alpha_next
     proj = complex(omega_next @ lf.average()) / float(omega_next @ omega_next)
-    out = lf.minus_constant(proj * omega_next)
-    return out.with_width(params.rho_prime)
+    return lf.minus_constant(proj * omega_next)
 
 
 @dataclass
@@ -400,9 +397,7 @@ def unstable_perturbation(
 ) -> FourierVectorField:
     """Constant perturbation along the orthogonal direction Omega_0."""
     cap = cap_omega_of(slope_value)
-    return FourierVectorField.constant(
-        amplitude * cap, width=params.rho_prime, truncation=params.truncation
-    )
+    return FourierVectorField.constant(amplitude * cap, params.truncation)
 
 
 def unstable_coordinate(state: RenormState) -> float:
@@ -415,7 +410,7 @@ def stabilize_resonant_perturbation(
     f0: FourierVectorField,
     slope: Slope,
     params: RenormParams,
-    solves: FarSolves | None = None,
+    solves: FarSolves,
 ):
     """Cancel the unstable constant component seeded by a perturbation.
 
@@ -429,8 +424,8 @@ def stabilize_resonant_perturbation(
     onto a scalar multiple of itself, so the secant absorbs the frame
     factor).
 
-    The probe orbits share one table of far-mode solves: solves, or a new
-    one.  Corrections below the resolution of the far-mode problems leave
+    The probe orbits share the caller's table of far-mode solves, solves.
+    Corrections below the resolution of the far-mode problems leave
     them byte-identical, so the later rounds reuse the earlier rounds'
     solves, and so does an orbit of f given the same table.
 
@@ -441,8 +436,6 @@ def stabilize_resonant_perturbation(
     f = f0
     cap0 = cap_omega_of(float(slope))
     m_prev = None
-    if solves is None:
-        solves = FarSolves()
     for _ in range(STABILIZE_ROUNDS):
         orbit = renorm_orbit(f, slope, PROBE_STEPS, params, solves)
         m = orbit.completed
@@ -462,9 +455,7 @@ def stabilize_resonant_perturbation(
             delta = -c_m / gain
         corrections.append(delta)
         m_prev = m
-        f = f + FourierVectorField.constant(
-            delta * cap0, width=f.width, truncation=f.truncation
-        )
+        f = f + FourierVectorField.constant(delta * cap0, f.truncation)
     return f, corrections
 
 
@@ -501,12 +492,10 @@ def mixed_perturbation(
         far[k] = c
         far[(-k[0], -k[1])] = np.conj(c)
     return (
-        FourierVectorField.constant(
-            amplitude / 4 * cap_omega_of(alpha0),
-            width=params.rho_prime, truncation=params.truncation,
-        )
+        FourierVectorField.constant(amplitude / 4 * cap_omega_of(alpha0),
+                                    params.truncation)
         + pert
-        + FourierVectorField(far, params.rho_prime, params.truncation)
+        + FourierVectorField(far, params.truncation)
     )
 
 
@@ -655,9 +644,7 @@ def quadratic_remainder_probe(
     )
     # add a constant component so the remainder sees the normalisation too
     direction = direction + FourierVectorField.constant(
-        np.array([0.2, -0.1]), width=params.rho_prime,
-        truncation=params.truncation,
-    )
+        np.array([0.2, -0.1]), params.truncation)
     direction = direction * (1.0 / norm_r(direction, params.rho_prime))
 
     sizes, rems, bounds = [], [], []

@@ -38,7 +38,9 @@ def scale_step(
 
     Every input mode must satisfy ||T_a* k|| <= kappa ||k||; a violating
     mode raises ConeViolation (dropping it silently would fake the
-    analyticity gain).  The output carries the target width rho.
+    analyticity gain).  rho and rho_prime are the widths of the norms in
+    which the step is bounded; they are checked, kappa rho < rho', and
+    the field does not record them.
     """
     if not kappa * rho < rho_prime:
         raise DomainError(
@@ -57,7 +59,7 @@ def scale_step(
     t = t_matrix(a)
     t_inv = t.inverse().as_array().astype(float)
     # T_a is symmetric, so T_a* k = T_a k
-    return x.transport(t.as_array(), t_inv).with_width(rho)
+    return x.transport(t.as_array(), t_inv)
 
 
 @dataclass
@@ -164,7 +166,7 @@ def random_resonant_field(
         c = c * math.exp(-width * mode_l1(k))
         modes[k] = c
         modes[(-k[0], -k[1])] = np.conj(c)
-    field = FourierVectorField(modes, width, truncation)
+    field = FourierVectorField(modes, truncation)
     # the norm summed in pick order: the scale, hence every coefficient
     # drawn for a seed, keeps its bits whatever order norm_r sums in
     size = sum(float(abs(c[0]) + abs(c[1])) * math.exp(width * mode_l1(k))

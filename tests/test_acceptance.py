@@ -141,8 +141,8 @@ def test_criterion_5_elimination_contract():
     # (i) U = id mode-exactly on resonant-only input
     res_modes = {(-3, 2): np.array([1e-3, 1e-3]),
                  (3, -2): np.array([1e-3, 1e-3])}
-    x_res = FourierVectorField.constant(psi, 0.9, trunc) + (
-        FourierVectorField(res_modes, 0.9, trunc)
+    x_res = FourierVectorField.constant(psi, trunc) + (
+        FourierVectorField(res_modes, trunc)
     )
     r_res = eliminate_far_perturbation(psi, x_res.minus_constant(psi), sigma)
     part_i = r_res.map.is_identity() and r_res.sweeps == 0
@@ -154,9 +154,9 @@ def test_criterion_5_elimination_contract():
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         modes[k] = c * math.exp(-0.9 * (abs(k[0]) + abs(k[1])))
         modes[(-k[0], -k[1])] = np.conj(modes[k])
-    pert = FourierVectorField(modes, 0.9, trunc)
+    pert = FourierVectorField(modes, trunc)
     pert = pert * (1e-3 / norm_prime_r(pert, 1.0))
-    x = FourierVectorField.constant(psi, 0.9, trunc) + pert
+    x = FourierVectorField.constant(psi, trunc) + pert
     r_mixed = eliminate_far_perturbation(psi, x.minus_constant(psi), sigma,
                                          tol=1e-12)
     far_after = norm_r(project(r_mixed.field, cone, "outside"), 0.9)
@@ -165,7 +165,7 @@ def test_criterion_5_elimination_contract():
     # (iii) convergence order from the first-sweep residual across epsilon
     logs_eps, logs_res = [], []
     for eps in (1e-4, 1e-5, 1e-6):
-        x_eps = FourierVectorField.constant(psi, 0.9, trunc) + pert * (
+        x_eps = FourierVectorField.constant(psi, trunc) + pert * (
             eps / 1e-3
         )
         r_eps = eliminate_far_perturbation(
@@ -178,8 +178,8 @@ def test_criterion_5_elimination_contract():
     # (iv) derivative at psi equals the resonant projection
     eps = 1e-6
     f = pert * (1.0 / norm_r(pert, 0.9))
-    xp = FourierVectorField.constant(psi, 0.9, trunc) + f * eps
-    xm = FourierVectorField.constant(psi, 0.9, trunc) + f * (-eps)
+    xp = FourierVectorField.constant(psi, trunc) + f * eps
+    xm = FourierVectorField.constant(psi, trunc) + f * (-eps)
     up = eliminate_far_perturbation(psi, xp.minus_constant(psi), sigma,
                                     tol=1e-13).field
     um = eliminate_far_perturbation(psi, xm.minus_constant(psi), sigma,
@@ -195,16 +195,14 @@ def test_criterion_5_elimination_contract():
 
 def test_criterion_6_fixed_point_and_periodicity():
     cf = cf_expand(Slope.golden(), 6)
-    state = RenormState(0, FourierVectorField.zero(0.9, PARAMS.truncation), cf)
+    state = RenormState(0, FourierVectorField.zero(PARAMS.truncation), cf)
     out = one_step(state, PARAMS)
     dev = norm_r(out.perturbation, PARAMS.rho_prime) + float(
         np.abs(out.omega - np.array([1.0, GAMMA])).sum()
     )
     part_fixed = dev <= 1e-12
 
-    x0 = FourierVectorField.constant(
-        [1.0, math.sqrt(2)], 0.9, PARAMS.truncation
-    )
+    x0 = FourierVectorField.constant([1.0, math.sqrt(2)], PARAMS.truncation)
     f0 = x0.minus_constant(np.array([1.0, float(Slope.sqrt2())]))
     orbit = renorm_orbit(f0, Slope.sqrt2(), 8, PARAMS)
     alphas = [s.alpha for s in orbit.states]

@@ -116,6 +116,19 @@ class TestScenarios:
         assert manifest["results"]["completed"] == 5
         assert manifest["results"]["theta_hat"] < 1
 
+    def test_orbit_unstable_perturbation(self, tmp_path, capsys):
+        # a constant push along Omega_0 grows by about gamma^2 a step until
+        # the orbit leaves the domain; a constant field has no far mode
+        argv = ["orbit", "--slope", "golden", "--perturb", "unstable:1e-6",
+                "--seed", "1", "--steps", "16", "--truncation", "16"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        manifest = Path(capsys.readouterr().out.splitlines()[-1])
+        results = json.loads(manifest.read_text())["results"]
+        assert results["perturbation"] == {"kind": "unstable",
+                                           "amplitude": 1e-6}
+        assert results["completed"] == 9 and results["failure_step"] == 9
+        assert results["far_solves"] == {"computed": 0, "reused": 0}
+
     def test_orbit_determinism(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -294,8 +307,10 @@ class TestMain:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, '{"width": 0.9}', "[1, 2]", "{"],
-                             ids=["missing", "no-modes", "list", "broken"])
+    @pytest.mark.parametrize("text", [
+        None, '{"width": 0.9}', "[1, 2]", "{",
+        '{"width": 0.9, "truncation": 0.9, "modes": []}',
+    ], ids=["missing", "no-modes", "list", "broken", "float-truncation"])
     def test_unloadable_field_exits_two(self, text, tmp_path, capsys):
         path = tmp_path / "field.json"
         if text is not None:
@@ -382,11 +397,12 @@ BYTE_PINS = {
         "csv": "8315649ab64bf38ba94b3c713f597d202609e95d2b3bf0fa92ea4911fc082978",
         "results": "4e22f5c1af5035e0b6b7d5ea90c9967b354ba2b028243bc3d44279118f326cc7",
     },
+    # field and map JSON no longer carry the field's unused "width" key
     ("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
      "--truncation", "16"): {
         "csv": "d3e45275cbd833d3a8a6c2e2a125d49ee6b1c96e2d1cd62455fd6aa2bab0528a",
-        "field.json": "3d6bb50617022158c55bf92c41bd0f047b7827e6d82d3caa6cfdac16f8814091",
-        "map.json": "78bb46b712202881652b324feef0f911cc6bab88d0d04d96609e557b0ab080bd",
+        "field.json": "be741d51be7fd968990a117dcd579152aec3bc1c9ccdef878cd9e924f66f7170",
+        "map.json": "d6e7f72a2e3ca2f1624d47ffc7ade4e44ad961cf0bf37c854a8e15885a5935df",
         "results": "e10e292a1c7d4dd48e23f7d5c2de861970c34d2d9c3ff9e6ba176bb55c4081dd",
     },
     ("cf", "--slope", "sqrt2", "--n-terms", "400"): {

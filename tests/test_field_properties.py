@@ -54,16 +54,15 @@ def random_modes(rng, truncation, n_modes, accept=lambda k: True):
     return modes
 
 
-def random_field(seed, truncation, n_modes=40, width=0.9, accept=lambda k: True):
+def random_field(seed, truncation, n_modes=40, accept=lambda k: True):
     rng = np.random.default_rng(seed)
     return FourierVectorField(random_modes(rng, truncation, n_modes, accept),
-                              width, truncation)
+                              truncation)
 
 
 def same_field(x, y):
     return (
-        x.width == y.width
-        and x.truncation == y.truncation
+        x.truncation == y.truncation
         and x.modes.keys() == y.modes.keys()
         and all(np.array_equal(x.modes[k], y.modes[k]) for k in x.modes)
     )
@@ -189,9 +188,9 @@ class TestRoundTrips:
         # keep every coefficient well above that floor
         modes = {k: 1e-3 * (1.0 + np.abs(c)) * np.exp(1j * np.angle(c))
                  for k, c in modes.items()}
-        x = FourierVectorField(modes, 0.9, truncation)
+        x = FourierVectorField(modes, truncation)
         grid = 2 * truncation + 1 + int(rng.integers(0, 8))
-        fit, report = fit_grid(x.sample_grid(grid), x.width, truncation)
+        fit, report = fit_grid(x.sample_grid(grid), truncation)
         assert set(fit.modes) == set(x.modes)
         for k, c in x.modes.items():
             assert np.allclose(fit.modes[k], c, rtol=0.0, atol=1e-15)
@@ -211,18 +210,6 @@ class TestTransportIsBitExact:
         assert out.modes.keys() == expected.keys()
         for k, c in expected.items():
             assert np.array_equal(out.modes[k], c)
-
-    @PROPERTY
-    @given(seed=SEEDS, truncation=TRUNCATIONS,
-           entries=st.lists(st.integers(-9, 9), min_size=4, max_size=4))
-    def test_matrix_apply(self, seed, truncation, entries):
-        m = np.array(entries, dtype=float).reshape(2, 2)
-        x = random_field(seed, truncation)
-        out = x.matrix_apply(m)
-        for k, c in x.modes.items():
-            expected = m @ c
-            got = out.modes.get(k, np.zeros(2, dtype=complex))
-            assert np.array_equal(got, expected)
 
     @PROPERTY
     @given(seed=SEEDS, truncation=st.integers(4, 14),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ GAMMA = (1 + math.sqrt(5)) / 2
 OMEGA = np.array([1.0, GAMMA])
 
 
-def random_field(rng, truncation=12, n_modes=8, width=1.0, real=True):
+def random_field(rng, truncation=12, n_modes=8, real=True):
     modes = {}
     while len(modes) < 2 * n_modes:
         k = (int(rng.integers(-truncation, truncation + 1)), 0)
@@ -34,7 +35,7 @@ def random_field(rng, truncation=12, n_modes=8, width=1.0, real=True):
         modes[k] = c
         if real:
             modes[(-k[0], -k[1])] = np.conj(c)
-    return FourierVectorField(modes, width, truncation)
+    return FourierVectorField(modes, truncation)
 
 
 class TestNorms:
@@ -45,18 +46,18 @@ class TestNorms:
 
     def test_single_mode(self):
         eps = 1e-3
-        x = FourierVectorField({(1, 0): [eps, 0]}, 1.0, 8)
+        x = FourierVectorField({(1, 0): [eps, 0]}, 8)
         assert norm_r(x, 1.0) == pytest.approx(eps * math.e)
 
     def test_additivity_over_disjoint_modes(self):
         x = FourierVectorField(
-            {(0, 0): OMEGA, (1, 0): [1e-3, 0]}, 1.0, 8
+            {(0, 0): OMEGA, (1, 0): [1e-3, 0]}, 8
         )
         assert norm_r(x, 1.0) == pytest.approx(1 + GAMMA + 1e-3 * math.e)
 
     def test_prime_weight(self):
         eps = 2e-2
-        x = FourierVectorField({(1, -1): [0, eps]}, 1.0, 8)
+        x = FourierVectorField({(1, -1): [0, eps]}, 8)
         assert norm_prime_r(x, 0.5) == pytest.approx(eps * (1 + 4 * math.pi) * math.e)
 
     def test_prime_dominates(self):
@@ -131,14 +132,34 @@ class TestAverage:
         assert np.allclose(x.average(), OMEGA)
 
     def test_zero_average_perturbation(self):
-        x = FourierVectorField({(2, 1): [1e-2, 0], (-2, -1): [1e-2, 0]}, 1.0, 8)
+        x = FourierVectorField({(2, 1): [1e-2, 0], (-2, -1): [1e-2, 0]}, 8)
         assert np.allclose(x.average(), 0)
 
     def test_constant_plus_mode(self):
         x = FourierVectorField.constant(OMEGA, truncation=8).__add__(
-            FourierVectorField({(1, 0): [0, 1e-3]}, 1.0, 8)
+            FourierVectorField({(1, 0): [0, 1e-3]}, 8)
         )
         assert np.allclose(x.average(), OMEGA)
+
+
+class TestTruncation:
+    def test_mixed_truncations_do_not_combine(self):
+        x = FourierVectorField.constant(OMEGA, truncation=8)
+        y = FourierVectorField({(1, 0): [0, 1e-3]}, 12)
+        with pytest.raises(ValueError, match="truncations 8 and 12 differ"):
+            x + y
+        with pytest.raises(ValueError, match="truncations 12 and 8 differ"):
+            y - x
+
+    @pytest.mark.parametrize("truncation", [0.9, 8.0, -1, "8"])
+    def test_truncation_must_be_a_non_negative_integer(self, truncation):
+        # a width passed as the truncation, constant(v, 0.9), is refused,
+        # not floored to truncation 0
+        with pytest.raises(ValueError, match="truncation must be"):
+            FourierVectorField.constant(OMEGA, truncation)
+        with pytest.raises(ValueError, match="truncation must be"):
+            FourierVectorField.from_array(np.zeros((2, 145), dtype=complex),
+                                          truncation)
 
 
 class TestGrid:
@@ -148,7 +169,7 @@ class TestGrid:
             OMEGA, truncation=6
         )
         values = x.sample_grid(32)
-        fit, report = fit_grid(values, x.width, 6)
+        fit, report = fit_grid(values, 6)
         assert set(fit.modes) == set(x.modes)
         for k in x.modes:
             assert np.allclose(fit.modes[k], x.modes[k], atol=1e-13)
@@ -158,7 +179,7 @@ class TestGrid:
         values = np.zeros((2, 16, 16), dtype=complex)
         values[0] += 1.0
         values[1] += 1e-17 * np.random.default_rng(0).normal(size=(16, 16))
-        fit, report = fit_grid(values, 1.0, 6)
+        fit, report = fit_grid(values, 6)
         assert set(fit.modes) == {(0, 0)}
 
 
@@ -169,10 +190,23 @@ class TestSerialization:
         path = tmp_path / "field.json"
         save_field(x, path)
         y = load_field(path)
-        assert y.width == x.width and y.truncation == x.truncation
+        assert y.truncation == x.truncation
         assert set(y.modes) == set(x.modes)
         for k in x.modes:
             assert np.allclose(y.modes[k], x.modes[k])
+
+    def test_a_saved_width_is_ignored(self, tmp_path):
+        # fields saved while they carried a width load as they do without it
+        x = random_field(np.random.default_rng(7)) + FourierVectorField.constant(
+            OMEGA, truncation=12)
+        data = field_to_dict(x)
+        assert "width" not in data
+        (tmp_path / "new.json").write_text(json.dumps(data))
+        (tmp_path / "old.json").write_text(json.dumps({"width": 0.9, **data}))
+        new, old = (load_field(tmp_path / name) for name in ("new.json", "old.json"))
+        assert old.truncation == new.truncation == 12
+        assert np.array_equal(old.coeffs, new.coeffs)
+        assert np.array_equal(new.coeffs, x.coeffs)
 
     def test_dict_schema(self):
         x = FourierVectorField.constant(OMEGA)
@@ -194,7 +228,7 @@ class TestWindingRatio:
         eps = 1e-4
         pert = {(-3, 2): np.array([eps, eps]), (3, -2): np.array([eps, eps])}
         x = FourierVectorField.constant(OMEGA, truncation=8) + FourierVectorField(
-            pert, 1.0, 8
+            pert, 8
         )
         report = winding_ratio(x, tol=1e-4)
         assert report.status == "ok"
@@ -203,21 +237,34 @@ class TestWindingRatio:
     def test_large_constant_shift_changes_slope(self):
         omega_shift = OMEGA + 0.3 * np.array([1.0, -1.0 / GAMMA])
         x = FourierVectorField.constant(omega_shift, truncation=8) + (
-            FourierVectorField({(1, 1): [1e-5, 1e-5], (-1, -1): [1e-5, 1e-5]}, 1.0, 8)
+            FourierVectorField({(1, 1): [1e-5, 1e-5], (-1, -1): [1e-5, 1e-5]}, 8)
         )
         report = winding_ratio(x, tol=1e-4)
         assert report.status == "ok"
         assert abs(report.slope - GAMMA) > 0.05
 
+    @pytest.mark.parametrize("c, certified", [(2.0, True), (3.0, False)])
+    def test_no_equilibria_note(self, c, certified):
+        # X = (1, gamma + c cos 2 pi theta1) never vanishes and winds at
+        # slope gamma; the note certifies it when sum_k ||f_k||_1 = c is
+        # below ||Re E X||_1 = 1 + gamma
+        x = FourierVectorField.constant(OMEGA, truncation=4) + FourierVectorField(
+            {(1, 0): [0, c / 2], (-1, 0): [0, c / 2]}, 4)
+        report = winding_ratio(x, tol=1e-2)
+        assert report.status == "ok"
+        assert report.slope == pytest.approx(GAMMA, abs=1e-2)
+        expected = "" if certified else "no-equilibria condition not certified"
+        assert report.details == expected
+
     def test_rejects_complex_field(self):
-        x = FourierVectorField({(1, 0): [1j, 0]}, 1.0, 4)
+        x = FourierVectorField({(1, 0): [1j, 0]}, 4)
         with pytest.raises(ValueError):
             winding_ratio(x)
 
     def test_inconclusive_when_threshold_unreachable(self):
         x = FourierVectorField.constant([1e-9, 1e-9], truncation=4) + (
             FourierVectorField(
-                {(1, 0): [1e-3, 0], (-1, 0): [1e-3, 0]}, 1.0, 4
+                {(1, 0): [1e-3, 0], (-1, 0): [1e-3, 0]}, 4
             )
         )
         report = winding_ratio(x, horizon=50.0)

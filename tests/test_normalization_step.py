@@ -32,15 +32,15 @@ SIGMA = 0.1
 CONE = FarResonant((1.0, GAMMA), SIGMA)
 
 
-def displacement(entries, truncation=16, width=0.9):
-    return TorusMap(FourierVectorField(entries, width, truncation))
+def displacement(entries, truncation=16):
+    return TorusMap(FourierVectorField(entries, truncation))
 
 
 def single_far_mode_field(eps, k=(1, 1), vec=(1.0, 0.5), truncation=12):
     pert = {k: eps * np.asarray(vec, dtype=complex)}
     pert[(-k[0], -k[1])] = np.conj(pert[k])
-    return FourierVectorField.constant(PSI, width=0.9, truncation=truncation) + (
-        FourierVectorField(pert, 0.9, truncation)
+    return FourierVectorField.constant(PSI, truncation=truncation) + (
+        FourierVectorField(pert, truncation)
     )
 
 
@@ -52,9 +52,9 @@ def mixed_perturbation_field(amp, truncation=12, seed=0):
         c = c * math.exp(-0.9 * (abs(k[0]) + abs(k[1])))
         modes[k] = c
         modes[(-k[0], -k[1])] = np.conj(c)
-    pert = FourierVectorField(modes, 0.9, truncation)
+    pert = FourierVectorField(modes, truncation)
     pert = pert * (amp / norm_prime_r(pert, 1.0))
-    return FourierVectorField.constant(PSI, width=0.9, truncation=truncation) + pert
+    return FourierVectorField.constant(PSI, truncation=truncation) + pert
 
 
 def count_pullbacks(monkeypatch):
@@ -99,7 +99,7 @@ class TestComposePullback:
     def test_constant_field_small_u(self):
         eps = 1e-5
         u = displacement({(2, 1): [eps, -eps], (-2, -1): [eps, -eps]})
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=16)
+        x = FourierVectorField.constant(PSI, truncation=16)
         out = compose_pullback(x, u)
         # average moves only at second order in u (constant ~ (2 pi ||k||)^2 ||psi||)
         assert np.linalg.norm(out.field.average() - PSI) < 2e3 * eps * eps
@@ -112,7 +112,7 @@ class TestComposePullback:
             assert np.allclose(osc.coefficient(k), c, atol=1e-3 * eps)
 
     def test_linearisation_finite_difference(self):
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
+        x = FourierVectorField.constant(PSI, truncation=12)
         v = {(1, 2): np.array([0.3, -0.2]), (-1, -2): np.array([0.3, -0.2])}
         h = 1e-7
         up = displacement(
@@ -126,14 +126,23 @@ class TestComposePullback:
 
     def test_singular_jacobian(self):
         u = displacement({(1, 1): [0.4, 0.4], (-1, -1): [0.4, 0.4]})
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=16)
+        x = FourierVectorField.constant(PSI, truncation=16)
         with pytest.raises(SingularJacobian):
+            compose_pullback(x, u)
+
+    def test_vanishing_jacobian_determinant(self):
+        # u1 = sin(2 pi theta1) / (2 pi): det DU = 1 + cos(2 pi theta1) >= 0
+        # vanishes at theta1 = 1/2, a point of the even collocation grid
+        c = 1.0 / (4.0 * math.pi * 1j)
+        u = displacement({(1, 0): [c, 0], (-1, 0): [-c, 0]})
+        x = FourierVectorField.constant(PSI, truncation=16)
+        with pytest.raises(SingularJacobian, match=r"min \|det DU\| = "):
             compose_pullback(x, u)
 
 
 class TestEliminateFar:
     def test_no_perturbation(self):
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
+        x = FourierVectorField.constant(PSI, truncation=12)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.map.is_identity()
         assert result.sweeps == 0
@@ -142,8 +151,8 @@ class TestEliminateFar:
     def test_resonant_only_input_identity(self):
         # U = id mode-exactly when the far projection is already zero
         modes = {(-3, 2): np.array([1e-3, 1e-3]), (3, -2): np.array([1e-3, 1e-3])}
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=12) + (
-            FourierVectorField(modes, 0.9, 12)
+        x = FourierVectorField.constant(PSI, truncation=12) + (
+            FourierVectorField(modes, 12)
         )
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
         assert result.map.is_identity()
@@ -185,8 +194,8 @@ class TestEliminateFar:
         eps = 1e-6
         base = mixed_perturbation_field(1.0)
         f = base.minus_constant(PSI)  # unit-size direction with mixed modes
-        xp = FourierVectorField.constant(PSI, 0.9, 12) + f * eps
-        xm = FourierVectorField.constant(PSI, 0.9, 12) + f * (-eps)
+        xp = FourierVectorField.constant(PSI, 12) + f * eps
+        xm = FourierVectorField.constant(PSI, 12) + f * (-eps)
         up = eliminate_far_perturbation(PSI, xp.minus_constant(PSI), SIGMA,
                                         tol=1e-13).field
         um = eliminate_far_perturbation(PSI, xm.minus_constant(PSI), SIGMA,
@@ -299,7 +308,7 @@ def with_average(g, avg):
     """g with its k = 0 coefficient replaced, bit for bit."""
     coeffs = g.coeffs.copy()
     coeffs[:, coeffs.shape[1] // 2] = avg
-    return FourierVectorField.from_array(coeffs, g.width, g.truncation)
+    return FourierVectorField.from_array(coeffs, g.truncation)
 
 
 class TestSolveReuse:
@@ -341,7 +350,7 @@ class TestSolveReuse:
         pos = g.support()[0]
         coeffs[0, pos] = complex(np.nextafter(coeffs[0, pos].real, np.inf),
                                  coeffs[0, pos].imag)
-        nudged = FourierVectorField.from_array(coeffs, g.width, g.truncation)
+        nudged = FourierVectorField.from_array(coeffs, g.truncation)
         # psi with signed-zero imaginary parts, so that a -0.0 average
         # reaches v = psi + E g as -0.0
         psi = np.array([complex(1.0, -0.0), complex(GAMMA, -0.0)])
@@ -365,7 +374,7 @@ class TestSolveReuse:
 
     def test_resonant_only_input_makes_no_solve(self):
         solves = FarSolves()
-        x = FourierVectorField.constant(PSI, width=0.9, truncation=12)
+        x = FourierVectorField.constant(PSI, truncation=12)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
                                             solves=solves)
         assert result.map.is_identity() and not result.reused
@@ -387,7 +396,7 @@ def support_field(m, unpaired=0, seed=0, truncation=16):
     """m nonzero modes: pairs +-k, one unpaired k if m is odd, and
     `unpaired` pairs with the -k partner replaced by an unpaired k."""
     rng = np.random.default_rng(seed)
-    n = len(FourierVectorField.zero(0.9, truncation).index)
+    n = len(FourierVectorField.zero(truncation).index)
     lower = rng.permutation(n // 2)
     pairs, extra = lower[: m // 2], lower[m // 2 : m // 2 + m % 2 + unpaired]
     coeffs = np.zeros((2, n), dtype=complex)
@@ -396,7 +405,7 @@ def support_field(m, unpaired=0, seed=0, truncation=16):
     coeffs[:, n - 1 - pairs] = np.conj(coeffs[:, pairs])
     coeffs[:, extra] = 0.3 - 0.7j
     coeffs[:, n - 1 - pairs[:unpaired]] = 0.0
-    x = FourierVectorField.from_array(coeffs, 0.9, truncation)
+    x = FourierVectorField.from_array(coeffs, truncation)
     assert len(x) == m
     return x
 
@@ -610,6 +619,34 @@ def test_the_worker_is_joined_before_the_pullback_returns(monkeypatch):
     assert threading.active_count() == baseline
     # 64 blocks of 64 columns; the worker took none after the error
     assert len(filled) == 1 and filled[0] != threading.get_ident()
+
+
+@pytest.mark.skipif(not MULTI_CORE, reason="one core: no worker is started")
+def test_an_error_in_the_worker_is_raised_after_the_join(monkeypatch):
+    # the worker's first block raises; the calling thread waits until it
+    # has, fills the remaining blocks, joins the worker and re-raises
+    class BlockFailure(Exception):
+        pass
+
+    caller = threading.get_ident()
+    fill = normalization_step._fill_phases
+    failed = threading.Event()
+
+    def fail_off_the_caller(*fill_args):
+        if threading.get_ident() != caller:
+            failed.set()
+            raise BlockFailure("worker block")
+        assert failed.wait(10)
+        return fill(*fill_args)
+
+    monkeypatch.setattr(normalization_step, "_fill_phases", fail_off_the_caller)
+    grid = 64
+    baseline = threading.active_count()
+    with pytest.raises(BlockFailure, match="worker block"):
+        normalization_step._pullback_core(
+            PSI.astype(complex), support_field(150),
+            displacement_grid(1e-23, grid=grid), grid, True)
+    assert threading.active_count() == baseline
 
 
 def test_concurrent_pullbacks_keep_their_bytes():

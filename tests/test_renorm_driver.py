@@ -48,9 +48,9 @@ def constant_state(cf, vec=None):
     alpha = cf.tail_float(0)
     omega = np.array([1.0, alpha])
     f = (
-        FourierVectorField.zero(width=0.9, truncation=PARAMS.truncation)
+        FourierVectorField.zero(truncation=PARAMS.truncation)
         if vec is None
-        else FourierVectorField.constant(vec, 0.9, PARAMS.truncation)
+        else FourierVectorField.constant(vec, PARAMS.truncation)
     )
     return RenormState(0, f, cf)
 
@@ -81,14 +81,14 @@ class TestTransient:
 
     def test_zero_slope(self):
         # a zero slope has no continued-fraction expansion to step along
-        x = FourierVectorField.constant([1.0, 0.0], 0.9, 8)
+        x = FourierVectorField.constant([1.0, 0.0], 8)
         f = x.minus_constant(np.array([1.0, 0.0]))
         with pytest.raises(ZeroInput):
             renorm_orbit(f, Slope.rational(0, 1), 3, RenormParams(truncation=8))
 
     def test_basis_change_preserves_norm(self):
         x = FourierVectorField(
-            {(2, -1): [0.1, 0.2], (-2, 1): [0.1, 0.2]}, 0.9, 8
+            {(2, -1): [0.1, 0.2], (-2, 1): [0.1, 0.2]}, 8
         )
         for m in (S, V):
             y = basis_change(x, m)
@@ -194,11 +194,11 @@ class TestWindingConeCheck:
         cf = cf_expand(Slope.golden(), 4)
         delta = 1e-6
         osc = FourierVectorField(
-            {(-3, 2): [10 * delta, 0], (3, -2): [10 * delta, 0]}, 0.9,
+            {(-3, 2): [10 * delta, 0], (3, -2): [10 * delta, 0]},
             PARAMS.truncation,
         )
         f = osc + FourierVectorField.constant(
-            delta * cap_omega_of(GAMMA), 0.9, PARAMS.truncation
+            delta * cap_omega_of(GAMMA), PARAMS.truncation
         )
         state = RenormState(0, f, cf)
         assert winding_cone_check(state, PARAMS).passed
@@ -206,7 +206,7 @@ class TestWindingConeCheck:
 
 class TestOrbit:
     def test_fixed_point_orbit_all_zero(self):
-        x0 = FourierVectorField.constant([1.0, GAMMA], 0.9, PARAMS.truncation)
+        x0 = FourierVectorField.constant([1.0, GAMMA], PARAMS.truncation)
         f0 = x0.minus_constant(np.array([1.0, float(Slope.golden())]))
         orbit = renorm_orbit(f0, Slope.golden(), 10, PARAMS)
         assert orbit.completed == 10
@@ -228,7 +228,7 @@ class TestOrbit:
             assert abs(cs[i + 1] / cs[i]) == pytest.approx(GAMMA**2, rel=0.1)
 
     def test_rational_slope_rejected(self):
-        x0 = FourierVectorField.constant([1.0, 1.5], 0.9, PARAMS.truncation)
+        x0 = FourierVectorField.constant([1.0, 1.5], PARAMS.truncation)
         f0 = x0.minus_constant(np.array([1.0, float(Slope.rational(3, 2))]))
         with pytest.raises(ValueError):
             renorm_orbit(f0, Slope.rational(3, 2), 10, PARAMS)
@@ -644,7 +644,7 @@ class TestPeriodicity:
         slope = Slope.quadratic(0, 1, 3, 1)
         cf = cf_expand(slope, 12)
         assert cf.period == (1, 2)
-        x0 = FourierVectorField.constant([1.0, math.sqrt(3)], 0.9,
+        x0 = FourierVectorField.constant([1.0, math.sqrt(3)],
                                          PARAMS.truncation)
         f0 = x0.minus_constant(np.array([1.0, float(slope)]))
         orbit = renorm_orbit(f0, slope, 8, PARAMS)

@@ -27,30 +27,29 @@ KAPPA = kappa_from_sigma(0.1)
 
 class TestScaleStep:
     def test_constant_golden(self):
-        x = FourierVectorField.constant(OMEGA, width=RHO_PRIME)
+        x = FourierVectorField.constant(OMEGA)
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         # T_1^{-1} (1, gamma) = (gamma - 1, 1) = (1/gamma) (1, gamma)
         assert np.allclose(y.average(), OMEGA / GAMMA, atol=1e-14)
-        assert y.width == RHO
 
     def test_mode_transport_halves(self):
-        x = FourierVectorField({(1, -1): [1e-3, 0]}, RHO_PRIME, 8)
+        x = FourierVectorField({(1, -1): [1e-3, 0]}, 8)
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         assert set(y.modes) == {(-1, 0)}
         assert mode_l1((-1, 0)) == 1
 
     def test_empty_field(self):
-        x = FourierVectorField.zero(width=RHO_PRIME)
+        x = FourierVectorField.zero()
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         assert len(y) == 0
 
     def test_cone_violation(self):
-        x = FourierVectorField({(1, 1): [1e-3, 0]}, RHO_PRIME, 8)
+        x = FourierVectorField({(1, 1): [1e-3, 0]}, 8)
         with pytest.raises(ConeViolation):
             scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
 
     def test_width_parameters_validated(self):
-        x = FourierVectorField.constant(OMEGA, width=RHO_PRIME)
+        x = FourierVectorField.constant(OMEGA)
         with pytest.raises(DomainError):
             scale_step(x, 1, 1.0, 0.5, 0.8)
 

@@ -371,8 +371,8 @@ with mpmath.workdps(340):
     E_MINUS_2_AT_1024 = f"{mpmath.nstr(mpmath.e - 2, 320, strip_zeros=False)}@1024"
 
 # SHA-256 of each artifact of a small run: the CSV body without its comment
-# header, the eliminate scenario's field and map JSON, and the manifest's
-# results (json.dumps with sorted keys).  A pin may change only with the
+# header, the field JSON of eliminate and project, eliminate's map JSON, and
+# the manifest's results (json.dumps with sorted keys).  A pin may change only with the
 # reason recorded in CHANGES.md.
 BYTE_PINS = {
     ("orbit", "--slope", "golden", "--perturb", "resonant:1e-3", "--steps", "3",
@@ -432,6 +432,23 @@ BYTE_PINS = {
      "--steps", "3", "--truncation", "16"): {
         "csv": "fcb32d5a3a53c8db34bb8a3c6a61277b237c1e01431d0da533845aa990d1e377",
         "results": "33197d205987bca1270794c37de0a655e1c385b6bea47e20da8301452ca71e4b",
+    },
+    # scale_step's cone check, resonant_modes (through random_resonant_field)
+    # and both cone masks
+    ("scale", "--slope", "golden", "--seed", "1", "--n-fields", "5",
+     "--truncation", "16"): {
+        "csv": "57ccb57237f3af5122193e42a08a019a90df7be2d33f8455e06e5b568368f052",
+        "results": "75b0fc8f4e7736a072e0dcd279b72f02dc763c9b3a3a8315ed3a9d1fffa13d60",
+    },
+    ("project", "--seed", "1", "--truncation", "8", "--cone", "far"): {
+        "csv": "e312d0ed4c722c42cb196e3569e9294dd045ab9b3f2c14100e6ae5ef81fd44c5",
+        "field.json": "b3808280a3f23df1645dcabd8591404bc58e55eac0e2d26fe2af66a9878c1161",
+        "results": "06391492bfb308398a5fb23c68459f0a1c757f35407c64c949f3e57f189d61af",
+    },
+    ("project", "--seed", "1", "--truncation", "8", "--cone", "kappa"): {
+        "csv": "d6a680473c03d0a780d18e67f8f1549657a1980b4e4e81d602db8b5155e375e2",
+        "field.json": "b54993e5b91f6e29bfb0b6ab124647068b888936c05846d28419695a3b843519",
+        "results": "8bc54b3da7f8226bcf8309970fcc401e748e3dffcad1692b7762dbdf66dc1fe6",
     },
 }
 

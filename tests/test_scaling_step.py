@@ -5,12 +5,15 @@ import pytest
 
 from torusrenorm.errors import ConeViolation, DomainError
 from torusrenorm.fourier_field import (
+    FarResonant,
     FourierVectorField,
+    mode_index,
     mode_l1,
     norm_prime_r,
     norm_r,
 )
 from torusrenorm.scaling_step import (
+    ConeCertificate,
     cone_containment_certificate,
     kappa_from_sigma,
     operator_norm_bound,
@@ -23,6 +26,34 @@ GAMMA = (1 + math.sqrt(5)) / 2
 OMEGA = np.array([1.0, GAMMA])
 RHO, RHO_PRIME = 1.0, 0.9
 KAPPA = kappa_from_sigma(0.1)
+OMEGAS = {"golden": (1.0, GAMMA), "sqrt2": (1.0, math.sqrt(2)),
+          "silver": (1.0, 1 + math.sqrt(2))}
+
+
+def reference_certificate(omega, sigma, a, kappa, k_max):
+    """The certificate as a loop over the disc ||k||_1 <= k_max in
+    lexicographic order, one mode at a time."""
+    w1, w2 = float(omega[0]), float(omega[1])
+    slopes = {
+        "m": -(w1 - sigma) / (w2 + sigma),
+        "l": -(w1 + sigma) / (w2 - sigma) if w2 > sigma else -math.inf,
+        "s": -(1 - kappa) / (a - 1 + kappa),
+        "r": -(1 + kappa) / (a + 1 - kappa),
+    }
+    checked = 0
+    for k1 in range(-k_max, k_max + 1):
+        rest = k_max - abs(k1)
+        for k2 in range(-rest, rest + 1):
+            k = (k1, k2)
+            if k == (0, 0):
+                continue
+            if abs(w1 * k1 + w2 * k2) > sigma * mode_l1(k):
+                continue
+            checked += 1
+            image = (k2, k1 + a * k2)
+            if mode_l1(image) > kappa * mode_l1(k):
+                return ConeCertificate(False, k, slopes, checked, k_max)
+    return ConeCertificate(True, None, slopes, checked, k_max)
 
 
 class TestScaleStep:
@@ -137,6 +168,19 @@ class TestConeCertificate:
             cert = cone_containment_certificate(OMEGA, sigma, 1, KAPPA, 40)
             assert cert.passed
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("omega", OMEGAS.values(), ids=OMEGAS)
+    def test_matches_the_per_mode_loop(self, omega, sigma):
+        # passed, witness, checked and slopes, on passing and failing cases
+        for a in (1, 2, 5):
+            for kappa in (0.1, 0.5, kappa_from_sigma(sigma), 0.95):
+                for k_max in (10, 30):
+                    cert = cone_containment_certificate(omega, sigma, a,
+                                                        kappa, k_max)
+                    expected = reference_certificate(omega, sigma, a, kappa,
+                                                     k_max)
+                    assert cert == expected, (a, kappa, k_max)
+
     def test_kappa_from_sigma(self):
         assert kappa_from_sigma(0.1) == pytest.approx(1 - 0.7 / 3)
         with pytest.raises(ValueError):
@@ -152,6 +196,15 @@ class TestResonantModes:
         assert (1, 1) not in modes
         assert (0, 0) not in modes
         assert ks.tolist() == sorted(ks.tolist())
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("omega", OMEGAS.values(), ids=OMEGAS)
+    def test_matches_the_scalar_cone(self, omega, sigma):
+        cone = FarResonant(omega, sigma)
+        for truncation in (10, 30):
+            expected = [k for k in mode_index(truncation).k.tolist()
+                        if k != [0, 0] and cone.contains(k)]
+            assert resonant_modes(omega, sigma, truncation).tolist() == expected
 
     def test_symmetry(self):
         modes = set(map(tuple, resonant_modes(OMEGA, 0.1, 30).tolist()))

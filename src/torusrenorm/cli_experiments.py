@@ -131,8 +131,12 @@ def config_number(config: dict, key: str, kind=float, default=None,
 
 
 def load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"cannot read config {path!r}: {exc}") from exc
     out = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,7 +199,7 @@ def perturbation_field(config: dict, slope: Slope, params: RenormParams):
     """(f, description) of the configured perturbation f = X_0 - omega_0,
     a resonant draw taken as it is, without stabilisation."""
     kind, amp = parse_perturbation(config["perturb"])
-    seed = config_number(config, "seed", int)
+    seed = config_number(config, "seed", int, least=0)
     if kind == "resonant":
         f = resonant_perturbation(slope, amp, params, seed)
     elif kind == "unstable":
@@ -282,6 +286,7 @@ def scenario_cf(config, out_dir, tag):
 
 def scenario_project(config, out_dir, tag):
     params, slope = build_params(config)
+    omega = np.array([1.0, float(slope)])
     if "field_in" in config:
         try:
             field = load_field(config["field_in"])
@@ -289,15 +294,13 @@ def scenario_project(config, out_dir, tag):
             raise ConfigInvalid(
                 f"cannot load field {config['field_in']!r}: {exc!r}") from exc
     else:
-        rng = np.random.default_rng(config_number(config, "seed", int))
-        omega = np.array([1.0, float(slope)])
+        rng = np.random.default_rng(config_number(config, "seed", int, least=0))
         field = FourierVectorField.constant(omega, params.truncation) + (
             random_resonant_field(omega, 3 * params.sigma, 1e-3,
                                   params.truncation, rng))
     cone_kind = config.get("cone", "far")
     if cone_kind == "far":
-        omega = np.array([1.0, float(slope)])
-        cone = FarResonant((omega[0], omega[1]), params.sigma)
+        cone = FarResonant(omega, params.sigma)
     elif cone_kind == "kappa":
         cone = Kappa(config_number(config, "a", int, "1", least=1),
                      params.kappa)
@@ -329,7 +332,7 @@ def scenario_scale(config, out_dir, tag):
     a = int(float(slope))
     if a < 1:
         raise ConfigInvalid(f"scale needs a slope of at least 1, got {float(slope)}")
-    rng = np.random.default_rng(config_number(config, "seed", int))
+    rng = np.random.default_rng(config_number(config, "seed", int, least=0))
     _, amp = parse_perturbation(config["perturb"])
     bound = operator_norm_bound(a, params.rho, params.rho_prime, params.kappa)
     rows = []
@@ -339,8 +342,11 @@ def scenario_scale(config, out_dir, tag):
         field = random_resonant_field(omega, params.sigma, amp,
                                       params.truncation, rng,
                                       width=params.rho_prime)
+        size = norm_r(field, params.rho_prime)
+        if size == 0:
+            raise ConfigInvalid(f"scale needs a nonzero amplitude, got {amp}")
         out = scale_step(field, a, params.rho, params.rho_prime, params.kappa)
-        ratio = norm_prime_r(out, params.rho) / norm_r(field, params.rho_prime)
+        ratio = norm_prime_r(out, params.rho) / size
         worst = max(worst, ratio)
         rows.append([i, len(field), ratio, bound, ratio / bound])
     csv_path = out_dir / f"scale_{tag}.csv"
@@ -356,8 +362,7 @@ def scenario_eliminate(config, out_dir, tag):
     omega = np.array([1.0, float(slope)])
     f, pert_info = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(omega, params.truncation) + f
-    far_modes_in = len(project(x, FarResonant((omega[0], omega[1]),
-                                              params.sigma), "outside"))
+    far_modes_in = len(project(x, FarResonant(omega, params.sigma), "outside"))
     solves = FarSolves()
     try:
         result = eliminate_far_perturbation(

@@ -379,8 +379,14 @@ class Kappa:
 
     def contains_all(self, ks: np.ndarray) -> np.ndarray:
         """contains() for every row of the (M, 2) integer array ks."""
-        image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + self.a * ks[:, 1])
-        return image_l1 <= self.kappa * np.abs(ks).sum(axis=1)
+        return contracts(ks, self.a, self.kappa)
+
+
+def contracts(ks: np.ndarray, a: int, kappa: float) -> np.ndarray:
+    """||T_a* k||_1 <= kappa ||k||_1 for every row of the (M, 2) integer
+    array ks, at any kappa (the Kappa cone asks 1/2 < kappa < 1)."""
+    image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + a * ks[:, 1])
+    return image_l1 <= kappa * np.abs(ks).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)

@@ -24,7 +24,8 @@ from .fourier_field import (
     project,
 )
 from .normalization_step import FarSolves, eliminate_far_perturbation
-from .number_theory import CFExpansion, GL2Z, S, Slope, V, act_on_slope, cf_expand
+from .number_theory import (CFExpansion, GL2Z, S, Slope, V, act_on_slope,
+                            cf_expand, t_matrix)
 from .scaling_step import (
     kappa_from_sigma,
     random_resonant_field,
@@ -261,10 +262,7 @@ def linearized_step(
     scaled = scale_step(f, cf.coefficient(n), params.rho, params.rho_prime,
                         params.kappa)
     alpha_next = cf.tail_float(n + 1)
-    resonant = project(
-        scaled, FarResonant((omega_next[0], omega_next[1]), params.sigma),
-        "inside",
-    )
+    resonant = project(scaled, FarResonant(omega_next, params.sigma), "inside")
     lf = resonant * alpha_next
     proj = complex(omega_next @ lf.average()) / float(omega_next @ omega_next)
     return lf.minus_constant(proj * omega_next)
@@ -354,7 +352,7 @@ def renorm_orbit(
     omega = omega_of(cf, 0)
 
     # adjustment part two: clear any far modes of the input
-    cone = FarResonant((omega[0], omega[1]), params.sigma)
+    cone = FarResonant(omega, params.sigma)
     far0 = norm_r(project(f, cone, "outside"), params.rho_prime)
     if far0 > params.tol:
         elim = eliminate_far_perturbation(
@@ -564,6 +562,7 @@ def stable_decay_probe(
     _require_coefficients(cf, n + 2)
     sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
     omegas = [omega_of(cf, i) for i in range(n + 2)]
+    cones = [FarResonant(omega, sigma) for omega in omegas]
     j_values = np.arange(n, -1, -1)
     norms_l1, norms_l2, lambdas, surviving = [], [], [], []
     # e^{rho' d} for every change d of ||k||_1, from math.exp
@@ -577,15 +576,11 @@ def stable_decay_probe(
             a_i = cf.coefficient(i)
             t_inv = np.array([[-float(a_i), 1.0], [1.0, 0.0]])
             block = cf.tail_float(i + 1) * (t_inv @ block)
-            # a coefficient above 2T kills the same modes: those with kk2 != 0
-            a_i = min(a_i, 2 * truncation + 1)
-            kk = np.stack([kk[:, 1], kk[:, 0] + a_i * kk[:, 1]], axis=1)
-            l1 = np.abs(kk).sum(axis=1)
-            w = omegas[i + 1]
-            dead = (l1 > truncation) | (
-                np.abs(w[0] * kk[:, 0] + w[1] * kk[:, 1]) > sigma * l1
-            )
-            k, kk = k[~dead], kk[~dead]
+            # rows k T_a = T_a* k; above 2T, a_i kills the same modes (kk2 != 0)
+            kk = kk @ t_matrix(min(a_i, 2 * truncation + 1)).as_array()
+            alive = ((np.abs(kk).sum(axis=1) <= truncation)
+                     & cones[i + 1].contains_all(kk))
+            k, kk = k[alive], kk[alive]
         best, l2 = 0.0, 0.0
         if len(k):
             weight = exp_table[np.abs(kk).sum(axis=1) - np.abs(k).sum(axis=1)

@@ -14,17 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolation, DomainError
-from .fourier_field import FourierVectorField, mode_index, mode_l1
+from .fourier_field import (FarResonant, FourierVectorField, cone_mask,
+                            contracts, mode_index, mode_l1)
 from .number_theory import t_matrix
 
 
-def operator_norm_bound(a: int, rho: float, rho_prime: float, kappa: float) -> float:
-    """Norm bound 6 pi a / (rho' - kappa rho) + 3 a of the rescaling step."""
+def _width_gain(rho: float, rho_prime: float, kappa: float) -> float:
+    """rho' - kappa rho; DomainError unless kappa rho < rho'."""
     if not kappa * rho < rho_prime:
         raise DomainError(
             f"need kappa*rho < rho', got {kappa * rho:.4f} >= {rho_prime:.4f}"
         )
-    return 6.0 * math.pi * a / (rho_prime - kappa * rho) + 3.0 * a
+    return rho_prime - kappa * rho
+
+
+def operator_norm_bound(a: int, rho: float, rho_prime: float, kappa: float) -> float:
+    """Norm bound 6 pi a / (rho' - kappa rho) + 3 a of the rescaling step."""
+    return 6.0 * math.pi * a / _width_gain(rho, rho_prime, kappa) + 3.0 * a
 
 
 def scale_step(
@@ -42,13 +48,9 @@ def scale_step(
     which the step is bounded; they are checked, kappa rho < rho', and
     the field does not record them.
     """
-    if not kappa * rho < rho_prime:
-        raise DomainError(
-            f"need kappa*rho < rho', got {kappa * rho:.4f} >= {rho_prime:.4f}"
-        )
+    _width_gain(rho, rho_prime, kappa)
     ks = x.index.k[x.support()]
-    image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + a * ks[:, 1])
-    violating = np.flatnonzero(image_l1 > kappa * np.abs(ks).sum(axis=1))
+    violating = np.flatnonzero(~contracts(ks, a, kappa))
     if violating.size:
         k = tuple(int(v) for v in ks[violating[0]])
         image = (k[1], k[0] + a * k[1])
@@ -66,6 +68,9 @@ def scale_step(
 class ConeCertificate:
     """Exhaustive containment check of the resonant cone in the kappa cone.
 
+    witness is the first resonant nonzero mode, in the lexicographic order
+    of mode_index(k_max), that the kappa cone misses; checked counts the
+    resonant nonzero modes up to it, or all of them when none is missed.
     slopes holds the bounding-line slopes (m, l) of the resonant cone and
     (s, r) of the contracting cone; containment needs r <= l <= m <= s.
     """
@@ -90,22 +95,13 @@ def cone_containment_certificate(
         "s": -(1 - kappa) / (a - 1 + kappa),
         "r": -(1 + kappa) / (a + 1 - kappa),
     }
-    witness = None
-    checked = 0
-    for k1 in range(-k_max, k_max + 1):
-        rest = k_max - abs(k1)
-        for k2 in range(-rest, rest + 1):
-            k = (k1, k2)
-            if k == (0, 0):
-                continue
-            if abs(w1 * k1 + w2 * k2) > sigma * mode_l1(k):
-                continue  # far from resonance, not our problem
-            checked += 1
-            image = (k2, k1 + a * k2)
-            if mode_l1(image) > kappa * mode_l1(k):
-                witness = k
-                return ConeCertificate(False, witness, slopes, checked, k_max)
-    return ConeCertificate(True, None, slopes, checked, k_max)
+    index = mode_index(k_max)
+    # far modes are not our problem
+    resonant = cone_mask(FarResonant(omega, sigma), k_max) & (index.l1 > 0)
+    missed = np.flatnonzero(resonant & ~contracts(index.k, a, kappa))
+    witness = tuple(int(v) for v in index.k[missed[0]]) if missed.size else None
+    checked = np.count_nonzero(resonant[:missed[0] + 1] if missed.size else resonant)
+    return ConeCertificate(witness is None, witness, slopes, int(checked), k_max)
 
 
 def kappa_from_sigma(sigma: float) -> float:
@@ -119,20 +115,15 @@ def derivative_weight_delta(rho: float, rho_prime: float, kappa: float) -> float
     """Diagnostic margin delta = kappa (rho' - kappa rho) in the derivative
     bound ||D(X o T_a)|| <= (2 pi kappa / delta) ||X||; any 0 < delta <
     rho' - kappa rho works, this is the conventional choice."""
-    if not kappa * rho < rho_prime:
-        raise DomainError("need kappa*rho < rho'")
-    return kappa * (rho_prime - kappa * rho)
+    return kappa * _width_gain(rho, rho_prime, kappa)
 
 
 def resonant_modes(omega, sigma: float, truncation: int) -> np.ndarray:
     """The nonzero modes with |omega . k| <= sigma ||k||_1 and ||k||_1 <=
     truncation, as an (M, 2) int64 array in lexicographic order."""
-    w1, w2 = float(omega[0]), float(omega[1])
     index = mode_index(truncation)
-    k = index.k
-    keep = np.abs(w1 * k[:, 0] + w2 * k[:, 1]) <= sigma * index.l1
-    keep[len(index) // 2] = False
-    return k[keep]
+    resonant = cone_mask(FarResonant(omega, sigma), truncation)
+    return index.k[resonant & (index.l1 > 0)]
 
 
 def random_resonant_field(

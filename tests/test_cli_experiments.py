@@ -302,10 +302,27 @@ class TestMain:
         ["orbit", "--perturb", "resonant:nan", "--seed", "1"],
         # a rational that overflows a float
         ["cf", "--slope", f"{10**400}/1"],
+        # numpy's generators take no negative seed
+        *([scenario, "--seed", "-1"]
+          for scenario in ("orbit", "eliminate", "scale", "project", "sweep")),
+        # the norm ratio of a zero field has no value
+        ["scale", "--perturb", "resonant:0", "--seed", "1"],
+        ["scale", "--perturb", "unstable:0", "--seed", "1"],
     ])
     def test_malformed_number_exit_two(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exits_two(self, kind, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"sigma=0.1\n# \xff\xfe\n")
+        argv = ["cf", "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "configuration error: cannot read config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         None, '{"width": 0.9}', "[1, 2]", "{",

@@ -344,7 +344,7 @@ def scenario_scale(config, out_dir, tag):
                                       width=params.rho_prime)
         size = norm_r(field, params.rho_prime)
         if size == 0:
-            raise ConfigInvalid(f"scale needs a nonzero amplitude, got {amp}")
+            raise ConfigInvalid(f"scale needs a nonzero field, got amplitude {amp}")
         out = scale_step(field, a, params.rho, params.rho_prime, params.kappa)
         ratio = norm_prime_r(out, params.rho) / size
         worst = max(worst, ratio)

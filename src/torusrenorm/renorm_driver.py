@@ -24,8 +24,7 @@ from .fourier_field import (
     project,
 )
 from .normalization_step import FarSolves, eliminate_far_perturbation
-from .number_theory import (CFExpansion, GL2Z, S, Slope, V, act_on_slope,
-                            cf_expand, t_matrix)
+from .number_theory import CFExpansion, GL2Z, S, Slope, V, act_on_slope, cf_expand
 from .scaling_step import (
     kappa_from_sigma,
     random_resonant_field,
@@ -576,8 +575,9 @@ def stable_decay_probe(
             a_i = cf.coefficient(i)
             t_inv = np.array([[-float(a_i), 1.0], [1.0, 0.0]])
             block = cf.tail_float(i + 1) * (t_inv @ block)
-            # rows k T_a = T_a* k; above 2T, a_i kills the same modes (kk2 != 0)
-            kk = kk @ t_matrix(min(a_i, 2 * truncation + 1)).as_array()
+            # a coefficient above 2T kills the same modes: those with kk2 != 0
+            a_i = min(a_i, 2 * truncation + 1)
+            kk = np.stack([kk[:, 1], kk[:, 0] + a_i * kk[:, 1]], axis=1)
             alive = ((np.abs(kk).sum(axis=1) <= truncation)
                      & cones[i + 1].contains_all(kk))
             k, kk = k[alive], kk[alive]

@@ -450,6 +450,17 @@ BYTE_PINS = {
         "csv": "fcb32d5a3a53c8db34bb8a3c6a61277b237c1e01431d0da533845aa990d1e377",
         "results": "33197d205987bca1270794c37de0a655e1c385b6bea47e20da8301452ca71e4b",
     },
+    # slopes below 1: a_0 = 0 transports k to its swap, a_0 = -1 past it
+    ("decay-probe", "--slope", "0,1,2,2", "--steps", "2",
+     "--truncation", "40"): {
+        "csv": "6aefefe439dca5d695e48ca3647dec400f48de640a3534f83c5c44809e6e6a51",
+        "results": "22509218be2cb7ee54b114b844b6589eaa705e697d465026a793fb1710418b96",
+    },
+    ("decay-probe", "--slope", "1,-1,5,2", "--steps", "2",
+     "--truncation", "40"): {
+        "csv": "13405612601f4bde771faefcd902a2400b01250dfd88eed7d5fe60eb2ec309a6",
+        "results": "c1b2ad2fe218ed73b508edb3f075cf5fbc71202a6a81d1e5cfe8a46978806dfb",
+    },
     # scale_step's cone check, resonant_modes (through random_resonant_field)
     # and both cone masks
     ("scale", "--slope", "golden", "--seed", "1", "--n-fields", "5",

@@ -571,6 +571,21 @@ class TestDecayProbeBits:
                          rep.surviving), ref):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("slope", [Slope.quadratic(0, 1, 2, 2),
+                                       Slope.quadratic(1, -1, 5, 2)],
+                             ids=["sqrt2/2", "(1-sqrt5)/2"])
+    def test_slopes_below_one(self, slope):
+        # a_0 = 0 and a_0 = -1: the first transport is no shift matrix
+        cf = cf_expand(slope, 6)
+        assert cf.coefficient(0) < 1
+        params = RenormParams(truncation=40)
+        rep = stable_decay_probe(cf, 2, params)
+        ref, _ = reference_decay_probe(cf, 2, params)
+        for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
+                         rep.surviving), ref):
+            assert a.tobytes() == b.tobytes()
+        assert (rep.surviving > 0).all()
+
     @pytest.mark.parametrize("slope", PROBE_SLOPES)
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_l2_is_the_dense_operator_norm(self, slope, n):

@@ -213,20 +213,46 @@ def perturbation_field(config: dict, slope: Slope, params: RenormParams):
 # output helpers
 
 
-def format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+def _cell_formatter(kind):
+    """How a CSV cell of this type is written: a float (numpy's too) as its
+    shortest round-trip repr, a numpy integer as its int, the rest by str."""
+    if issubclass(kind, float):
+        return float.__repr__
+    if issubclass(kind, np.floating):
+        return lambda v: repr(float(v))
+    if issubclass(kind, np.integer):
+        return lambda v: str(int(v))
+    return str
 
 
-def write_csv(path: Path, config: dict, columns, rows):
+def write_csv(path: Path, config: dict, columns, rows) -> str:
+    """Write the table under its configuration header; return the text."""
     lines = [f"# {k}={config[k]}" for k in sorted(config)]
     lines.append(",".join(columns))
+    formatters = {}
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        cells = []
+        for v in row:
+            kind = type(v)
+            if kind not in formatters:
+                formatters[kind] = _cell_formatter(kind)
+            cells.append(formatters[kind](v))
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    return text
+
+
+def _strict_json(value):
+    """value with each non-finite float replaced by None, which JSON can
+    hold (NaN and Infinity are not JSON)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
 
 
 def write_manifest(path: Path, config: dict, payload: dict, artifacts,
@@ -235,10 +261,11 @@ def write_manifest(path: Path, config: dict, payload: dict, artifacts,
         "config": {k: config[k] for k in sorted(config)},
         "config_hash": config_hash(config),
         "artifacts": [str(a) for a in artifacts],
-        "results": payload,
+        "results": _strict_json(payload),
         "runtime_seconds": round(runtime, 3),
     }
-    path.write_text(json.dumps(manifest, indent=1, default=str) + "\n")
+    path.write_text(json.dumps(manifest, indent=1, default=str,
+                               allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +297,11 @@ def scenario_cf(config, out_dir, tag):
             ]
         )
     csv_path = out_dir / f"cf_{tag}.csv"
-    write_csv(csv_path, config,
-              ["n", "a_n", "p_n", "q_n", "beta_n", "Atilde_n",
-               "K_q", "K_a", "K_beta", "K_Atilde"], rows)
+    text = write_csv(csv_path, config,
+                     ["n", "a_n", "p_n", "q_n", "beta_n", "Atilde_n",
+                      "K_q", "K_a", "K_beta", "K_Atilde"], rows)
     # the cf subcommand also prints its table
-    print(csv_path.read_text(), end="")
+    print(text, end="")
     payload = {
         "termination": cf.termination,
         "period": cf.period,
@@ -346,7 +373,11 @@ def scenario_scale(config, out_dir, tag):
         if size == 0:
             raise ConfigInvalid(f"scale needs a nonzero field, got amplitude {amp}")
         out = scale_step(field, a, params.rho, params.rho_prime, params.kappa)
-        ratio = norm_prime_r(out, params.rho) / size
+        scaled_size = norm_prime_r(out, params.rho)
+        # the ratio does not depend on the amplitude, but the norms overflow
+        if not math.isfinite(size) or not math.isfinite(scaled_size):
+            raise ConfigInvalid(f"amplitude {amp} overflows a field's norm")
+        ratio = scaled_size / size
         worst = max(worst, ratio)
         rows.append([i, len(field), ratio, bound, ratio / bound])
     csv_path = out_dir / f"scale_{tag}.csv"

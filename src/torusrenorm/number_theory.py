@@ -21,6 +21,7 @@ from math import isqrt
 
 import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .errors import (
     IndexOutOfRange,
@@ -333,11 +334,12 @@ class _IvPrec:
         mpmath.iv.prec = self.saved
 
 
-def _iv_floor_certified(x):
-    """Floor of an interval if both endpoints agree, else None."""
-    lo = int(mpmath.floor(x.a))
-    hi = int(mpmath.floor(x.b))
-    return lo if lo == hi else None
+def _iv_products(values, bits: int) -> list:
+    """Prefix products of intervals, each rounded outward at `bits` as
+    mpmath.iv's `*` rounds it."""
+    products = itertools.accumulate(
+        (v._mpi_ for v in values), lambda u, v: libmp.mpi_mul(u, v, bits))
+    return [mpmath.iv.make_mpf(v) for v in products]
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +493,20 @@ class CFExpansion:
     a_tilde_floats: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        # left to right, beta_n = beta_{n-1} x_n; intervals at the slope's bits
-        with _IvPrec(self.slope.bits):
+        # left to right, beta_n = beta_{n-1} x_n
+        if self.slope.bits is None:
             self.betas = list(itertools.accumulate(self.remainders, operator.mul))
             self.a_tildes = list(itertools.accumulate(self.tails, operator.mul))
-        # a periodic expansion repeats its tails: convert each value once
-        to_float = (functools.cache(float) if self.slope.bits is None
-                    else lambda v: float(v.mid))
+            # a periodic expansion repeats its tails: convert each value once
+            to_float = functools.cache(float)
+        else:
+            self.betas = _iv_products(self.remainders, self.slope.bits)
+            self.a_tildes = _iv_products(self.tails, self.slope.bits)
+            # float(v.mid): the midpoint at the context's precision
+            prec = mpmath.iv.prec
+
+            def to_float(v):
+                return libmp.to_float(libmp.mpi_mid(v._mpi_, prec))
         self.tail_floats = [to_float(v) for v in self.tails]
         self.remainder_floats = [to_float(v) for v in self.remainders]
         # through the accessors, so perfbench's spans on beta/a_tilde see them
@@ -562,46 +571,55 @@ class CFExpansion:
 def _expand_exact(alpha: QuadraticNumber, n_terms: int):
     coeffs, tails, remainders = [], [], []
     seen = {}
-    period = None
-    termination = "ok"
     x = alpha
     for n in range(n_terms):
-        # a repeated tail closes the period; rational tails never repeat
-        if period is None and x in seen:
-            period = (seen[x], n - seen[x])
-        seen.setdefault(x, n)
+        if x in seen:
+            # a repeated tail closes the period (rational tails never
+            # repeat); the rest repeats the period's terms, the same objects
+            start = seen[x]
+            for table in (coeffs, tails, remainders):
+                table += itertools.islice(itertools.cycle(table[start:]),
+                                          n_terms - n)
+            return coeffs, tails, remainders, (start, n - start), "ok"
+        seen[x] = n
         a = math.floor(x)
         coeffs.append(a)
         tails.append(x)
         rem = x - a
         remainders.append(rem)
         if rem == 0:
-            termination = "rational_exhausted"
-            break
+            return coeffs, tails, remainders, None, "rational_exhausted"
         x = 1 / rem
-    return coeffs, tails, remainders, period, termination
+    return coeffs, tails, remainders, None, "ok"
 
 
 def _expand_real(value, bits: int, n_terms: int):
+    """The expansion of an interval on its endpoint tuples; `x - a` and
+    `1 / rem` round outward at `bits` as mpmath.iv's operators do."""
     coeffs, tails, remainders = [], [], []
     termination = "ok"
-    with _IvPrec(bits):
-        x = value
-        for _ in range(n_terms):
-            a = _iv_floor_certified(x)
-            if a is None:
-                termination = "precision_exhausted"
-                break
-            coeffs.append(a)
-            tails.append(x)
-            rem = x - a
-            remainders.append(rem)
-            if not rem.a > 0:
-                # cannot certify rem > 0: either rational or out of digits
-                termination = "precision_exhausted"
-                break
-            x = 1 / rem
-    return coeffs, tails, remainders, None, termination
+    one = (libmp.fone, libmp.fone)
+    x = value._mpi_
+    for _ in range(n_terms):
+        # a digit is certified when both endpoints have the same floor
+        a = libmp.to_int(x[0], libmp.round_floor)
+        if a != libmp.to_int(x[1], libmp.round_floor):
+            termination = "precision_exhausted"
+            break
+        coeffs.append(a)
+        tails.append(x)
+        rem = libmp.mpi_sub(x, (libmp.from_int(a, bits, libmp.round_floor),
+                                libmp.from_int(a, bits, libmp.round_ceiling)),
+                            bits)
+        remainders.append(rem)
+        if not libmp.mpf_gt(rem[0], libmp.fzero):
+            # cannot certify rem > 0: either rational or out of digits
+            termination = "precision_exhausted"
+            break
+        x = libmp.mpi_div(one, rem, bits)
+    make = mpmath.iv.make_mpf
+    return (coeffs, [make(v) for v in tails], [make(v) for v in remainders],
+            None, termination)
 
 
 def cf_expand(alpha: Slope, n_terms: int) -> CFExpansion:

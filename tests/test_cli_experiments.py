@@ -159,6 +159,31 @@ class TestScenarios:
             p for p in artifacts if p.suffix == ".json").read_text())
         assert manifest["results"]["within_bound"] is True
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_scale_amplitude_overflowing_the_norms_exits_two(self, tmp_path,
+                                                             capsys):
+        # every ratio read inf, exit 3, with "worst_ratio": Infinity
+        argv = ["scale", "--slope", "golden", "--seed", "1", "--truncation",
+                "16", "--n-fields", "3", "--perturb", "resonant:1e308",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "amplitude 1e+308" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_manifests_are_strict_json(self, tmp_path, capsys):
+        # one coefficient leaves the probe empty and its K_max NaN
+        assert main(["cf", "--slope", "355/113", "--n-terms", "1",
+                     "--out", str(tmp_path)]) == 0
+        manifest_path = capsys.readouterr().out.splitlines()[-1]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        manifest = json.loads(Path(manifest_path).read_text(),
+                              parse_constant=refuse)
+        assert manifest["results"]["K_max"] == {
+            "q": None, "a": None, "beta": None, "Atilde": None}
+
     def test_eliminate(self, tmp_path):
         _, (code, artifacts) = run(
             "eliminate", tmp_path, slope="golden", seed="5",
@@ -545,6 +570,8 @@ print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
     pytest.param((), ("scipy",), id="import"),
     pytest.param(("cf", "--slope", "golden", "--n-terms", "60"), ("scipy",),
                  id="cf"),
+    pytest.param(("cf", "--slope", E_MINUS_2_AT_1024, "--n-terms", "400"),
+                 ("scipy",), id="cf-e-2@1024"),
     pytest.param(("decay-probe", "--slope", "golden", "--steps", "6",
                   "--truncation", "40"), ("scipy",), id="decay-probe"),
     pytest.param(("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",

@@ -1,12 +1,14 @@
 import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusrenorm import cli_experiments
@@ -20,6 +22,7 @@ from torusrenorm.number_theory import (
     D,
     GL2Z,
     IDENTITY,
+    CFExpansion,
     QuadraticNumber,
     S,
     Slope,
@@ -31,6 +34,7 @@ from torusrenorm.number_theory import (
     gauss_step,
     t_matrix,
     t_matrix_eigen,
+    _IvPrec,
 )
 
 GAMMA = (1 + math.sqrt(5)) / 2
@@ -488,6 +492,145 @@ def _product(values):
     for v in values[1:]:
         out = out * v
     return out
+
+
+def unrolled_exact_expansion(alpha, n_terms):
+    """The exact expansion one term at a time, the loop cf_expand ran before
+    it filled a periodic tail from its period: (coefficients, tails,
+    remainders, period, termination)."""
+    coeffs, tails, remainders = [], [], []
+    seen = {}
+    period = None
+    termination = "ok"
+    x = alpha
+    for n in range(n_terms):
+        # a repeated tail closes the period; rational tails never repeat
+        if period is None and x in seen:
+            period = (seen[x], n - seen[x])
+        seen.setdefault(x, n)
+        a = math.floor(x)
+        coeffs.append(a)
+        tails.append(x)
+        rem = x - a
+        remainders.append(rem)
+        if rem == 0:
+            termination = "rational_exhausted"
+            break
+        x = 1 / rem
+    return coeffs, tails, remainders, period, termination
+
+
+def iv_object_expansion(value, bits, n_terms):
+    """The interval expansion on mpmath.iv objects, the loop cf_expand ran
+    before it worked on endpoint tuples, with its prefix products and
+    float views: a dict of the tables, or None when no digit is certified.
+
+    One change from that loop: its floor is exact.  The loop took
+    int(mpmath.floor(x.a)) at mpmath's 53-bit default, which rounds a
+    floor beyond 2**53 to 53 bits."""
+    coeffs, tails, remainders = [], [], []
+    termination = "ok"
+    with _IvPrec(bits):
+        x = value
+        for _ in range(n_terms):
+            lo = int(mpmath.floor(x.a, prec=0))
+            hi = int(mpmath.floor(x.b, prec=0))
+            if lo != hi:
+                termination = "precision_exhausted"
+                break
+            coeffs.append(lo)
+            tails.append(x)
+            rem = x - lo
+            remainders.append(rem)
+            if not rem.a > 0:
+                termination = "precision_exhausted"
+                break
+            x = 1 / rem
+        betas = list(itertools.accumulate(remainders, operator.mul))
+        a_tildes = list(itertools.accumulate(tails, operator.mul))
+    if not coeffs:
+        return None
+    tables = {"tails": tails, "remainders": remainders, "betas": betas,
+              "a_tildes": a_tildes}
+    floats = {f"{name}_floats": [float(v.mid) for v in values]
+              for name, values in tables.items()}
+    return {"coefficients": coeffs, "termination": termination,
+            **tables, **floats}
+
+
+@st.composite
+def decimal_slopes(draw):
+    """A nonzero decimal of 5 to 400 digits, its sign and its point drawn."""
+    n = draw(st.integers(5, 400))
+    digits = draw(st.text("0123456789", min_size=n, max_size=n))
+    if not digits.strip("0"):
+        digits = digits[:-1] + "7"
+    point = draw(st.integers(1, n))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+with mpmath.workdps(340):
+    E_MINUS_2_320 = mpmath.nstr(mpmath.e - 2, 320, strip_zeros=False)
+
+
+class TestExpansionReferences:
+    @settings(max_examples=30, deadline=None)
+    @given(decimal=decimal_slopes(), bits=st.integers(53, 2048),
+           n_terms=st.integers(1, 400))
+    # runs out of bits; certifies no digit; ends on an exact remainder 0
+    @example(decimal=E_MINUS_2_320, bits=1024, n_terms=400)
+    @example(decimal="0.99999999999999999999", bits=53, n_terms=5)
+    @example(decimal="2.5000", bits=53, n_terms=10)
+    # coefficients beyond 2**53
+    @example(decimal="123456789012345678901234567.50000", bits=256, n_terms=5)
+    def test_interval_path_matches_the_iv_object_loop(self, decimal, bits,
+                                                      n_terms):
+        slope = Slope.real(decimal, bits=bits)
+        want = iv_object_expansion(slope.value, bits, n_terms)
+        if want is None:
+            with pytest.raises(PrecisionExhausted):
+                cf_expand(slope, n_terms)
+            return
+        cf = cf_expand(slope, n_terms)
+        assert cf.coefficients == want["coefficients"]
+        assert cf.termination == want["termination"]
+        assert cf.period is None
+        for name in ("tails", "remainders", "betas", "a_tildes"):
+            assert ([v._mpi_ for v in getattr(cf, name)]
+                    == [v._mpi_ for v in want[name]]), name
+            got = getattr(cf, f"{name[:-1]}_floats")
+            assert ([x.hex() for x in got]
+                    == [x.hex() for x in want[f"{name}_floats"]]), name
+
+    def test_coefficients_beyond_2_to_the_53_are_exact(self):
+        # a floor rounded to 53 bits gave [123456789012345678152597504, 0,
+        # 748637063], and certified a_1 = 1000000000000000019884624838656
+        # for 1e-30, whose 1/x straddles 10**30
+        cf = cf_expand(Slope.real("123456789012345678901234567.5", bits=256), 5)
+        assert cf.coefficients == [123456789012345678901234567, 2]
+        cf = cf_expand(Slope.real("1e-30", bits=256), 5)
+        assert (cf.coefficients, cf.termination) == ([0], "precision_exhausted")
+
+    @pytest.mark.parametrize("slope", [
+        Slope.golden(), Slope.sqrt2(), Slope.silver(),
+        Slope.quadratic(3, 2, 7, 5), Slope.quadratic(1, 1, 13, 2),
+        Slope.rational(355, 113)],
+        ids=["golden", "sqrt2", "silver", "3,2,7,5", "1,1,13,2", "355/113"])
+    def test_periodic_tail_matches_the_unrolled_loop(self, slope):
+        _, _, _, period, _ = unrolled_exact_expansion(slope.value, 400)
+        end = sum(period) if period else len(
+            unrolled_exact_expansion(slope.value, 400)[0])
+        for n_terms in (1, end, end + 1, 400):
+            want = unrolled_exact_expansion(slope.value, n_terms)
+            cf = cf_expand(slope, n_terms)
+            ref = CFExpansion(slope, *want[:3], cf.p, cf.q, *want[3:])
+            assert (cf.coefficients, cf.tails, cf.remainders, cf.period,
+                    cf.termination) == want
+            for name in ("tail_floats", "remainder_floats", "beta_floats",
+                         "a_tilde_floats", "betas", "a_tildes"):
+                assert getattr(cf, name) == getattr(ref, name), (n_terms, name)
+            assert [float(x) for x in want[1]] == cf.tail_floats
 
 
 class TestPrefixTables:

@@ -618,9 +618,8 @@ class TestExpansionReferences:
         Slope.rational(355, 113)],
         ids=["golden", "sqrt2", "silver", "3,2,7,5", "1,1,13,2", "355/113"])
     def test_periodic_tail_matches_the_unrolled_loop(self, slope):
-        _, _, _, period, _ = unrolled_exact_expansion(slope.value, 400)
-        end = sum(period) if period else len(
-            unrolled_exact_expansion(slope.value, 400)[0])
+        coeffs, _, _, period, _ = unrolled_exact_expansion(slope.value, 400)
+        end = sum(period) if period else len(coeffs)
         for n_terms in (1, end, end + 1, 400):
             want = unrolled_exact_expansion(slope.value, n_terms)
             cf = cf_expand(slope, n_terms)
@@ -630,7 +629,6 @@ class TestExpansionReferences:
             for name in ("tail_floats", "remainder_floats", "beta_floats",
                          "a_tilde_floats", "betas", "a_tildes"):
                 assert getattr(cf, name) == getattr(ref, name), (n_terms, name)
-            assert [float(x) for x in want[1]] == cf.tail_floats
 
 
 class TestPrefixTables:

@@ -7,6 +7,14 @@ normalises the average.  Iterating it along the expansion contracts
 perturbations of diophantine constant fields.
 """
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads.  The pullback
+# shares its column blocks between the calling thread and one worker, and
+# an idle OpenBLAS helper thread spins on the core that worker needs; a
+# value the environment already sets wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ConeViolation,
     ConfigInvalid,

@@ -369,12 +369,16 @@ def scenario_scale(config, out_dir, tag):
         field = random_resonant_field(omega, params.sigma, amp,
                                       params.truncation, rng,
                                       width=params.rho_prime)
-        size = norm_r(field, params.rho_prime)
-        if size == 0:
-            raise ConfigInvalid(f"scale needs a nonzero field, got amplitude {amp}")
-        out = scale_step(field, a, params.rho, params.rho_prime, params.kappa)
-        scaled_size = norm_prime_r(out, params.rho)
-        # the ratio does not depend on the amplitude, but the norms overflow
+        # the ratio does not depend on the amplitude, but the norms overflow;
+        # the check below reports that, so numpy does not warn of it
+        with np.errstate(over="ignore"):
+            size = norm_r(field, params.rho_prime)
+            if size == 0:
+                raise ConfigInvalid(
+                    f"scale needs a nonzero field, got amplitude {amp}")
+            out = scale_step(field, a, params.rho, params.rho_prime,
+                             params.kappa)
+            scaled_size = norm_prime_r(out, params.rho)
         if not math.isfinite(size) or not math.isfinite(scaled_size):
             raise ConfigInvalid(f"amplitude {amp} overflows a field's norm")
         ratio = scaled_size / size

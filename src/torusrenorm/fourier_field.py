@@ -62,11 +62,13 @@ class ModeIndex:
 
     def __init__(self, truncation: int):
         t = truncation
-        k = np.array(
-            [(k1, k2) for k1 in range(-t, t + 1)
-             for k2 in range(abs(k1) - t, t - abs(k1) + 1)],
-            dtype=np.int64,
-        )
+        # row k1 holds k2 = |k1| - t, ..., t - |k1|: 2 (t - |k1|) + 1 modes
+        rows = np.arange(-t, t + 1, dtype=np.int64)
+        lengths = 2 * (t - np.abs(rows)) + 1
+        starts = np.cumsum(lengths) - lengths
+        k1 = np.repeat(rows, lengths)
+        k2 = np.arange(len(k1)) - np.repeat(starts, lengths) + np.abs(k1) - t
+        k = np.stack([k1, k2], axis=1)
         self.truncation = t
         self.k = _frozen(k)
         self.l1 = _frozen(np.abs(k).sum(axis=1))

@@ -105,23 +105,24 @@ PHASE_CHUNK = 48
 # exp(x) rounds to exactly 1 for |x| < 2^-54; half of that leaves room for
 # the rounding of the bound and of the exponents it bounds
 MIRROR_BOUND = 2.0 ** -55
-# bytes of the phase rows of one block of grid columns.  A block's widest
-# product, 4 rows by at most M modes by its columns, then has at most 2^16
-# multiply-adds; OpenBLAS 0.3.31 runs a zgemm that small on the calling
-# thread, so BLAS starts no threads beside the two that share the blocks
-BLOCK_BYTES = 2 ** 18
+# bytes of the phase rows of one block of grid columns, and the fewest
+# blocks a call is cut into when it has the columns: the two threads that
+# share the blocks then both get some at small supports
+BLOCK_BYTES = 2 ** 20
+MIN_BLOCKS = 8
 
 
 def _column_width(rows, points):
-    """Grid columns per block: BLOCK_BYTES of complex phase rows, rounded
-    down to a multiple of 64 columns, at least 64, at most all.
+    """Grid columns per block: at most BLOCK_BYTES of complex phase rows
+    and at most points / MIN_BLOCKS columns, rounded down to a multiple of
+    64 columns, at least 64, at most all.
 
     The BLAS product of a chunk with a block of columns gives each column
     the bits of the product with all columns only while every block but
     the last spans a multiple of 4 columns (OpenBLAS 0.3.31 zgemm).
     """
-    width = max(64, BLOCK_BYTES // (16 * max(rows, 1)) // 64 * 64)
-    return min(width, points)
+    width = min(BLOCK_BYTES // (16 * max(rows, 1)), points // MIN_BLOCKS)
+    return min(max(64, width // 64 * 64), points)
 
 
 def _phase_runs(mirror):

@@ -159,15 +159,19 @@ class TestScenarios:
             p for p in artifacts if p.suffix == ".json").read_text())
         assert manifest["results"]["within_bound"] is True
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_scale_amplitude_overflowing_the_norms_exits_two(self, tmp_path,
-                                                             capsys):
-        # every ratio read inf, exit 3, with "worst_ratio": Infinity
+    def test_scale_amplitude_overflowing_the_norms_exits_two(self, tmp_path):
+        # every ratio read inf, exit 3, with "worst_ratio": Infinity; a fresh
+        # process shows that numpy prints no overflow warning before the
+        # error
         argv = ["scale", "--slope", "golden", "--seed", "1", "--truncation",
                 "16", "--n-fields", "3", "--perturb", "resonant:1e308",
                 "--out", str(tmp_path)]
-        assert main(argv) == 2
-        assert "amplitude 1e+308" in capsys.readouterr().err
+        run = subprocess.run(
+            [sys.executable, "-m", "torusrenorm.cli_experiments", *argv],
+            env=package_env(), capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert run.stderr == (
+            "configuration error: amplitude 1e+308 overflows a field's norm\n")
         assert not list(tmp_path.iterdir())
 
     def test_manifests_are_strict_json(self, tmp_path, capsys):
@@ -566,6 +570,23 @@ print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
 """
 
 
+def package_env(**variables):
+    """The environment with this package's source first on PYTHONPATH and
+    the given variables set."""
+    env = dict(os.environ, **variables)
+    src = str(Path(torusrenorm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def cold_probe(argv, out_dir, **variables):
+    """Standard output of COLD_PROBE run on argv, writing to out_dir."""
+    out_args = ("--out", str(out_dir)) if argv else ()
+    return subprocess.run([sys.executable, "-c", COLD_PROBE, *argv, *out_args],
+                          env=package_env(**variables), check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
 @pytest.mark.parametrize("argv, unloaded", [
     pytest.param((), ("scipy",), id="import"),
     pytest.param(("cf", "--slope", "golden", "--n-terms", "60"), ("scipy",),
@@ -581,14 +602,7 @@ def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
     # scipy is imported where it is called; a fresh process shows what a
     # scenario loads (this one has scipy loaded already) and that the
     # first call through each import gives the pinned bytes
-    env = dict(os.environ)
-    src = str(Path(torusrenorm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out_args = ("--out", str(tmp_path)) if argv else ()
-    run = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv, *out_args],
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=300)
-    *printed, threads, modules = run.stdout.splitlines()
+    *printed, threads, modules = cold_probe(argv, tmp_path).splitlines()
     # no scenario leaves a thread behind
     assert threads == "1"
     assert [m for m in json.loads(modules)
@@ -596,3 +610,44 @@ def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
             ] == []
     if argv:
         assert printed_digests(argv, printed, tmp_path) == BYTE_PINS[argv]
+
+
+# A fresh interpreter records OPENBLAS_NUM_THREADS when numpy is first
+# imported and after `import torusrenorm`, and prints both.
+PIN_PROBE = """
+import json, os, sys
+at_numpy = []
+class FirstNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, FirstNumpy())
+import torusrenorm
+print(json.dumps([at_numpy, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.parametrize("value", [None, "2"])
+def test_the_package_pins_openblas_before_numpy_loads(value):
+    # the pullback's worker needs the second core that an idle OpenBLAS
+    # helper thread spins on; a value the user sets wins
+    env = package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    run = subprocess.run([sys.executable, "-c", PIN_PROBE], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    expected = value or "1"
+    assert json.loads(run.stdout) == [[expected], expected]
+
+
+@pytest.mark.parametrize("argv", [
+    next(pinned for pinned in BYTE_PINS if pinned[0] == scenario)
+    for scenario in ("orbit", "eliminate")], ids=pin_id)
+def test_outputs_keep_their_bytes_with_two_openblas_threads(argv, tmp_path):
+    # with OpenBLAS free to split the pullback's products, every block but
+    # the last still spans a multiple of 64 columns
+    printed = cold_probe(argv, tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert printed_digests(argv, printed.splitlines(),
+                           tmp_path) == BYTE_PINS[argv]

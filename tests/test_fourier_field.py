@@ -8,6 +8,7 @@ from torusrenorm.fourier_field import (
     FarResonant,
     FourierVectorField,
     Kappa,
+    ModeIndex,
     field_from_dict,
     field_to_dict,
     fit_grid,
@@ -160,6 +161,21 @@ class TestTruncation:
         with pytest.raises(ValueError, match="truncation must be"):
             FourierVectorField.from_array(np.zeros((2, 145), dtype=complex),
                                           truncation)
+
+
+@pytest.mark.parametrize("truncation", [*range(41), 120])
+def test_mode_index_arrays_match_the_per_mode_comprehension(truncation):
+    t = truncation
+    k = np.array(
+        [(k1, k2) for k1 in range(-t, t + 1)
+         for k2 in range(abs(k1) - t, t - abs(k1) + 1)],
+        dtype=np.int64,
+    )
+    index = ModeIndex(t)
+    assert index.k.dtype == k.dtype and index.k.flags.c_contiguous
+    assert index.k.tobytes() == k.tobytes()
+    assert index.l1.tobytes() == np.abs(k).sum(axis=1).tobytes()
+    assert index.positions(k).tobytes() == np.arange(len(k)).tobytes()
 
 
 class TestGrid:

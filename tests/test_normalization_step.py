@@ -486,21 +486,26 @@ class TestMirrorPhases:
     @pytest.mark.parametrize("with_derivative", [False, True])
     def test_block_width_keeps_the_bytes(self, monkeypatch, grid, m,
                                          with_derivative):
-        # blocks of 64 and 128 columns leave a shorter last block on 25^2
-        # columns, and 128 on 24^2; one block of all columns is the
+        # blocks of 64 and 128 columns set by BLOCK_BYTES, and of 64 and
+        # 256 set by MIN_BLOCKS, leave a shorter last block on 25^2
+        # columns, and 128 and 256 on 24^2; one block of all columns is the
         # product over the whole grid, as before the blocks
         h = support_field(m, unpaired=3)
         args = (PSI.astype(complex), h, displacement_grid(1e-23, grid=grid),
                 grid, with_derivative)
         widths, outputs = [], []
-        for width in (64, 128, None):
-            block_bytes = 16 * m * width if width else 2 ** 40
+        for block_bytes, min_blocks in ((16 * m * 64, 1), (16 * m * 128, 1),
+                                        (2 ** 40, 8), (2 ** 40, 2)):
             monkeypatch.setattr(normalization_step, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(normalization_step, "MIN_BLOCKS", min_blocks)
             widths.append(normalization_step._column_width(m, grid * grid))
             outputs.append(normalization_step._pullback_core(*args))
-        assert widths == [64, 128, grid * grid]
-        for output in outputs[:-1]:
-            assert_same_bytes(output, outputs[-1])
+        assert widths == [64, 128, 64, 256]
+        monkeypatch.setattr(normalization_step, "_column_width",
+                            lambda rows, points: points)
+        whole = normalization_step._pullback_core(*args)
+        for output in outputs:
+            assert_same_bytes(output, whole)
 
 
 def assert_same_bytes(new, old):
@@ -512,12 +517,14 @@ def assert_same_bytes(new, old):
 
 
 def test_column_width_is_a_multiple_of_64_but_in_the_last_block():
-    for rows in (1, 42, 80, 150, 600, 10_000):
-        for points in (9, 625, 17_424, 69_696):
+    for rows in (1, 2, 10, 32, 42, 80, 150, 600, 10_000):
+        for points in (9, 625, 17_424, 18_225, 69_696):
             width = normalization_step._column_width(rows, points)
             assert width == points or (width % 64 == 0 and 0 < width < points)
             assert 16 * rows * width <= max(normalization_step.BLOCK_BYTES,
                                             16 * rows * 64)
+            # MIN_BLOCKS blocks or more wherever blocks of 64 columns allow
+            assert width <= max(64, points // normalization_step.MIN_BLOCKS)
 
 
 def test_pullback_peak_memory_is_a_few_blocks():
@@ -576,8 +583,8 @@ def test_only_the_phase_blocks_leave_the_calling_thread(monkeypatch):
     caller = {threading.get_ident()}
     for name in ("fit_grid", "project", "norm_r", "__init__"):
         assert threads[name] == caller, name
-    # 10 modes on 132^2 grid columns, in blocks of 1,600: the worker took
-    # some
+    # 10 modes on 132^2 grid columns, in 8 blocks of 2,176 and one of 16:
+    # the worker took some
     assert (threads["_fill_phases"] > caller) == MULTI_CORE
 
 
@@ -617,8 +624,38 @@ def test_the_worker_is_joined_before_the_pullback_returns(monkeypatch):
     with pytest.raises(SingularJacobian, match="changes sign"):
         normalization_step._pullback_core(*args[:2], u_grid, grid, True)
     assert threading.active_count() == baseline
-    # 64 blocks of 64 columns; the worker took none after the error
+    # 11 blocks of at most 384 columns; the worker took none after the
+    # error
     assert len(filled) == 1 and filled[0] != threading.get_ident()
+
+
+@pytest.mark.skipif(not MULTI_CORE, reason="one core: no worker is started")
+@pytest.mark.parametrize("m", [2, 10, 32, 80])
+def test_the_worker_fills_blocks_at_small_supports(monkeypatch, m):
+    # at least MIN_BLOCKS blocks on 132^2 columns, whatever the support:
+    # the calling thread forms (DU)^{-1} only once the worker fills a block
+    caller = threading.get_ident()
+    fill = normalization_step._fill_phases
+    inverse = normalization_step._inverse_jacobian
+    worker_fills = threading.Event()
+
+    def recorded_fill(*fill_args):
+        if threading.get_ident() != caller:
+            worker_fills.set()
+        return fill(*fill_args)
+
+    def inverse_once_the_worker_fills(*inverse_args):
+        assert worker_fills.wait(10)
+        return inverse(*inverse_args)
+
+    monkeypatch.setattr(normalization_step, "_fill_phases", recorded_fill)
+    monkeypatch.setattr(normalization_step, "_inverse_jacobian",
+                        inverse_once_the_worker_fills)
+    grid = 132
+    normalization_step._pullback_core(
+        PSI.astype(complex), support_field(m),
+        displacement_grid(1e-23, grid=grid), grid, True)
+    assert worker_fills.is_set()
 
 
 @pytest.mark.skipif(not MULTI_CORE, reason="one core: no worker is started")
@@ -651,7 +688,7 @@ def test_an_error_in_the_worker_is_raised_after_the_join(monkeypatch):
 
 def test_concurrent_pullbacks_keep_their_bytes():
     # each call owns its buffers: two calls at once on different inputs,
-    # each with its worker (4 blocks of 625 columns), give the bytes of
+    # each with its worker (10 blocks of 625 columns), give the bytes of
     # serial calls; a short switch interval interleaves the four threads
     grid = 25
     inputs = [(PSI.astype(complex), support_field(80, seed=seed),

@@ -40,7 +40,6 @@ from .fourier_field import (
 )
 from .normalization_step import (
     TorusMap,
-    compose_pullback,
     eliminate_far_perturbation,
 )
 from .number_theory import (

@@ -338,10 +338,7 @@ def scenario_project(config, out_dir, tag):
         raise ConfigInvalid("side must be inside or outside")
     kept = project(field, cone, side)
     other = project(field, cone, "outside" if side == "inside" else "inside")
-    recombined = kept + other
-    complementary = set(recombined.modes) == set(field.modes) and all(
-        np.allclose(recombined.modes[k], field.modes[k]) for k in field.modes
-    )
+    complementary = np.array_equal((kept + other).coeffs, field.coeffs)
     out_path = out_dir / f"project_{tag}_field.json"
     save_field(kept, out_path)
     rows = [[side, len(kept), norm_r(kept, params.rho_prime),

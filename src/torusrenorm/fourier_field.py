@@ -196,11 +196,6 @@ class FourierVectorField:
             object.__setattr__(self, "_modes", MappingProxyType(view))
         return self._modes
 
-    def coefficient(self, k) -> np.ndarray:
-        if mode_l1(k) > self.truncation:
-            return np.zeros(2, dtype=complex)
-        return self.coeffs[:, self.index.positions([k])[0]].copy()
-
     def average(self) -> np.ndarray:
         return self.coeffs[:, self.coeffs.shape[1] // 2].copy()
 

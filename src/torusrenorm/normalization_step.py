@@ -25,7 +25,6 @@ from .fourier_field import (
     FourierVectorField,
     GridFitReport,
     cone_mask,
-    field_from_dict,
     field_to_dict,
     fit_grid,
     norm_prime_r,
@@ -70,9 +69,6 @@ class TorusMap:
     def identity(cls, truncation: int = 32) -> "TorusMap":
         return cls(FourierVectorField.zero(truncation))
 
-    def is_identity(self) -> bool:
-        return len(self.displacement) == 0
-
     @property
     def truncation(self) -> int:
         return self.displacement.truncation
@@ -86,19 +82,8 @@ class TorusMap:
     def to_dict(self) -> dict:
         return field_to_dict(self.displacement, displacement=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TorusMap":
-        return cls(field_from_dict(data))
-
     def __repr__(self):
         return f"TorusMap({len(self.displacement)} displacement modes)"
-
-
-@dataclass
-class PullbackResult:
-    field: FourierVectorField
-    fit: GridFitReport
-    min_jacobian_det: float
 
 
 PHASE_CHUNK = 48
@@ -329,19 +314,6 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     return _Pullback(u, w, inv_jac, dh_at_u, min_det, fit_w, fit)
 
 
-def _perturbation_from_fit(fit_w, avg):
-    """Field Eg + fitted W (the pullback minus the reference psi)."""
-    return fit_w.minus_constant(-np.asarray(avg, dtype=complex))
-
-
-def compose_pullback(x: FourierVectorField, u: TorusMap) -> PullbackResult:
-    """Discrete Fourier fit of (DU)^{-1} X o U on a uniform grid."""
-    v = x.average()
-    pull = _pull_back(v, x.oscillatory(), u)
-    return PullbackResult(_perturbation_from_fit(pull.fit_w, v), pull.fit,
-                          pull.min_det)
-
-
 # ---------------------------------------------------------------------------
 # elimination of far-from-resonance modes
 
@@ -459,7 +431,7 @@ def eliminate_far_perturbation(
         # already resonant-only: U = id, mode-exactly
         ident = TorusMap.identity(truncation)
         return EliminationResult(
-            ident, _perturbation_from_fit(g0, psi), g0, 0, [0.0],
+            ident, g0.minus_constant(-psi), g0, 0, [0.0],
             eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs, 0.0,
         )
 
@@ -481,10 +453,10 @@ def eliminate_far_perturbation(
             solves[key] = solve
             solves.computed += 1
 
-    g_final = _perturbation_from_fit(solve.fit_w, g_avg)
+    g_final = solve.fit_w.minus_constant(-g_avg)
     return EliminationResult(
         map=solve.map,
-        field=_perturbation_from_fit(g_final, psi),
+        field=g_final.minus_constant(-psi),
         perturbation=g_final,
         sweeps=solve.sweeps,
         residuals=list(solve.residuals),

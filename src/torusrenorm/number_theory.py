@@ -69,10 +69,6 @@ class GL2Z:
             self.c * other.b + self.d * other.d,
         )
 
-    def apply(self, v):
-        """Matrix-vector product; v may hold ints, floats or exact numbers."""
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
 

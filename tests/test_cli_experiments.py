@@ -451,6 +451,21 @@ BYTE_PINS = {
         "map.json": "d6e7f72a2e3ca2f1624d47ffc7ade4e44ad961cf0bf37c854a8e15885a5935df",
         "results": "e10e292a1c7d4dd48e23f7d5c2de861970c34d2d9c3ff9e6ba176bb55c4081dd",
     },
+    # inputs with no far mode: the elimination is the identity, no solve
+    ("eliminate", "--perturb", "resonant:1e-3", "--seed", "7",
+     "--truncation", "16"): {
+        "csv": "cdcc16cedf211e56dae63700a4411b4b4499bd738b131fac5c818eb47c9edcc8",
+        "field.json": "a3a206c68f85877510543a9ad99cc81bd9111185629251ca766b97e379961f5a",
+        "map.json": "757819a2bd1da605d235c67600e00ffea2abad01f5aa2744f8d4746856e9f553",
+        "results": "91307345f0fd80e0a127e59a0865d24e94dd099d114741aafaaab3dd04be481e",
+    },
+    ("eliminate", "--perturb", "unstable:1e-3", "--seed", "7",
+     "--truncation", "16"): {
+        "csv": "cdcc16cedf211e56dae63700a4411b4b4499bd738b131fac5c818eb47c9edcc8",
+        "field.json": "850ce3adf2edb3d8924d0319c562c300f5fc415f8d1e6261dfd1945cc5c4f741",
+        "map.json": "757819a2bd1da605d235c67600e00ffea2abad01f5aa2744f8d4746856e9f553",
+        "results": "e9770428bcc1d64566717d8db06c289300175e8a372f58dbce0fc2684a089a0e",
+    },
     ("cf", "--slope", "sqrt2", "--n-terms", "400"): {
         "csv": "a1b7a3e391c302ada5d6085670ea26a8a379d5b461d730f0c4e32bd8607bfe60",
         "results": "8709ef3f25c0fcd3ee5f3bfcf7493f1e6ffd5f8c65bf28a6528fa02943e36c72",

@@ -356,8 +356,10 @@ def scenario_scale(config, out_dir, tag):
     a = int(float(slope))
     if a < 1:
         raise ConfigInvalid(f"scale needs a slope of at least 1, got {float(slope)}")
+    kind, amp = parse_perturbation(config["perturb"])
+    if kind != "resonant":
+        raise ConfigInvalid(f"scale draws resonant fields, not {kind!r} ones")
     rng = np.random.default_rng(config_number(config, "seed", int, least=0))
-    _, amp = parse_perturbation(config["perturb"])
     bound = operator_norm_bound(a, params.rho, params.rho_prime, params.kappa)
     rows = []
     worst = 0.0
@@ -534,15 +536,10 @@ def scenario_sweep(config, out_dir, tag):
     artifacts = []
     far_solves = {"computed": 0, "reused": 0}
     for amp in amplitudes:
-        sub = dict(config)
-        sub["scenario"] = "orbit"
-        sub["perturb"] = f"{kind}:{amp}"
-        sub_tag = config_hash(sub)
-        code, payload, arts = scenario_orbit(sub, out_dir, sub_tag)
-        write_manifest(out_dir / f"orbit_{sub_tag}.json", sub, payload, arts, 0.0)
+        sub = dict(config, scenario="orbit", perturb=f"{kind}:{amp}")
+        _, arts, payload = run_scenario(sub)
         artifacts.extend(arts)
-        artifacts.append(out_dir / f"orbit_{sub_tag}.json")
-        sub_results.append({"amplitude": amp, "tag": sub_tag,
+        sub_results.append({"amplitude": amp, "tag": config_hash(sub),
                             "theta_hat": payload["theta_hat"],
                             "completed": payload["completed"]})
         for key in far_solves:
@@ -564,7 +561,8 @@ RUNNERS = {
 
 
 def run_scenario(config: dict):
-    """Execute a resolved configuration; returns (exit_code, artifact paths)."""
+    """Execute a resolved configuration and write its manifest; returns
+    (exit_code, artifact paths, the manifest's results)."""
     scenario = config.get("scenario")
     if scenario not in RUNNERS:
         raise ConfigInvalid(f"unknown scenario {scenario!r}")
@@ -576,7 +574,7 @@ def run_scenario(config: dict):
     manifest_path = out_dir / f"{scenario}_{tag}.json"
     write_manifest(manifest_path, config, payload, artifacts,
                    time.time() - started)
-    return code, list(artifacts) + [manifest_path]
+    return code, list(artifacts) + [manifest_path], payload
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +623,7 @@ def main(argv=None) -> int:
     try:
         file_config = load_config_file(args.config) if args.config else {}
         config = resolve_config(args.scenario, file_config, overrides)
-        code, artifacts = run_scenario(config)
+        code, artifacts, _ = run_scenario(config)
     except (ConfigInvalid, PrecisionExhausted) as exc:
         # the configured @bits of a real slope certify no digit at all
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -274,7 +274,7 @@ class FourierVectorField:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridFitReport:
     dropped_mass: float
     alias_residual: float

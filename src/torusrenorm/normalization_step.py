@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # scipy is imported where it is called: it loads slower than a `cf` run
@@ -337,40 +337,38 @@ def contraction_constant(psi, sigma: float) -> float:
     )
 
 
-@dataclass
-class EliminationResult:
-    map: TorusMap
-    field: FourierVectorField
-    perturbation: FourierVectorField
-    sweeps: int
-    residuals: list
-    eps_hat: float
-    inside_ball: bool
-    contraction_lhs: float
-    contraction_rhs: float
-    du_sup_bound: float
-    fit: GridFitReport | None = None
-    at_floor: bool = False
-    gmres_failures: int = 0
-    # the Newton solve was taken from an earlier identical problem
-    reused: bool = False
-
-
 @dataclass(frozen=True)
 class FarSolve:
     """What a far-mode Newton solve yields: a function of its problem alone.
 
     fit_w is the fitted bracket W of the final pullback v + W; the input's
-    average enters the solve only through v.
+    average enters the solve only through v.  An input without far modes
+    is the identity solve: u = 0, W = h, no fit.
     """
 
     map: TorusMap
     fit_w: FourierVectorField
-    fit: GridFitReport
+    fit: GridFitReport | None
     sweeps: int
     residuals: tuple
     at_floor: bool
     gmres_failures: int
+    du_sup_bound: float
+
+
+@dataclass(frozen=True, kw_only=True)
+class EliminationResult(FarSolve):
+    """A far-mode solve and what depends on the input's average: the
+    eliminated field psi + g and its perturbation g, the ball and
+    contraction numbers, and whether the solve was taken from the table."""
+
+    field: FourierVectorField
+    perturbation: FourierVectorField
+    eps_hat: float
+    inside_ball: bool
+    contraction_lhs: float
+    contraction_rhs: float
+    reused: bool
 
 
 class FarSolves(dict):
@@ -379,17 +377,16 @@ class FarSolves(dict):
     of the run.
 
     Keys compare byte for byte, so a hit returns exactly what a fresh solve
-    would return.  computed and reused count the eliminations that solved
-    a problem and those that found it here.
+    would return.  Its length counts the problems solved, reused the
+    eliminations that found theirs here.
     """
 
     def __init__(self):
         super().__init__()
-        self.computed = 0
         self.reused = 0
 
     def counts(self) -> dict:
-        return {"computed": self.computed, "reused": self.reused}
+        return {"computed": len(self), "reused": self.reused}
 
 
 def eliminate_far_perturbation(
@@ -414,9 +411,11 @@ def eliminate_far_perturbation(
 
     The Newton solve depends on g0 only through v = psi + E g0 and
     h = (I - E) g0: k = 0 lies inside every FarResonant cone, so the far
-    residuals never see E g0.  With solves given, the solve is looked up
-    there by the bytes of (psi, sigma, v, h) and of the settings it reads,
-    and recorded there; what depends on g0 itself is always recomputed.
+    residuals never see E g0.  The solve is looked up in solves (a fresh
+    table when none is given) by the bytes of (psi, sigma, v, h) and of the
+    settings it reads, and recorded there; an input without far modes takes
+    the identity solve, which is never stored.  What depends on g0 itself
+    is always recomputed.
     """
     psi = np.asarray(psi, dtype=complex)
     cone = FarResonant((psi[0], psi[1]), sigma)
@@ -427,47 +426,39 @@ def eliminate_far_perturbation(
     contraction_rhs = contraction_constant(psi, sigma) * input_size
 
     far = np.flatnonzero(~cone_mask(cone, truncation))
+    g_avg = g0.average()
+    h = g0.oscillatory()
+    reused = False
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
-        ident = TorusMap.identity(truncation)
-        return EliminationResult(
-            ident, g0.minus_constant(-psi), g0, 0, [0.0],
-            eps_hat, inside_ball, norm_r(g0, rho_prime), contraction_rhs, 0.0,
-        )
-
-    g_avg = g0.average()
-    v = psi + g_avg
-    h = g0.oscillatory()
-    key = (
-        psi.tobytes(), v.tobytes(),
-        np.array([sigma, tol, rho_prime], dtype=float).tobytes(),
-        truncation, h.coeffs.tobytes(),
-    )
-    solve = solves.get(key) if solves is not None else None
-    reused = solve is not None
-    if reused:
-        solves.reused += 1
+        solve = FarSolve(map=TorusMap.identity(truncation), fit_w=h, fit=None,
+                         sweeps=0, residuals=(0.0,), at_floor=False,
+                         gmres_failures=0, du_sup_bound=0.0)
     else:
-        solve = _far_newton_solve(psi, cone, far, v, h, tol, rho_prime)
-        if solves is not None:
-            solves[key] = solve
-            solves.computed += 1
+        v = psi + g_avg
+        key = (
+            psi.tobytes(), v.tobytes(),
+            np.array([sigma, tol, rho_prime], dtype=float).tobytes(),
+            truncation, h.coeffs.tobytes(),
+        )
+        solves = FarSolves() if solves is None else solves
+        solve = solves.get(key)
+        reused = solve is not None
+        if reused:
+            solves.reused += 1
+        else:
+            solve = solves[key] = _far_newton_solve(psi, cone, far, v, h, tol,
+                                                    rho_prime)
 
     g_final = solve.fit_w.minus_constant(-g_avg)
     return EliminationResult(
-        map=solve.map,
+        **vars(solve),
         field=g_final.minus_constant(-psi),
         perturbation=g_final,
-        sweeps=solve.sweeps,
-        residuals=list(solve.residuals),
         eps_hat=eps_hat,
         inside_ball=inside_ball,
         contraction_lhs=norm_r(g_final, rho_prime),
         contraction_rhs=contraction_rhs,
-        du_sup_bound=solve.map.du_sup_bound(),
-        fit=replace(solve.fit),
-        at_floor=solve.at_floor,
-        gmres_failures=solve.gmres_failures,
         reused=reused,
     )
 
@@ -611,4 +602,5 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         residuals=tuple(residuals),
         at_floor=at_floor,
         gmres_failures=gmres_failures,
+        du_sup_bound=current.pull.map.du_sup_bound(),
     )

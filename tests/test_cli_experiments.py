@@ -80,7 +80,8 @@ class TestParsing:
 
 def run(scenario, tmp_path, **overrides):
     config = resolve_config(scenario, {}, {"out": str(tmp_path), **overrides})
-    return config, run_scenario(config)
+    code, artifacts, _ = run_scenario(config)
+    return config, (code, artifacts)
 
 
 class TestScenarios:
@@ -174,6 +175,19 @@ class TestScenarios:
             "configuration error: amplitude 1e+308 overflows a field's norm\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", ["mixed", "unstable"])
+    def test_scale_refuses_a_kind_it_does_not_draw(self, kind, tmp_path,
+                                                   capsys):
+        # scale draws resonant fields; another kind would be recorded in
+        # the CSV header without being drawn
+        argv = ["scale", "--slope", "golden", "--seed", "1",
+                "--perturb", f"{kind}:1e-3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: scale draws resonant fields, "
+            f"not {kind!r} ones\n")
+        assert not list(tmp_path.iterdir())
+
     def test_manifests_are_strict_json(self, tmp_path, capsys):
         # one coefficient leaves the probe empty and its K_max NaN
         assert main(["cf", "--slope", "355/113", "--n-terms", "1",
@@ -255,6 +269,13 @@ class TestScenarios:
         runs = manifest["results"]["runs"]
         assert len(runs) == 2
         assert runs[0]["tag"] != runs[1]["tag"]
+        # each orbit's manifest is written once, with its own runtime
+        orbit_manifests = [p for p in artifacts if p.name.startswith("orbit_")
+                           and p.suffix == ".json"]
+        assert [p.name for p in orbit_manifests] == [
+            f"orbit_{run['tag']}.json" for run in runs]
+        for path in orbit_manifests:
+            assert json.loads(path.read_text())["runtime_seconds"] > 0
 
     def test_decay_probe(self, tmp_path):
         _, (code, artifacts) = run("decay-probe", tmp_path, slope="golden",

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -342,9 +342,12 @@ class TestSolveReuse:
                      "fit", "eps_hat", "inside_ball", "contraction_lhs",
                      "contraction_rhs", "du_sup_bound"):
             assert getattr(reused, name) == getattr(fresh, name), name
-        # a caller may change its result without touching the stored solve
-        assert reused.residuals is not first.residuals
-        assert reused.fit is not first.fit
+        # results share the stored solve's parts, which no caller can change
+        with pytest.raises(FrozenInstanceError):
+            reused.sweeps = 0
+        with pytest.raises(FrozenInstanceError):
+            reused.fit.floor = 0.0
+        assert isinstance(reused.residuals, tuple)
 
     def test_key_compares_bytes_not_values(self):
         g = mixed_perturbation_field(1e-3).minus_constant(PSI)

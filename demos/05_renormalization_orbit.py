@@ -53,4 +53,4 @@ for n, c in enumerate(cs):
     factor = f"{abs(cs[n] / cs[n - 1]):.4f}" if n else "-"
     print(f"{n:>2} {c:>17.3e} {factor:>14}")
 print(f"predicted |nu| = gamma^2 = {GAMMA**2:.4f}")
-print(f"orbit rejected at step {orbit.failure_step}: {orbit.failure}")
+print(f"orbit rejected at step {orbit.failure.step}: {orbit.failure}")

@@ -30,7 +30,7 @@ from .fourier_field import (
     save_field,
 )
 from .normalization_step import FarSolves, eliminate_far_perturbation
-from .number_theory import Slope, cf_expand, diophantine_probe
+from .number_theory import DEFAULT_REAL_BITS, Slope, cf_expand, diophantine_probe
 from .renorm_driver import (
     RenormParams,
     constant_block,
@@ -48,17 +48,15 @@ from .scaling_step import (
     scale_step,
 )
 
+# the step's settings default to the fields of RenormParams
 DEFAULTS = {
     "slope": "golden",
-    "sigma": "0.1",
-    "rho": "1.0",
-    "rho_prime": "0.9",
-    "truncation": "32",
+    **{key: str(getattr(RenormParams, key))
+       for key in ("sigma", "rho", "rho_prime", "truncation", "tol")},
     "steps": "8",
     "n_terms": "30",
     "dc_order": "0.0",
     "perturb": "resonant:1e-3",
-    "tol": "1e-12",
     "out": "runs",
 }
 
@@ -90,7 +88,7 @@ def _parse_numeric_slope(text: str) -> Slope:
             u, v, d, w = (int(part) for part in text.split(","))
             return Slope.quadratic(u, v, d, w)
         decimal, at, bits = text.partition("@")
-        bits = int(bits) if at else 256
+        bits = int(bits) if at else DEFAULT_REAL_BITS
         if bits < 1:
             raise ValueError(f"precision must be at least 1 bit, got {bits}")
         return Slope.real(decimal, bits=bits)
@@ -116,9 +114,12 @@ def parse_perturbation(text: str):
 def config_number(config: dict, key: str, kind=float, default=None,
                   least=None):
     """config[key], or default when the key is absent, converted by kind
-    (int or float); ConfigInvalid when the text is not such a number, when
-    a float is not finite, or when the number is below least."""
+    (int or float); ConfigInvalid when the key is absent and has no
+    default, when the text is not such a number, when a float is not
+    finite, or when the number is below least."""
     text = config.get(key, default)
+    if text is None:
+        raise ConfigInvalid(f"missing required key {key!r}")
     try:
         value = kind(text)
     except (TypeError, ValueError) as exc:
@@ -152,11 +153,6 @@ def resolve_config(scenario: str, file_config: dict, overrides: dict) -> dict:
     config.update(file_config)
     config.update({k: v for k, v in overrides.items() if v is not None})
     config["scenario"] = scenario
-    needs_seed = scenario in ("scale", "eliminate", "orbit", "sweep") or (
-        scenario == "project" and "field_in" not in config
-    )
-    if needs_seed and "seed" not in config:
-        raise ConfigInvalid("randomized scenarios require an explicit seed")
     return config
 
 
@@ -166,9 +162,10 @@ def config_hash(config: dict) -> str:
 
 
 def build_params(config: dict):
-    """(params, slope) of a configuration; ConfigInvalid for a sigma outside
-    0 < sigma < 1/3, widths outside 0 < kappa rho < rho', a negative tol,
-    or a truncation whose resonant cone at the slope holds no mode."""
+    """(params, slope, omega = (1, slope)) of a configuration; ConfigInvalid
+    for a sigma outside 0 < sigma < 1/3, widths outside 0 < kappa rho < rho',
+    a negative tol, or a truncation whose resonant cone at the slope holds
+    no mode."""
     slope = parse_slope(config["slope"])
     params = RenormParams(
         sigma=config_number(config, "sigma"),
@@ -192,7 +189,7 @@ def build_params(config: dict):
             f"truncation {params.truncation} holds no resonant mode of slope "
             f"{config['slope']} at sigma {params.sigma}"
         )
-    return params, slope
+    return params, slope, omega
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
@@ -312,8 +309,7 @@ def scenario_cf(config, out_dir, tag):
 
 
 def scenario_project(config, out_dir, tag):
-    params, slope = build_params(config)
-    omega = np.array([1.0, float(slope)])
+    params, _, omega = build_params(config)
     if "field_in" in config:
         try:
             field = load_field(config["field_in"])
@@ -324,7 +320,8 @@ def scenario_project(config, out_dir, tag):
         rng = np.random.default_rng(config_number(config, "seed", int, least=0))
         field = FourierVectorField.constant(omega, params.truncation) + (
             random_resonant_field(omega, 3 * params.sigma, 1e-3,
-                                  params.truncation, rng))
+                                  params.truncation, rng,
+                                  width=params.rho_prime))
     cone_kind = config.get("cone", "far")
     if cone_kind == "far":
         cone = FarResonant(omega, params.sigma)
@@ -351,8 +348,7 @@ def scenario_project(config, out_dir, tag):
 
 
 def scenario_scale(config, out_dir, tag):
-    params, slope = build_params(config)
-    omega = np.array([1.0, float(slope)])
+    params, slope, omega = build_params(config)
     a = int(float(slope))
     if a < 1:
         raise ConfigInvalid(f"scale needs a slope of at least 1, got {float(slope)}")
@@ -392,8 +388,7 @@ def scenario_scale(config, out_dir, tag):
 
 
 def scenario_eliminate(config, out_dir, tag):
-    params, slope = build_params(config)
-    omega = np.array([1.0, float(slope)])
+    params, slope, omega = build_params(config)
     f, pert_info = perturbation_field(config, slope, params)
     x = FourierVectorField.constant(omega, params.truncation) + f
     far_modes_in = len(project(x, FarResonant(omega, params.sigma), "outside"))
@@ -430,7 +425,7 @@ def scenario_eliminate(config, out_dir, tag):
 
 
 def scenario_orbit(config, out_dir, tag):
-    params, slope = build_params(config)
+    params, slope, _ = build_params(config)
     steps = config_number(config, "steps", int, least=0)
     f, pert_info = perturbation_field(config, slope, params)
     # one table of far-mode solves for the secant's probes and the orbit
@@ -446,10 +441,10 @@ def scenario_orbit(config, out_dir, tag):
         "perturbation": pert_info,
         "completed": orbit.completed,
         "theta_hat": orbit.theta_hat,
-        "monotone_from_2": orbit.monotone_from(2),
+        "monotone_from_2": orbit.monotone_from(),
         "transient": orbit.transient_applied,
         "failure": str(orbit.failure) if orbit.failure else None,
-        "failure_step": orbit.failure_step,
+        "failure_step": orbit.failure.step if orbit.failure else None,
         "far_solves": solves.counts(),
     }
     return 0, payload, [csv_path]
@@ -508,7 +503,7 @@ def scenario_spectrum(config, out_dir, tag):
 
 
 def scenario_decay_probe(config, out_dir, tag):
-    params, slope = build_params(config)
+    params, slope, _ = build_params(config)
     n = config_number(config, "steps", int, least=0)
     cf = cf_expand(slope, n + 4)
     rep = stable_decay_probe(cf, n, params)
@@ -609,12 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # accept `--scenario name` as an alias for the positional form
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--scenario" in argv[:-1]:
-        i = argv.index("--scenario")
-        name = argv[i + 1]
-        argv = [name] + argv[:i] + argv[i + 2 :]
     args = build_parser().parse_args(argv)
     overrides = {
         k: v for k, v in vars(args).items()

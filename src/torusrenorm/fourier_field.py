@@ -26,6 +26,11 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 # fit_grid chops coefficients below this fraction of the largest grid value
 CHOP_REL = 64.0 * np.finfo(float).eps
+# winding_ratio reads the direction once the lift has grown by
+# WINDING_GROWTH, from each of WINDING_POINTS, integrating at WINDING_RTOL
+WINDING_GROWTH = 1e3
+WINDING_POINTS = ((0.0, 0.0), (0.31, 0.77), (0.83, 0.19))
+WINDING_RTOL = 1e-10
 
 
 def _l1(v) -> float:
@@ -437,9 +442,9 @@ def field_from_dict(data: dict) -> FourierVectorField:
     return FourierVectorField(modes, data["truncation"])
 
 
-def save_field(x: FourierVectorField, path, displacement: bool = False):
+def save_field(x: FourierVectorField, path):
     with open(path, "w") as fh:
-        json.dump(field_to_dict(x, displacement), fh, indent=1)
+        json.dump(field_to_dict(x), fh, indent=1)
 
 
 def load_field(path) -> FourierVectorField:
@@ -472,14 +477,11 @@ def winding_ratio(
     x: FourierVectorField,
     horizon: float = 4000.0,
     tol: float = 1e-6,
-    growth_threshold: float = 1e3,
-    initial_points=((0.0, 0.0), (0.31, 0.77), (0.83, 0.19)),
-    rtol: float = 1e-10,
 ) -> WindingReport:
     """Estimate lim Phi_t/||Phi_t||_1 by integrating the lifted flow.
 
     The direction is only read once the lift has grown past
-    growth_threshold and the directions over the last tenth of the
+    WINDING_GROWTH and the directions over the last tenth of the
     trajectory (and across initial points) agree within tol.
     """
     from scipy.integrate import solve_ivp
@@ -510,12 +512,12 @@ def winding_ratio(
         return np.real(phases @ cs)
 
     def grown(t, theta, theta0):
-        return abs(theta[0] - theta0[0]) + abs(theta[1] - theta0[1]) - growth_threshold
+        return abs(theta[0] - theta0[0]) + abs(theta[1] - theta0[1]) - WINDING_GROWTH
 
     directions = []
     spreads = []
     growth = 0.0
-    for theta0 in initial_points:
+    for theta0 in WINDING_POINTS:
         theta0 = np.asarray(theta0, dtype=float)
         event = lambda t, y, t0=theta0: grown(t, y, t0)
         event.terminal = True
@@ -524,7 +526,7 @@ def winding_ratio(
             (0.0, horizon),
             theta0,
             method="DOP853",
-            rtol=rtol,
+            rtol=WINDING_RTOL,
             atol=1e-12,
             dense_output=True,
             events=event,
@@ -533,7 +535,7 @@ def winding_ratio(
         phi_end = sol.y[:, -1]
         growth = max(growth, _l1(phi_end - theta0))
         # status 1: the growth event ended the integration.  Its located
-        # root may sit a rounding below growth_threshold
+        # root may sit a rounding below WINDING_GROWTH
         if sol.status != 1:
             status = "bounded" if _l1(phi_end - theta0) < 1.0 else "inconclusive"
             return WindingReport(

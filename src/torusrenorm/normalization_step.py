@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 from .fourier_field import (
+    TWO_PI,
     FarResonant,
     FourierVectorField,
     GridFitReport,
@@ -32,7 +33,6 @@ from .fourier_field import (
     project,
 )
 
-TWO_PI = 2.0 * math.pi
 SQRT6 = math.sqrt(6.0)
 # smallest |det DU| on the collocation grid that the pullback accepts
 DET_TOL = 1e-8

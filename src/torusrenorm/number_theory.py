@@ -30,6 +30,7 @@ from .errors import (
     ZeroInput,
 )
 
+# the precision of a decimal slope given without one
 DEFAULT_REAL_BITS = 256
 
 
@@ -366,7 +367,7 @@ class Slope:
         return cls(QuadraticNumber.from_surd(u, v, d, w))
 
     @classmethod
-    def real(cls, decimal: str, bits: int = DEFAULT_REAL_BITS) -> "Slope":
+    def real(cls, decimal: str, bits: int) -> "Slope":
         with _IvPrec(bits):
             val = mpmath.iv.mpf(decimal)
         return cls(val, bits)

@@ -38,6 +38,8 @@ C_PRIME = 1e-2
 # the stabilising secant: rounds of probe orbits of PROBE_STEPS steps
 PROBE_STEPS = 6
 STABILIZE_ROUNDS = 3
+# the orbit's rate and monotonicity read its norms from step FIT_FROM on
+FIT_FROM = 2
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,6 @@ class OrbitResult:
     norms: np.ndarray
     theta_hat: float | None
     failure: DomainExceeded | None
-    failure_step: int | None
     transient_applied: list
     transient_far_cleared: float
 
@@ -306,18 +307,18 @@ class OrbitResult:
     def completed(self) -> int:
         return len(self.states) - 1
 
-    def monotone_from(self, start: int = 2) -> bool:
-        vals = self.norms[start:]
+    def monotone_from(self) -> bool:
+        vals = self.norms[FIT_FROM:]
         return bool(np.all(np.diff(vals) < 0)) if len(vals) >= 2 else True
 
     def theta_hat_running(self, upto: int) -> float | None:
         return fit_theta(self.norms[: upto + 1])
 
 
-def fit_theta(norms, start: int = 2) -> float | None:
+def fit_theta(norms) -> float | None:
     """Geometric rate of the norm sequence by least squares on the log."""
-    vals = np.asarray(norms, dtype=float)[start:]
-    ns = np.arange(start, start + len(vals))
+    vals = np.asarray(norms, dtype=float)[FIT_FROM:]
+    ns = np.arange(FIT_FROM, FIT_FROM + len(vals))
     keep = vals > 0
     if keep.sum() < 2:
         return None
@@ -364,13 +365,12 @@ def renorm_orbit(
     state = RenormState(0, f, cf)
     states = [state]
     norms = [norm_r(f, params.rho_prime)]
-    failure, failure_step = None, None
+    failure = None
     while state.n < n_steps:
         try:
             state = one_step(state, params, solves)
         except DomainExceeded as exc:
             failure = exc
-            failure_step = state.n
             break
         states.append(state)
         norms.append(state.diagnostics.norm_total)
@@ -379,7 +379,6 @@ def renorm_orbit(
         norms=np.array(norms),
         theta_hat=fit_theta(norms),
         failure=failure,
-        failure_step=failure_step,
         transient_applied=applied,
         transient_far_cleared=far0,
     )
@@ -619,7 +618,6 @@ def quadratic_remainder_probe(
     slope: Slope,
     params: RenormParams,
     seed: int = 0,
-    fractions=(0.1, 0.01),
 ) -> RemainderProbe:
     """Taylor remainder ||R(omega + f) - omega' - DR(omega) f|| at two sizes.
 
@@ -643,7 +641,7 @@ def quadratic_remainder_probe(
     direction = direction * (1.0 / norm_r(direction, params.rho_prime))
 
     sizes, rems, bounds = [], [], []
-    for frac in fractions:
+    for frac in (0.1, 0.01):
         t = frac * zeta
         f = direction * t
         out = one_step(RenormState(0, f, cf), params)

@@ -263,7 +263,7 @@ def test_criterion_8_unstable_direction():
     ok = within and isinstance(orbit.failure, DomainExceeded)
     report(8, ok, f"growth factors {[round(f, 4) for f in factors]} "
                   f"(|nu|={GAMMA**2:.4f}), DomainExceeded at step "
-                  f"{orbit.failure_step}")
+                  f"{orbit.failure.step}")
 
 
 def test_criterion_9_quadratic_remainder():

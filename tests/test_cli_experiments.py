@@ -22,7 +22,7 @@ from torusrenorm.cli_experiments import (
     run_scenario,
 )
 from torusrenorm.errors import ConfigInvalid
-from torusrenorm.fourier_field import load_field
+from torusrenorm.fourier_field import load_field, norm_r
 
 
 class TestParsing:
@@ -56,11 +56,13 @@ class TestParsing:
         with pytest.raises(ConfigInvalid):
             parse_perturbation("resonant")
 
-    def test_seed_required_for_random(self):
-        with pytest.raises(ConfigInvalid):
-            resolve_config("orbit", {}, {})
-        config = resolve_config("orbit", {}, {"seed": "1"})
-        assert config["seed"] == "1"
+    def test_seed_required_for_random(self, tmp_path, capsys):
+        # each scenario reads the seed where it draws, before it writes
+        for scenario in ("orbit", "sweep", "eliminate", "scale", "project"):
+            argv = [scenario, "--truncation", "8", "--out", str(tmp_path)]
+            assert main(argv) == 2
+            assert "missing required key 'seed'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -258,6 +260,20 @@ class TestScenarios:
         ).read_text())
         assert len(field) == manifest["results"]["modes_kept"] > 0
 
+    def test_project_draws_at_rho_prime(self, tmp_path):
+        # the two sides of the cone add up to the drawn field omega + f,
+        # whose perturbation f has norm 1e-3 at the configured width
+        fields = []
+        for side in ("inside", "outside"):
+            _, (code, artifacts) = run("project", tmp_path / side, seed="2",
+                                       truncation="8", rho_prime="0.8",
+                                       side=side)
+            assert code == 0
+            fields.append(load_field(next(
+                p for p in artifacts if p.name.endswith("_field.json"))))
+        f = (fields[0] + fields[1]).minus_constant([1.0, (1 + 5**0.5) / 2])
+        assert norm_r(f, 0.8) == pytest.approx(1e-3, rel=1e-13)
+
     def test_sweep(self, tmp_path):
         _, (code, artifacts) = run(
             "sweep", tmp_path, slope="golden", seed="1",
@@ -289,11 +305,6 @@ class TestScenarios:
 class TestMain:
     def test_exit_zero(self, tmp_path):
         code = main(["cf", "--slope", "golden", "--out", str(tmp_path)])
-        assert code == 0
-
-    def test_scenario_flag_alias(self, tmp_path):
-        code = main(["--scenario", "cf", "--slope", "sqrt2",
-                     "--out", str(tmp_path)])
         assert code == 0
 
     def test_config_invalid_exit_two(self, tmp_path):

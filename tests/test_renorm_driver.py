@@ -241,7 +241,7 @@ class TestOrbit:
 
     def test_fit_theta(self):
         norms = [1.0, 0.5, 0.1, 0.03, 0.009, 0.0027]
-        theta = fit_theta(norms, start=2)
+        theta = fit_theta(norms)
         assert theta == pytest.approx(0.3, rel=1e-6)
 
 

@@ -564,11 +564,11 @@ def run_scenario(config: dict):
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(config)
-    started = time.time()
+    started = time.perf_counter()
     code, payload, artifacts = RUNNERS[scenario](config, out_dir, tag)
     manifest_path = out_dir / f"{scenario}_{tag}.json"
     write_manifest(manifest_path, config, payload, artifacts,
-                   time.time() - started)
+                   time.perf_counter() - started)
     return code, list(artifacts) + [manifest_path], payload
 
 

@@ -66,15 +66,16 @@ def pulled_back(x, u):
 
 
 def count_pullbacks(monkeypatch):
-    """A list that gains one entry per _pullback_core call."""
+    """A list that gains one entry per pullback evaluation (_pull_back
+    call)."""
     calls = []
-    core = normalization_step._pullback_core
+    pull_back = normalization_step._pull_back
 
-    def counting_core(*args, **kwargs):
+    def counting_pull_back(*args, **kwargs):
         calls.append(1)
-        return core(*args, **kwargs)
+        return pull_back(*args, **kwargs)
 
-    monkeypatch.setattr(normalization_step, "_pullback_core", counting_core)
+    monkeypatch.setattr(normalization_step, "_pull_back", counting_pull_back)
     return calls
 
 
@@ -259,17 +260,16 @@ class TestEliminateFar:
     def test_a_singular_trial_is_a_rejected_step(self, monkeypatch):
         # all 9 trial steps of the first sweep meet a singular DU: the sweep
         # cannot move, and the solve ends in NoConvergence, not the error
-        core = normalization_step._pullback_core
+        pull_back = normalization_step._pull_back
         calls = []
 
         def singular_trials(*args, **kwargs):
             calls.append(1)
             if 2 <= len(calls) <= 10:
                 raise SingularJacobian("det DU changes sign")
-            return core(*args, **kwargs)
+            return pull_back(*args, **kwargs)
 
-        monkeypatch.setattr(normalization_step, "_pullback_core",
-                            singular_trials)
+        monkeypatch.setattr(normalization_step, "_pull_back", singular_trials)
         x = mixed_perturbation_field(1e-3)
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)

@@ -351,13 +351,13 @@ def test_golden_cli_orbit_pullback_work(monkeypatch, tmp_path):
     and is accepted at the floor, so the pinned SHA-256 of the CSV body and
     of the manifest results cover the stall and floor branches."""
     calls = []
-    real_pullback = normalization_step._pullback_core
+    real_pullback = normalization_step._pull_back
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real_pullback(*args, **kwargs)
 
-    monkeypatch.setattr(normalization_step, "_pullback_core", counted)
+    monkeypatch.setattr(normalization_step, "_pull_back", counted)
     body, results = run_golden_orbit(7, tmp_path)
     assert len(calls) <= 66
     assert results["far_solves"] == {"computed": 14, "reused": 12}

@@ -390,12 +390,11 @@ def scenario_scale(config, out_dir, tag):
 def scenario_eliminate(config, out_dir, tag):
     params, slope, omega = build_params(config)
     f, pert_info = perturbation_field(config, slope, params)
-    x = FourierVectorField.constant(omega, params.truncation) + f
-    far_modes_in = len(project(x, FarResonant(omega, params.sigma), "outside"))
+    far_modes_in = len(project(f, FarResonant(omega, params.sigma), "outside"))
     solves = FarSolves()
     try:
         result = eliminate_far_perturbation(
-            omega, x.minus_constant(omega), params.sigma, tol=params.tol,
+            omega, f, params.sigma, tol=params.tol,
             rho=params.rho, rho_prime=params.rho_prime, solves=solves,
         )
     except NoConvergence as exc:

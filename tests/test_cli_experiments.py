@@ -23,6 +23,7 @@ from torusrenorm.cli_experiments import (
 )
 from torusrenorm.errors import ConfigInvalid
 from torusrenorm.fourier_field import load_field, norm_r
+from torusrenorm.renorm_driver import RenormParams, unstable_perturbation
 
 
 class TestParsing:
@@ -237,6 +238,23 @@ class TestScenarios:
         field = load_field(next(p for p in artifacts
                                 if p.name.endswith("field.json")))
         assert field.average().tolist() == [1.0, (1 + 5**0.5) / 2]
+
+    def test_eliminate_runs_on_the_drawn_perturbation(self, tmp_path):
+        # the input is f itself, not (omega + f) - omega, whose average
+        # carries a round-off of eps * ||omega||: with no far mode, the
+        # output perturbation is f and its norm at rho' is f's, exactly
+        _, (code, artifacts) = run(
+            "eliminate", tmp_path, seed="7", perturb="unstable:1e-3",
+            truncation="16",
+        )
+        assert code == 0
+        manifest_path = next(p for p in artifacts if p.name.startswith("eliminate")
+                             and p.suffix == ".json"
+                             and not p.name.endswith(("field.json", "map.json")))
+        results = json.loads(manifest_path.read_text())["results"]
+        f = unstable_perturbation((1 + 5**0.5) / 2, 1e-3,
+                                  RenormParams(truncation=16))
+        assert results["contraction_lhs"] == norm_r(f, 0.9)
 
     def test_project_roundtrip(self, tmp_path):
         _, (code, artifacts) = run("project", tmp_path, slope="golden",
@@ -475,13 +493,15 @@ BYTE_PINS = {
         "csv": "8315649ab64bf38ba94b3c713f597d202609e95d2b3bf0fa92ea4911fc082978",
         "results": "4e22f5c1af5035e0b6b7d5ea90c9967b354ba2b028243bc3d44279118f326cc7",
     },
-    # field and map JSON no longer carry the field's unused "width" key
+    # field and map JSON no longer carry the field's unused "width" key.
+    # eliminate runs on the drawn f, not on (omega + f) - omega: the field
+    # JSON and the results moved here, and the results of the unstable pin
     ("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
      "--truncation", "16"): {
         "csv": "d3e45275cbd833d3a8a6c2e2a125d49ee6b1c96e2d1cd62455fd6aa2bab0528a",
-        "field.json": "be741d51be7fd968990a117dcd579152aec3bc1c9ccdef878cd9e924f66f7170",
+        "field.json": "683475fb2f5428d123609353d6d6b656161e17288fa5de1f8e4286b6c3accf96",
         "map.json": "d6e7f72a2e3ca2f1624d47ffc7ade4e44ad961cf0bf37c854a8e15885a5935df",
-        "results": "e10e292a1c7d4dd48e23f7d5c2de861970c34d2d9c3ff9e6ba176bb55c4081dd",
+        "results": "a512ce473b5130592642bcd99c7ec12df82fd14d648003bee9fcfa94dccd960c",
     },
     # inputs with no far mode: the elimination is the identity, no solve
     ("eliminate", "--perturb", "resonant:1e-3", "--seed", "7",
@@ -496,7 +516,7 @@ BYTE_PINS = {
         "csv": "cdcc16cedf211e56dae63700a4411b4b4499bd738b131fac5c818eb47c9edcc8",
         "field.json": "850ce3adf2edb3d8924d0319c562c300f5fc415f8d1e6261dfd1945cc5c4f741",
         "map.json": "757819a2bd1da605d235c67600e00ffea2abad01f5aa2744f8d4746856e9f553",
-        "results": "e9770428bcc1d64566717d8db06c289300175e8a372f58dbce0fc2684a089a0e",
+        "results": "f6ca16934f32b74120cac7d8a6cfbc6c856076b0399cacf360dc139226da5259",
     },
     ("cf", "--slope", "sqrt2", "--n-terms", "400"): {
         "csv": "a1b7a3e391c302ada5d6085670ea26a8a379d5b461d730f0c4e32bd8607bfe60",

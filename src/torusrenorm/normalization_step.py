@@ -15,9 +15,9 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-# scipy is imported where it is called: it loads slower than a `cf` run
 
 from .errors import NoConvergence, SingularJacobian
 from .fourier_field import (
@@ -26,8 +26,11 @@ from .fourier_field import (
     FourierVectorField,
     GridFitReport,
     cone_mask,
+    fft2,
     field_to_dict,
     fit_grid,
+    ifft2,
+    next_fast_len,
     norm_prime_r,
     norm_r,
     project,
@@ -42,14 +45,8 @@ DET_TOL = 1e-8
 MAX_SWEEPS = 12
 GMRES_MAXITER = 40
 STALL_ACCEPT = 1e-6
-
-
-def gmres(*args, **kwargs):
-    """scipy.sparse.linalg.gmres, imported when called; the Newton solve
-    calls it through this module attribute, which a test may rebind."""
-    from scipy.sparse.linalg import gmres as scipy_gmres
-
-    return scipy_gmres(*args, **kwargs)
+# Krylov vectors per GMRES restart cycle (scipy's default)
+GMRES_RESTART = 20
 
 
 class TorusMap:
@@ -148,8 +145,6 @@ def _fill_phases(phases, term, runs, k1, k2, p1, p2):
 def _inverse_jacobian(u_grid, grid):
     """Du, (DU)^{-1} and min |det DU| on the grid, DU = I + Du; raises
     SingularJacobian where DU is (nearly) singular."""
-    from scipy.fft import fft2, ifft2
-
     # u is band-limited so spectral differentiation of its samples is exact
     u_spec = fft2(u_grid, axes=(1, 2))
     k_axis = np.fft.fftfreq(grid, d=1.0 / grid)
@@ -303,8 +298,6 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
     next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
     that resolves the product spectrum."""
-    from scipy.fft import next_fast_len
-
     grid = next_fast_len(2 * (h.truncation + u.truncation) + 1)
     u_grid = u.displacement.sample_grid(grid)
     w, inv_jac, min_det, dh_at_u = _pullback_core(
@@ -312,6 +305,173 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     )
     fit_w, fit = fit_grid(w, h.truncation)
     return _Pullback(u, w, inv_jac, dh_at_u, min_det, fit_w, fit)
+
+
+# ---------------------------------------------------------------------------
+# GMRES, as scipy.sparse.linalg.gmres (scipy 1.17.1) computes it
+
+
+# LAPACK's safe minimum 2^-1022 and its reciprocal (la_constants.f90)
+SAFMIN = 2.0 ** -1022
+SAFMAX = 2.0 ** 1022
+RTMIN = math.sqrt(SAFMIN)
+
+
+def _over(z: complex, x: float) -> complex:
+    """z / x for a positive real x, as complex(x, 0) divides z in Smith's
+    algorithm: the signed zeros are the compiled LAPACK's."""
+    return complex((z.real + z.imag * 0.0) / x, (z.imag - z.real * 0.0) / x)
+
+
+def _times(z: complex, x: float) -> complex:
+    """z * complex(x, 0), signed zeros included."""
+    return complex(z.real * x - z.imag * 0.0, z.real * 0.0 + z.imag * x)
+
+
+def _abssq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _lartg(f, g):
+    """(c, s, r) with [c s; -conj(s) c] [f; g] = [r; 0] and c real: LAPACK
+    3.12 zlartg.f90 (Anderson's safe scaling), bit for bit."""
+    f = complex(f)
+    g = complex(g)
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        if g.real == 0 or g.imag == 0:
+            r = abs(g.imag) if g.real == 0 else abs(g.real)
+            return 0.0, _over(g.conjugate(), r), complex(r)
+        # dividing by u = 1 is exact when neither part of g is zero
+        g1 = max(abs(g.real), abs(g.imag))
+        u = (1.0 if RTMIN < g1 < math.sqrt(SAFMAX / 2)
+             else min(SAFMAX, max(SAFMIN, g1)))
+        gs = _over(g, u)
+        d = math.sqrt(_abssq(gs))
+        return 0.0, _over(gs.conjugate(), d), complex(d * u)
+    f1 = max(abs(f.real), abs(f.imag))
+    g1 = max(abs(g.real), abs(g.imag))
+    rtmax = math.sqrt(SAFMAX / 4)
+    if RTMIN < f1 < rtmax and RTMIN < g1 < rtmax:
+        u = None
+        fs, gs = f, g
+        f2 = _abssq(f)
+        h2 = f2 + _abssq(g)
+    else:
+        # g is scaled by u and f by v, which is u (so w = 1 and a product
+        # with w is exact) unless f / u falls below RTMIN
+        u = min(SAFMAX, max(SAFMIN, f1, g1))
+        v = min(SAFMAX, max(SAFMIN, f1)) if f1 / u < RTMIN else u
+        w = v / u
+        fs, gs = _over(f, v), _over(g, u)
+        f2 = _abssq(fs)
+        h2 = f2 * (w * w) + _abssq(gs)
+    if f2 >= h2 * SAFMIN:
+        c = math.sqrt(f2 / h2)
+        r = _over(fs, c)
+        if f2 > RTMIN and h2 < 2.0 * rtmax:
+            s = gs.conjugate() * _over(fs, math.sqrt(f2 * h2))
+        else:
+            s = gs.conjugate() * _over(r, h2)
+    else:
+        # f2 / h2 may be subnormal; here h2 = |g|^2 in effect
+        d = math.sqrt(f2 * h2)
+        c = f2 / d
+        r = _over(fs, c) if c >= SAFMIN else _times(fs, h2 / d)
+        s = gs.conjugate() * _over(fs, d)
+    if u is not None:
+        c = c * w
+        r = _times(r, u)
+    return c, s, r
+
+
+def gmres(a, b, *, rtol, maxiter):
+    """(x, info) with ||b - a x|| <= rtol ||b||, 0 < rtol < 1, from x = 0:
+    GMRES restarted every GMRES_RESTART vectors, at most maxiter cycles;
+    info is maxiter when it stops short.
+
+    scipy.sparse.linalg.gmres with atol = 0 and no preconditioner, step for
+    step, so x is the same to the bit.  a has the shape, dtype and matvec of
+    a scipy LinearOperator, so a LinearOperator may stand in for it.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = rtol * float(bnrm2)
+    if bnrm2 == 0:
+        return b, 0
+    n = len(b)
+    x = np.zeros(n, dtype=complex)
+    eps = np.finfo(complex).eps
+    restart = min(GMRES_RESTART, n)
+    # the inner iterations stop at ptol, which each cycle adapts (scipy gh-8400)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    presid = 0.0
+    v = np.empty([restart + 1, n], dtype=complex)
+    h = np.zeros([restart, restart + 1], dtype=complex)
+    givens = np.zeros([restart, 2], dtype=complex)
+    r = b.copy()
+    for _cycle in range(maxiter):
+        v[0, :] = r
+        tmp = np.linalg.norm(v[0, :])
+        v[0, :] *= 1 / tmp
+        # right-hand side of the Hessenberg least-squares problem
+        S = np.zeros(restart + 1, dtype=complex)
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = a.matvec(v[col, :])
+            # modified Gram-Schmidt
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.vdot(v[k, :], w)
+                h[col, k] = tmp
+                w -= tmp * v[k, :]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1, :] = w[:]
+            # an exact solution in the Krylov space
+            if h1 <= eps * h0:
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1, :] *= 1 / h1
+            # the past Givens rotations on this column, then its own
+            for k in range(col):
+                c, s = givens[k, 0], givens[k, 1]
+                n0, n1 = h[col, [k, k + 1]]
+                h[col, [k, k + 1]] = [c * n0 + s * n1, -s.conj() * n0 + c * n1]
+            c, s, mag = _lartg(h[col, col], h[col, col + 1])
+            givens[col, :] = [c, s]
+            h[col, [col, col + 1]] = mag, 0
+            tmp = -np.conjugate(s) * S[col]
+            S[[col, col + 1]] = [c * S[col], tmp]
+            presid = np.abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        # back-substitution on the triangle h[:col+1, :col+1].T
+        if h[col, col] == 0:
+            S[col] = 0
+        y = np.zeros([col + 1], dtype=complex)
+        y[:] = S[: col + 1]
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                tmp = y[k]
+                y[:k] -= tmp * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[: col + 1, :]
+        r = b - a.matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +637,6 @@ class _Iterate:
 def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     """Newton solve for the displacement on the far modes `far` that clears
     the far residual of the pullback of X = v + h."""
-    from scipy.fft import fft2, ifft2
-    from scipy.sparse.linalg import LinearOperator
-
     truncation = h.truncation
     # the unknowns: the far modes, an interleaved (u_k1, u_k2) pair per mode
     far_k = h.index.k[far]
@@ -551,13 +708,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         sweeps += 1
         gvec = current.far.coeffs[:, far].T.reshape(-1)
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
-        op = LinearOperator(
-            (len(gvec), len(gvec)),
+        op = SimpleNamespace(
+            shape=(len(gvec), len(gvec)), dtype=np.dtype(complex),
             matvec=lambda z: jacobian_matvec(-z / divisors, current),
-            dtype=complex,
         )
         rtol = max(1e-13, min(1e-2, 0.1 * current.res))
-        z, info = gmres(op, -gvec, rtol=rtol, atol=0.0, maxiter=GMRES_MAXITER)
+        z, info = gmres(op, -gvec, rtol=rtol, maxiter=GMRES_MAXITER)
         # a solve that stops short still yields a usable Newton direction;
         # the step test below judges it, the count reports it
         gmres_failures += info != 0

@@ -663,12 +663,15 @@ def cold_probe(argv, out_dir, **variables):
     pytest.param(("decay-probe", "--slope", "golden", "--steps", "6",
                   "--truncation", "40"), ("scipy",), id="decay-probe"),
     pytest.param(("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
-                  "--truncation", "16"), (), id="eliminate"),
+                  "--truncation", "16"), ("scipy",), id="eliminate"),
+    pytest.param(("orbit", "--slope", "golden", "--perturb", "resonant:1e-3",
+                  "--steps", "3", "--truncation", "16", "--seed", "7"),
+                 ("scipy",), id="orbit"),
 ])
 def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
-    # scipy is imported where it is called; a fresh process shows what a
-    # scenario loads (this one has scipy loaded already) and that the
-    # first call through each import gives the pinned bytes
+    # only winding_ratio imports scipy, where it is called; a fresh process
+    # shows what a scenario loads (this one has scipy loaded already) and
+    # that its first calls give the pinned bytes
     *printed, threads, modules = cold_probe(argv, tmp_path).splitlines()
     # no scenario leaves a thread behind
     assert threads == "1"

@@ -9,10 +9,13 @@ from torusrenorm.fourier_field import (
     FourierVectorField,
     Kappa,
     ModeIndex,
+    fft2,
     field_from_dict,
     field_to_dict,
     fit_grid,
+    ifft2,
     load_field,
+    next_fast_len,
     norm_prime_r,
     norm_r,
     project,
@@ -197,6 +200,43 @@ class TestGrid:
         values[1] += 1e-17 * np.random.default_rng(0).normal(size=(16, 16))
         fit, report = fit_grid(values, 6)
         assert set(fit.modes) == {(0, 0)}
+
+
+def signed_sparse(rng, size):
+    """Normal samples with half the entries zeros of either sign."""
+    zeros = np.copysign(0.0, rng.normal(size=size))
+    return np.where(rng.random(size) < 0.5, zeros, rng.normal(size=size))
+
+
+@pytest.mark.parametrize("lead, axes", [((2,), (1, 2)), ((2, 2), (2, 3))])
+def test_grid_transforms_equal_scipy_fft_bit_for_bit(lead, axes):
+    # every grid next_fast_len(2 (T_h + T_u) + 1) of truncations up to 64,
+    # in the layouts of the field grids and of the Jacobian grids
+    import scipy.fft
+
+    rng = np.random.default_rng(11)
+    grids = sorted({next_fast_len(2 * (a + b) + 1)
+                    for a in range(1, 65) for b in range(1, 65)})
+    for grid in grids:
+        size = (*lead, grid, grid)
+        # -i at the origin and -0 - 0i elsewhere: the first inverse pass
+        # gives -0 - i, whose real part a complex scaling would make +0
+        delta = np.full(size, complex(-0.0, -0.0))
+        delta[..., 0, 0] = complex(-0.0, -1.0)
+        noisy = signed_sparse(rng, size) + 1j * signed_sparse(rng, size)
+        for x in (delta, noisy):
+            for ours, theirs in ((fft2, scipy.fft.fft2),
+                                 (ifft2, scipy.fft.ifft2)):
+                assert np.array_equal(
+                    ours(x, axes).view(np.int64),
+                    theirs(x, axes=axes).view(np.int64)), (grid, ours)
+
+
+def test_next_fast_len_equals_scipy():
+    import scipy.fft
+
+    assert [next_fast_len(n) for n in range(1, 20001)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 20001)]
 
 
 class TestSerialization:

@@ -6,9 +6,12 @@ import threading
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusrenorm.errors import NoConvergence, SingularJacobian
 from torusrenorm.fourier_field import (
@@ -288,22 +291,75 @@ class TestEliminateFar:
 
 
 def test_gmres_failures_are_counted(monkeypatch):
-    # restart=1 makes each of the GMRES_MAXITER cycles a single iteration,
-    # so the inner solves stop short of their tolerance
+    # a restart of 1 makes each of the GMRES_MAXITER cycles a single
+    # iteration, so the inner solves stop short of their tolerance
     infos = []
     real_gmres = normalization_step.gmres
 
-    def one_iteration(*args, **kwargs):
-        z, info = real_gmres(*args, restart=1, **kwargs)
+    def recorded(*args, **kwargs):
+        z, info = real_gmres(*args, **kwargs)
         infos.append(info)
         return z, info
 
-    monkeypatch.setattr(normalization_step, "gmres", one_iteration)
+    monkeypatch.setattr(normalization_step, "gmres", recorded)
+    monkeypatch.setattr(normalization_step, "GMRES_RESTART", 1)
     monkeypatch.setattr(normalization_step, "GMRES_MAXITER", 1)
     x = mixed_perturbation_field(1e-3)
     result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
     assert result.gmres_failures == sum(info != 0 for info in infos) > 0
     assert len(infos) == result.sweeps
+
+
+@pytest.mark.parametrize("restart", [20, 1])
+def test_gmres_equals_scipy_bit_for_bit(restart, monkeypatch):
+    # random near-identity complex systems at the Newton loop's settings:
+    # x0 = 0, atol = 0, no preconditioner
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    monkeypatch.setattr(normalization_step, "GMRES_RESTART", restart)
+    rng = np.random.default_rng(restart)
+    infos = []
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = np.eye(n) + 10 ** rng.uniform(-3, 0.5) * noise / math.sqrt(n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rtol = 10 ** rng.uniform(-13, -2)
+        maxiter = int(rng.integers(1, 41))
+        op = SimpleNamespace(shape=m.shape, dtype=m.dtype,
+                             matvec=lambda x, m=m: m @ x)
+        x, info = normalization_step.gmres(op, b, rtol=rtol, maxiter=maxiter)
+        ref, ref_info = scipy_gmres(
+            LinearOperator(m.shape, matvec=op.matvec, dtype=m.dtype), b,
+            rtol=rtol, atol=0.0, maxiter=maxiter, restart=restart)
+        assert info == ref_info
+        assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+        infos.append(info)
+    # some solves converge and some stop short
+    assert 0 in infos and any(infos)
+
+
+def complex_entries():
+    """Complex numbers whose parts are zeros of either sign or of magnitude
+    1e-300 to 1e300: zero, purely real and purely imaginary ones included."""
+    magnitude = st.builds(lambda m, e: m * 10.0 ** e,
+                          st.floats(1.0, 10.0), st.integers(-300, 299))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), magnitude,
+                     magnitude.map(lambda v: -v))
+    return st.builds(complex, part, part)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(f=complex_entries(), g=complex_entries())
+@example(f=0j, g=complex(-2.0, 0.0))
+@example(f=complex(-1e-300, -0.0), g=complex(-3e-300, 0.0))
+def test_lartg_equals_lapack_zlartg(f, g):
+    from scipy.linalg.lapack import zlartg
+
+    ours = np.array(normalization_step._lartg(f, g), dtype=complex)
+    theirs = np.array(zlartg(f, g), dtype=complex)
+    assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
 
 
 def with_average(g, avg):

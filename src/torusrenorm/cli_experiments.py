@@ -223,7 +223,8 @@ def _cell_formatter(kind):
 
 
 def write_csv(path: Path, config: dict, columns, rows) -> str:
-    """Write the table under its configuration header; return the text."""
+    """Write the table under its configuration header, creating the
+    directory; return the text."""
     lines = [f"# {k}={config[k]}" for k in sorted(config)]
     lines.append(",".join(columns))
     formatters = {}
@@ -236,6 +237,7 @@ def write_csv(path: Path, config: dict, columns, rows) -> str:
             cells.append(formatters[kind](v))
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return text
 
@@ -261,6 +263,7 @@ def write_manifest(path: Path, config: dict, payload: dict, artifacts,
         "results": _strict_json(payload),
         "runtime_seconds": round(runtime, 3),
     }
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=1, default=str,
                                allow_nan=False) + "\n")
 
@@ -336,13 +339,13 @@ def scenario_project(config, out_dir, tag):
     kept = project(field, cone, side)
     other = project(field, cone, "outside" if side == "inside" else "inside")
     complementary = np.array_equal((kept + other).coeffs, field.coeffs)
-    out_path = out_dir / f"project_{tag}_field.json"
-    save_field(kept, out_path)
     rows = [[side, len(kept), norm_r(kept, params.rho_prime),
              norm_prime_r(kept, params.rho_prime), complementary]]
     csv_path = out_dir / f"project_{tag}.csv"
     write_csv(csv_path, config,
               ["side", "modes", "norm", "norm_prime", "complementary"], rows)
+    out_path = out_dir / f"project_{tag}_field.json"
+    save_field(kept, out_path)
     payload = {"modes_kept": len(kept), "complementary": complementary}
     return (0 if complementary else 3), payload, [csv_path, out_path]
 
@@ -560,8 +563,10 @@ def run_scenario(config: dict):
     scenario = config.get("scenario")
     if scenario not in RUNNERS:
         raise ConfigInvalid(f"unknown scenario {scenario!r}")
+    # out_dir is made by the first write_csv (each scenario writes its CSV
+    # before any other artifact) or write_manifest, so a run that its
+    # configuration stops leaves no directory behind
     out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tag = config_hash(config)
     started = time.perf_counter()
     code, payload, artifacts = RUNNERS[scenario](config, out_dir, tag)

@@ -329,6 +329,12 @@ class TestMain:
         code = main(["orbit", "--slope", "golden", "--out", str(tmp_path)])
         assert code == 2  # missing seed
 
+    def test_a_rejected_configuration_creates_no_out_directory(self, tmp_path):
+        out = tmp_path / "D"
+        for argv in (["orbit"], ["orbit", "--seed", "1", "--sigma", "0.5"]):
+            assert main([*argv, "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_sigma_out_of_range_exit_two(self, tmp_path, capsys):
         # 0 < sigma < 1/3 is checked where the parameters are built, so a
         # scenario that never reads kappa rejects it too

@@ -18,12 +18,14 @@ from torusrenorm.fourier_field import (
     project,
 )
 from torusrenorm.normalization_step import eliminate_far_perturbation
+from torusrenorm.renorm_driver import RenormParams
 
 GAMMA = (1 + math.sqrt(5)) / 2
 PSI = np.array([1.0, GAMMA])
 SIGMA = 0.1
 TRUNC = 12
 CONE = FarResonant((PSI[0], PSI[1]), SIGMA)
+PARAMS = RenormParams()
 
 
 def perturbed(eps, seed=0):
@@ -41,7 +43,7 @@ def perturbed(eps, seed=0):
 print("=== Newton sweep residuals at perturbation 1e-3 ===")
 x, _ = perturbed(1e-3)
 result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                    tol=1e-12)
+                                    PARAMS.tol, PARAMS.rho, PARAMS.rho_prime)
 for i, r in enumerate(result.residuals):
     print(f"  sweep {i}: far residual {r:.3e}")
 print(f"converged in {result.sweeps} sweeps; displacement on "
@@ -55,7 +57,7 @@ print(f"{'eps':>8} {'first sweep':>12} {'ratio to eps^2':>15}")
 for eps in (1e-3, 1e-4, 1e-5):
     x, _ = perturbed(eps)
     r = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                   tol=1e-13)
+                                   1e-13, PARAMS.rho, PARAMS.rho_prime)
     print(f"{eps:>8.0e} {r.residuals[1]:>12.3e} {r.residuals[1] / eps**2:>15.2f}")
 
 print("\n=== the derivative at psi is the resonant projection ===")
@@ -65,9 +67,9 @@ f = f * (1.0 / norm_r(f, 0.9))
 x_plus = FourierVectorField.constant(PSI, TRUNC) + f * eps
 x_minus = FourierVectorField.constant(PSI, TRUNC) + f * (-eps)
 plus = eliminate_far_perturbation(PSI, x_plus.minus_constant(PSI), SIGMA,
-                                  tol=1e-13).field
+                                  1e-13, PARAMS.rho, PARAMS.rho_prime).field
 minus = eliminate_far_perturbation(PSI, x_minus.minus_constant(PSI), SIGMA,
-                                   tol=1e-13).field
+                                   1e-13, PARAMS.rho, PARAMS.rho_prime).field
 derivative = (plus - minus) * (1.0 / (2 * eps))
 err = norm_r(derivative - project(f, CONE, "inside"), 0.9)
 print(f"central difference vs resonant projection: {err:.2e}")

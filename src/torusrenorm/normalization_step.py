@@ -553,9 +553,9 @@ def eliminate_far_perturbation(
     psi,
     g0: FourierVectorField,
     sigma: float,
-    tol: float = 1e-12,
-    rho: float = 1.0,
-    rho_prime: float = 0.9,
+    tol: float,
+    rho: float,
+    rho_prime: float,
     solves: FarSolves | None = None,
 ) -> EliminationResult:
     """Solve [far cone](DU)^{-1} X o U = 0 for U = id + u, u on the far

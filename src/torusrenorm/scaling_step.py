@@ -132,7 +132,7 @@ def random_resonant_field(
     amplitude: float,
     truncation: int,
     rng: np.random.Generator,
-    width: float = 0.9,
+    width: float,
     n_modes: int | None = None,
 ) -> FourierVectorField:
     """Reality-symmetric zero-average field supported on the resonant cone.

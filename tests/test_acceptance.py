@@ -144,7 +144,9 @@ def test_criterion_5_elimination_contract():
     x_res = FourierVectorField.constant(psi, trunc) + (
         FourierVectorField(res_modes, trunc)
     )
-    r_res = eliminate_far_perturbation(psi, x_res.minus_constant(psi), sigma)
+    r_res = eliminate_far_perturbation(psi, x_res.minus_constant(psi), sigma,
+                                       PARAMS.tol, PARAMS.rho,
+                                       PARAMS.rho_prime)
     part_i = len(r_res.map.displacement) == 0 and r_res.sweeps == 0
 
     # (ii) far residual <= 1e-12 in <= 6 sweeps at perturbation norm 1e-3
@@ -158,7 +160,7 @@ def test_criterion_5_elimination_contract():
     pert = pert * (1e-3 / norm_prime_r(pert, 1.0))
     x = FourierVectorField.constant(psi, trunc) + pert
     r_mixed = eliminate_far_perturbation(psi, x.minus_constant(psi), sigma,
-                                         tol=1e-12)
+                                         1e-12, PARAMS.rho, PARAMS.rho_prime)
     far_after = norm_r(project(r_mixed.field, cone, "outside"), 0.9)
     part_ii = r_mixed.sweeps <= 6 and far_after <= 1e-12
 
@@ -169,7 +171,8 @@ def test_criterion_5_elimination_contract():
             eps / 1e-3
         )
         r_eps = eliminate_far_perturbation(
-            psi, x_eps.minus_constant(psi), sigma, tol=1e-13)
+            psi, x_eps.minus_constant(psi), sigma, 1e-13, PARAMS.rho,
+            PARAMS.rho_prime)
         logs_eps.append(math.log(eps))
         logs_res.append(math.log(r_eps.residuals[1]))
     order = np.polyfit(logs_eps, logs_res, 1)[0]
@@ -181,9 +184,9 @@ def test_criterion_5_elimination_contract():
     xp = FourierVectorField.constant(psi, trunc) + f * eps
     xm = FourierVectorField.constant(psi, trunc) + f * (-eps)
     up = eliminate_far_perturbation(psi, xp.minus_constant(psi), sigma,
-                                    tol=1e-13).field
+                                    1e-13, PARAMS.rho, PARAMS.rho_prime).field
     um = eliminate_far_perturbation(psi, xm.minus_constant(psi), sigma,
-                                    tol=1e-13).field
+                                    1e-13, PARAMS.rho, PARAMS.rho_prime).field
     deriv = (up - um) * (1.0 / (2 * eps))
     part_iv = norm_r(deriv - project(f, cone, "inside"), 0.9) < 1e-8
 

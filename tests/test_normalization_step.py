@@ -28,11 +28,16 @@ from torusrenorm.normalization_step import (
     _pull_back,
     eliminate_far_perturbation,
 )
+from torusrenorm.renorm_driver import RenormParams
 
 GAMMA = (1 + math.sqrt(5)) / 2
 PSI = np.array([1.0, GAMMA])
 SIGMA = 0.1
 CONE = FarResonant((1.0, GAMMA), SIGMA)
+# the engine's widths and tolerance
+PARAMS = RenormParams()
+WIDTHS = {"rho": PARAMS.rho, "rho_prime": PARAMS.rho_prime}
+STEP = {"tol": PARAMS.tol, **WIDTHS}
 
 
 def displacement(entries, truncation=16):
@@ -149,7 +154,8 @@ class TestComposePullback:
 class TestEliminateFar:
     def test_no_perturbation(self):
         x = FourierVectorField.constant(PSI, truncation=12)
-        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            **STEP)
         assert len(result.map.displacement) == 0
         assert result.sweeps == 0
         assert np.allclose(result.field.average(), PSI)
@@ -160,7 +166,8 @@ class TestEliminateFar:
         x = FourierVectorField.constant(PSI, truncation=12) + (
             FourierVectorField(modes, 12)
         )
-        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            **STEP)
         assert len(result.map.displacement) == 0
         assert result.sweeps == 0
         assert set(result.field.modes) == set(x.modes)
@@ -171,7 +178,7 @@ class TestEliminateFar:
         eps = 1e-6
         x = single_far_mode_field(eps)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                            tol=1e-14)
+                                            tol=1e-14, **WIDTHS)
         assert result.sweeps <= 3
         assert result.residuals[1] < 1e3 * eps * eps
         assert norm_r(project(result.field, CONE, "outside"), 0.9) <= 1e-14
@@ -180,7 +187,7 @@ class TestEliminateFar:
         eps = 1e-3
         x = single_far_mode_field(eps)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                            tol=1e-13)
+                                            tol=1e-13, **WIDTHS)
         # quadratic regime: residuals well above the representation floor
         rs = [r for r in result.residuals if r > 1e-11]
         assert len(rs) >= 3
@@ -191,7 +198,7 @@ class TestEliminateFar:
     def test_mixed_perturbation_converges_quickly(self):
         x = mixed_perturbation_field(1e-3)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                            tol=1e-12)
+                                            tol=1e-12, **WIDTHS)
         assert result.sweeps <= 6
         far = project(result.field, CONE, "outside")
         assert norm_r(far, 0.9) <= 1e-12
@@ -203,9 +210,9 @@ class TestEliminateFar:
         xp = FourierVectorField.constant(PSI, 12) + f * eps
         xm = FourierVectorField.constant(PSI, 12) + f * (-eps)
         up = eliminate_far_perturbation(PSI, xp.minus_constant(PSI), SIGMA,
-                                        tol=1e-13).field
+                                        tol=1e-13, **WIDTHS).field
         um = eliminate_far_perturbation(PSI, xm.minus_constant(PSI), SIGMA,
-                                        tol=1e-13).field
+                                        tol=1e-13, **WIDTHS).field
         deriv = (up - um) * (1.0 / (2 * eps))
         expected = project(f, CONE, "inside")
         diff = deriv - expected
@@ -213,7 +220,8 @@ class TestEliminateFar:
 
     def test_support_inside_far_cone(self):
         x = mixed_perturbation_field(1e-3)
-        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            **STEP)
         for k in result.map.displacement.modes:
             assert not CONE.contains(k)
 
@@ -225,7 +233,7 @@ class TestEliminateFar:
         x = mixed_perturbation_field(3e-2)
         with pytest.raises(NoConvergence):
             eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                       tol=1e-13)
+                                       tol=1e-13, **WIDTHS)
         # the initial state, one trial step and one floor probe
         assert len(calls) == 3
 
@@ -236,7 +244,8 @@ class TestEliminateFar:
         calls = count_pullbacks(monkeypatch)
         x = mixed_perturbation_field(100.0)
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
-            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                       **STEP)
         # the initial state, 9 trial steps and one floor probe
         assert len(calls) == 11
 
@@ -256,7 +265,7 @@ class TestEliminateFar:
         monkeypatch.setattr(normalization_step, "_pull_back", first_trial_nan)
         x = mixed_perturbation_field(1e-3)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                            tol=1e-12)
+                                            tol=1e-12, **WIDTHS)
         assert result.residuals[1] < result.residuals[0]
         assert norm_r(project(result.field, CONE, "outside"), 0.9) <= 1e-12
 
@@ -275,18 +284,21 @@ class TestEliminateFar:
         monkeypatch.setattr(normalization_step, "_pull_back", singular_trials)
         x = mixed_perturbation_field(1e-3)
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
-            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+            eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                       **STEP)
         # the initial state, 9 trial steps and one floor probe
         assert len(calls) == 11
 
     def test_contraction_estimate_reported(self):
         x = mixed_perturbation_field(1e-4)
-        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            **STEP)
         assert result.contraction_lhs <= result.contraction_rhs
 
     def test_reality_preserved(self):
         x = mixed_perturbation_field(1e-3)
-        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+        result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                            **STEP)
         assert result.field.is_real_symmetric(1e-8)
 
 
@@ -305,7 +317,8 @@ def test_gmres_failures_are_counted(monkeypatch):
     monkeypatch.setattr(normalization_step, "GMRES_RESTART", 1)
     monkeypatch.setattr(normalization_step, "GMRES_MAXITER", 1)
     x = mixed_perturbation_field(1e-3)
-    result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+    result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
+                                        **STEP)
     assert result.gmres_failures == sum(info != 0 for info in infos) > 0
     assert len(infos) == result.sweeps
 
@@ -381,9 +394,11 @@ class TestSolveReuse:
         psi = PSI.astype(complex)
         assert (psi + g0.average()).tobytes() == (psi + g1.average()).tobytes()
         solves = FarSolves()
-        first = eliminate_far_perturbation(PSI, g0, SIGMA, solves=solves)
-        reused = eliminate_far_perturbation(PSI, g1, SIGMA, solves=solves)
-        fresh = eliminate_far_perturbation(PSI, g1, SIGMA)
+        first = eliminate_far_perturbation(PSI, g0, SIGMA,
+                                           solves=solves, **STEP)
+        reused = eliminate_far_perturbation(PSI, g1, SIGMA,
+                                            solves=solves, **STEP)
+        fresh = eliminate_far_perturbation(PSI, g1, SIGMA, **STEP)
         assert (first.reused, reused.reused, fresh.reused) == (False, True, False)
         assert solves.counts() == {"computed": 1, "reused": 1}
         assert first.sweeps > 0
@@ -425,19 +440,19 @@ class TestSolveReuse:
         solves = FarSolves()
         for field in (g, nudged):
             assert not eliminate_far_perturbation(PSI, field, SIGMA,
-                                                  solves=solves).reused
+                                                  solves=solves, **STEP).reused
         for field in (plus_zero, minus_zero):
             assert not eliminate_far_perturbation(psi, field, SIGMA,
-                                                  solves=solves).reused
+                                                  solves=solves, **STEP).reused
         assert eliminate_far_perturbation(psi, minus_zero, SIGMA,
-                                          solves=solves).reused
+                                          solves=solves, **STEP).reused
         assert solves.counts() == {"computed": 4, "reused": 1}
 
     def test_resonant_only_input_makes_no_solve(self):
         solves = FarSolves()
         x = FourierVectorField.constant(PSI, truncation=12)
         result = eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA,
-                                            solves=solves)
+                                            solves=solves, **STEP)
         assert len(result.map.displacement) == 0 and not result.reused
         assert solves.counts() == {"computed": 0, "reused": 0}
 
@@ -640,7 +655,7 @@ def test_only_the_phase_blocks_leave_the_calling_thread(monkeypatch):
     monkeypatch.setattr(normalization_step, "_fill_phases", on_threads(
         threads, "_fill_phases", normalization_step._fill_phases))
     x = mixed_perturbation_field(1e-3, truncation=32)
-    eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA)
+    eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA, **STEP)
     caller = {threading.get_ident()}
     for name in ("fit_grid", "project", "norm_r", "__init__"):
         assert threads[name] == caller, name

@@ -86,7 +86,7 @@ class TestScaleStep:
 
     def test_transport_bijective(self):
         rng = np.random.default_rng(0)
-        x = random_resonant_field(OMEGA, 0.1, 1e-3, 24, rng)
+        x = random_resonant_field(OMEGA, 0.1, 1e-3, 24, rng, RHO_PRIME)
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         assert len(y) == len(x)
 
@@ -133,7 +133,7 @@ class TestOperatorNormBound:
         bound = operator_norm_bound(1, RHO, RHO_PRIME, KAPPA)
         worst = 0.0
         for _ in range(100):
-            x = random_resonant_field(OMEGA, 0.1, 1e-3, 32, rng)
+            x = random_resonant_field(OMEGA, 0.1, 1e-3, 32, rng, RHO_PRIME)
             y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
             ratio = norm_prime_r(y, RHO) / norm_r(x, RHO_PRIME)
             worst = max(worst, ratio)
@@ -212,7 +212,7 @@ class TestResonantModes:
 
     def test_random_field_properties(self):
         rng = np.random.default_rng(1)
-        x = random_resonant_field(OMEGA, 0.1, 1e-3, 32, rng)
+        x = random_resonant_field(OMEGA, 0.1, 1e-3, 32, rng, RHO_PRIME)
         assert x.is_real_symmetric()
         assert np.allclose(x.average(), 0)
         assert norm_r(x, 0.9) == pytest.approx(1e-3)

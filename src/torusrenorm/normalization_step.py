@@ -406,11 +406,10 @@ def gmres(a, b, *, rtol, maxiter):
     # the inner iterations stop at ptol, which each cycle adapts (scipy gh-8400)
     ptol_max_factor = 1.0
     ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
-    presid = 0.0
     v = np.empty([restart + 1, n], dtype=complex)
     h = np.zeros([restart, restart + 1], dtype=complex)
     givens = np.zeros([restart, 2], dtype=complex)
-    r = b.copy()
+    r = b
     for _cycle in range(maxiter):
         v[0, :] = r
         tmp = np.linalg.norm(v[0, :])

@@ -36,7 +36,6 @@ from .fourier_field import (
     norm_r,
     project,
     save_field,
-    winding_ratio,
 )
 from .normalization_step import (
     TorusMap,

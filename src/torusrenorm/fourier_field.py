@@ -8,8 +8,7 @@ built on first use and cached per truncation, so norms, projections,
 transports and grid transforms are array operations.  The module
 provides the two weighted coefficient norms, resonant/contracting cone
 projections, grid sampling and fitting (on numpy FFTs that give
-scipy.fft's bits), JSON serialisation and a numerical winding ratio via
-flow integration on the lift.
+scipy.fft's bits) and JSON serialisation.
 """
 
 from __future__ import annotations
@@ -22,17 +21,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-# winding_ratio imports scipy when it is called: scipy loads slower than a
-# `cf` run
 
 TWO_PI = 2.0 * math.pi
 # fit_grid chops coefficients below this fraction of the largest grid value
 CHOP_REL = 64.0 * np.finfo(float).eps
-# winding_ratio reads the direction once the lift has grown by
-# WINDING_GROWTH, from each of WINDING_POINTS, integrating at WINDING_RTOL
-WINDING_GROWTH = 1e3
-WINDING_POINTS = ((0.0, 0.0), (0.31, 0.77), (0.83, 0.19))
-WINDING_RTOL = 1e-10
 
 
 def fft2(x: np.ndarray, axes) -> np.ndarray:
@@ -482,125 +474,3 @@ def load_field(path) -> FourierVectorField:
     with open(path) as fh:
         return field_from_dict(json.load(fh))
 
-
-# ---------------------------------------------------------------------------
-# winding ratio
-
-
-@dataclass
-class WindingReport:
-    """Outcome of the flow-integration winding estimate.
-
-    status 'ok' carries the l1-normalised direction and its slope;
-    'bounded' means the lift stayed bounded (winding 0); 'inconclusive'
-    means the horizon was too short or the direction did not settle.
-    """
-
-    status: str
-    direction: np.ndarray | None
-    slope: float | None
-    growth: float
-    spread: float
-    details: str = ""
-
-
-def winding_ratio(
-    x: FourierVectorField,
-    horizon: float = 4000.0,
-    tol: float = 1e-6,
-) -> WindingReport:
-    """Estimate lim Phi_t/||Phi_t||_1 by integrating the lifted flow.
-
-    The direction is only read once the lift has grown past
-    WINDING_GROWTH and the directions over the last tenth of the
-    trajectory (and across initial points) agree within tol.
-    """
-    from scipy.integrate import solve_ivp
-
-    if not x.is_real_symmetric(1e-9):
-        raise ValueError("winding ratio needs a field that is real on real theta")
-
-    # sufficient no-equilibria condition, advisory and not enforced: on real
-    # theta, ||X - E X||_1 <= sum_{k != 0} ||f_k||_1 < ||Re E X||_1
-    no_equilibria = np.sum(_mass(x.oscillatory())) < _l1(np.real(x.average()))
-    note = "" if no_equilibria else "; no-equilibria condition not certified"
-
-    if set(x.modes) <= {(0, 0)}:
-        # constant field: the lift is exactly theta0 + t * omega
-        w = np.real(x.average())
-        n1 = _l1(w)
-        if n1 == 0:
-            return WindingReport("bounded", None, None, 0.0, 0.0, "zero field")
-        direction = w / n1
-        slope = math.inf if direction[0] == 0 else direction[1] / direction[0]
-        return WindingReport("ok", direction, slope, math.inf, 0.0, "constant field")
-
-    ks = np.array(sorted(x.modes.keys()), dtype=float)
-    cs = np.array([x.modes[tuple(int(v) for v in k)] for k in ks])
-
-    def rhs(_t, theta):
-        phases = np.exp((TWO_PI * 1j) * (ks @ theta))
-        return np.real(phases @ cs)
-
-    def grown(t, theta, theta0):
-        return abs(theta[0] - theta0[0]) + abs(theta[1] - theta0[1]) - WINDING_GROWTH
-
-    directions = []
-    spreads = []
-    growth = 0.0
-    for theta0 in WINDING_POINTS:
-        theta0 = np.asarray(theta0, dtype=float)
-        event = lambda t, y, t0=theta0: grown(t, y, t0)
-        event.terminal = True
-        sol = solve_ivp(
-            rhs,
-            (0.0, horizon),
-            theta0,
-            method="DOP853",
-            rtol=WINDING_RTOL,
-            atol=1e-12,
-            dense_output=True,
-            events=event,
-        )
-        t_end = sol.t[-1]
-        phi_end = sol.y[:, -1]
-        growth = max(growth, _l1(phi_end - theta0))
-        # status 1: the growth event ended the integration.  Its located
-        # root may sit a rounding below WINDING_GROWTH
-        if sol.status != 1:
-            status = "bounded" if _l1(phi_end - theta0) < 1.0 else "inconclusive"
-            return WindingReport(
-                status, None, None, growth, 0.0,
-                f"lift grew only {_l1(phi_end - theta0):.3g} within the horizon",
-            )
-        window = np.linspace(0.9 * t_end, t_end, 64)
-        dirs = []
-        for t in window:
-            # normalise the drift from theta0: same limit as Phi/||Phi||,
-            # without the O(||theta0||/||Phi||) bias
-            phi = sol.sol(t) - theta0
-            dirs.append(phi / _l1(phi))
-        dirs = np.array(dirs)
-        spread = float(np.max(np.abs(dirs - dirs[-1]).sum(axis=1)))
-        spreads.append(spread)
-        directions.append(dirs[-1])
-        if spread > tol:
-            return WindingReport(
-                "inconclusive", None, None, growth, spread,
-                "direction did not settle over the last tenth of the trajectory",
-            )
-
-    directions = np.array(directions)
-    spread_points = float(
-        np.max(np.abs(directions - directions.mean(axis=0)).sum(axis=1))
-    )
-    if spread_points > tol:
-        return WindingReport(
-            "inconclusive", None, None, growth, spread_points,
-            "initial points disagree on the direction",
-        )
-    direction = directions.mean(axis=0)
-    direction = direction / _l1(direction)
-    slope = math.inf if direction[0] == 0 else float(direction[1] / direction[0])
-    return WindingReport("ok", direction, float(slope), growth,
-                         max(spreads + [spread_points]), note.lstrip("; "))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -629,17 +630,21 @@ def test_outputs_keep_their_bytes(argv, tmp_path):
     assert artifact_digests(argv, tmp_path) == BYTE_PINS[argv]
 
 
-# A fresh interpreter imports the package, runs the CLI arguments it is
-# given (if any), and prints the number of live threads and then the scipy
-# modules it loaded as its last two lines.
+# A fresh interpreter that cannot import scipy imports the package, runs
+# the CLI arguments it is given (if any), and prints the number of live
+# threads as its last line.
 COLD_PROBE = """
-import json, sys, threading
+import sys, threading
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is hidden from this process")
+sys.meta_path.insert(0, NoScipy())
 import torusrenorm
 if sys.argv[1:]:
     from torusrenorm.cli_experiments import main
     assert main(sys.argv[1:]) == 0
 print(threading.active_count())
-print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
 """
 
 
@@ -660,32 +665,51 @@ def cold_probe(argv, out_dir, **variables):
                           capture_output=True, text=True, timeout=300).stdout
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    pytest.param((), ("scipy",), id="import"),
-    pytest.param(("cf", "--slope", "golden", "--n-terms", "60"), ("scipy",),
-                 id="cf"),
+@pytest.mark.parametrize("argv", [
+    pytest.param((), id="import"),
+    pytest.param(("cf", "--slope", "golden", "--n-terms", "60"), id="cf"),
     pytest.param(("cf", "--slope", E_MINUS_2_AT_1024, "--n-terms", "400"),
-                 ("scipy",), id="cf-e-2@1024"),
+                 id="cf-e-2@1024"),
     pytest.param(("decay-probe", "--slope", "golden", "--steps", "6",
-                  "--truncation", "40"), ("scipy",), id="decay-probe"),
+                  "--truncation", "40"), id="decay-probe"),
     pytest.param(("eliminate", "--perturb", "mixed:1e-4", "--seed", "7",
-                  "--truncation", "16"), ("scipy",), id="eliminate"),
+                  "--truncation", "16"), id="eliminate"),
     pytest.param(("orbit", "--slope", "golden", "--perturb", "resonant:1e-3",
                   "--steps", "3", "--truncation", "16", "--seed", "7"),
-                 ("scipy",), id="orbit"),
+                 id="orbit"),
+    pytest.param(("project", "--seed", "1", "--truncation", "8", "--cone",
+                  "far"), id="project"),
+    pytest.param(("scale", "--slope", "golden", "--seed", "1", "--n-fields",
+                  "5", "--truncation", "16"), id="scale"),
+    pytest.param(("spectrum", "--slope", "golden", "--steps", "4"),
+                 id="spectrum"),
+    pytest.param(("sweep", "--slope", "golden", "--perturb", "mixed:1e-4;1e-5",
+                  "--steps", "2", "--truncation", "16", "--seed", "1"),
+                 id="sweep"),
 ])
-def test_cold_process_loads_only_the_scipy_it_uses(argv, unloaded, tmp_path):
-    # only winding_ratio imports scipy, where it is called; a fresh process
-    # shows what a scenario loads (this one has scipy loaded already) and
-    # that its first calls give the pinned bytes
-    *printed, threads, modules = cold_probe(argv, tmp_path).splitlines()
+def test_cold_process_loads_only_the_scipy_it_uses(argv, tmp_path):
+    # the package needs no scipy: every scenario runs in a fresh process
+    # that cannot import it, and its first calls give the pinned bytes
+    *printed, threads = cold_probe(argv, tmp_path).splitlines()
     # no scenario leaves a thread behind
     assert threads == "1"
-    assert [m for m in json.loads(modules)
-            if any(m == name or m.startswith(name + ".") for name in unloaded)
-            ] == []
-    if argv:
+    if argv in BYTE_PINS:
         assert printed_digests(argv, printed, tmp_path) == BYTE_PINS[argv]
+
+
+def test_no_module_imports_scipy():
+    # the cold probe sees only the paths a scenario runs; this reads every
+    # import statement of the package, at any depth
+    imports = []
+    for path in Path(torusrenorm.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert imports
+    assert [(name, module) for name, module in imports
+            if module.split(".")[0] == "scipy"] == []
 
 
 # A fresh interpreter records OPENBLAS_NUM_THREADS when numpy is first

@@ -20,7 +20,6 @@ from torusrenorm.fourier_field import (
     norm_r,
     project,
     save_field,
-    winding_ratio,
 )
 
 GAMMA = (1 + math.sqrt(5)) / 2
@@ -270,60 +269,4 @@ class TestSerialization:
         assert d["modes"][0]["k"] == [0, 0]
         assert "re" in d["modes"][0] and "im" in d["modes"][0]
         assert field_from_dict(d).modes.keys() == x.modes.keys()
-
-
-class TestWindingRatio:
-    def test_constant_exact(self):
-        x = FourierVectorField.constant(OMEGA)
-        report = winding_ratio(x)
-        assert report.status == "ok"
-        assert np.allclose(report.direction, OMEGA / (1 + GAMMA))
-        assert report.slope == pytest.approx(GAMMA)
-
-    def test_small_resonant_perturbation_keeps_slope(self):
-        eps = 1e-4
-        pert = {(-3, 2): np.array([eps, eps]), (3, -2): np.array([eps, eps])}
-        x = FourierVectorField.constant(OMEGA, truncation=8) + FourierVectorField(
-            pert, 8
-        )
-        report = winding_ratio(x, tol=1e-4)
-        assert report.status == "ok"
-        assert report.slope == pytest.approx(GAMMA, abs=2e-3)
-
-    def test_large_constant_shift_changes_slope(self):
-        omega_shift = OMEGA + 0.3 * np.array([1.0, -1.0 / GAMMA])
-        x = FourierVectorField.constant(omega_shift, truncation=8) + (
-            FourierVectorField({(1, 1): [1e-5, 1e-5], (-1, -1): [1e-5, 1e-5]}, 8)
-        )
-        report = winding_ratio(x, tol=1e-4)
-        assert report.status == "ok"
-        assert abs(report.slope - GAMMA) > 0.05
-
-    @pytest.mark.parametrize("c, certified", [(2.0, True), (3.0, False)])
-    def test_no_equilibria_note(self, c, certified):
-        # X = (1, gamma + c cos 2 pi theta1) never vanishes and winds at
-        # slope gamma; the note certifies it when sum_k ||f_k||_1 = c is
-        # below ||Re E X||_1 = 1 + gamma
-        x = FourierVectorField.constant(OMEGA, truncation=4) + FourierVectorField(
-            {(1, 0): [0, c / 2], (-1, 0): [0, c / 2]}, 4)
-        report = winding_ratio(x, tol=1e-2)
-        assert report.status == "ok"
-        assert report.slope == pytest.approx(GAMMA, abs=1e-2)
-        expected = "" if certified else "no-equilibria condition not certified"
-        assert report.details == expected
-
-    def test_rejects_complex_field(self):
-        x = FourierVectorField({(1, 0): [1j, 0]}, 4)
-        with pytest.raises(ValueError):
-            winding_ratio(x)
-
-    def test_inconclusive_when_threshold_unreachable(self):
-        x = FourierVectorField.constant([1e-9, 1e-9], truncation=4) + (
-            FourierVectorField(
-                {(1, 0): [1e-3, 0], (-1, 0): [1e-3, 0]}, 4
-            )
-        )
-        report = winding_ratio(x, horizon=50.0)
-        assert report.status in ("bounded", "inconclusive")
-        assert report.direction is None
 

@@ -184,10 +184,23 @@ class TestWindingConeCheck:
         assert check.passed and check.lhs == 0
 
     def test_pure_unstable_fails(self):
+        # orbit constants at steps 5-8 are 1e-20 to 1e-23: the check must
+        # not pass them on an absolute threshold
         cf = cf_expand(Slope.golden(), 4)
-        state = constant_state(cf, vec=1e-6 * cap_omega_of(GAMMA))
+        for amplitude in (1e-6, 1e-16, 1e-22):
+            state = constant_state(cf, vec=amplitude * cap_omega_of(GAMMA))
+            check = winding_cone_check(state, PARAMS)
+            assert not check.passed, amplitude
+            assert check.rhs == 0
+
+    def test_rounding_of_the_omega_split_passes(self):
+        # the split of 3.7e-4 omega leaves 1.6e-19 off omega (1e-3 omega
+        # leaves exactly 0), inside the slack of a few ulps of ||E X||_1
+        cf = cf_expand(Slope.golden(), 4)
+        state = constant_state(cf, vec=3.7e-4 * np.array([1.0, cf.tail_float(0)]))
         check = winding_cone_check(state, PARAMS)
-        assert not check.passed
+        assert check.passed
+        assert 0 < check.lhs < 1e-18
         assert check.rhs == 0
 
     def test_oscillation_dominates(self):

@@ -295,7 +295,10 @@ class FourierVectorField:
         spec = np.zeros((2, grid, grid), dtype=complex)
         i1, i2 = _grid_positions(self.truncation, grid)
         np.add.at(spec, (slice(None), i1, i2), self.coeffs)
-        return ifft2(spec, axes=(1, 2)) * grid * grid
+        values = ifft2(spec, axes=(1, 2))
+        values *= grid
+        values *= grid
+        return values
 
     def __repr__(self):
         return (

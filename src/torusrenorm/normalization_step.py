@@ -90,8 +90,16 @@ MIRROR_BOUND = 2.0 ** -55
 # bytes of the phase rows of one block of grid columns, and the fewest
 # blocks a call is cut into when it has the columns: the two threads that
 # share the blocks then both get some at small supports
-BLOCK_BYTES = 2 ** 20
+BLOCK_BYTES = 2 ** 18
 MIN_BLOCKS = 8
+
+
+def _usable_cores():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (Linux), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _column_width(rows, points):
@@ -142,22 +150,27 @@ def _fill_phases(phases, term, runs, k1, k2, p1, p2):
             np.conjugate(phases[source - count + 1 : source + 1][::-1], out=rows)
 
 
-def _inverse_jacobian(u_grid, grid):
-    """Du, (DU)^{-1} and min |det DU| on the grid, DU = I + Du; raises
-    SingularJacobian where DU is (nearly) singular."""
-    # u is band-limited so spectral differentiation of its samples is exact
+def _inverse_jacobian(u_grid, grid, v):
+    """(Du) v, (DU)^{-1} and min |det DU| on the grid, DU = I + Du; raises
+    SingularJacobian where DU is (nearly) singular.  (DU)^{-1} is written
+    over the grids of Du."""
+    # u is band-limited so spectral differentiation of its samples is exact;
+    # each derivative is transformed alone, to the bits of a batch of four
     u_spec = fft2(u_grid, axes=(1, 2))
-    k_axis = np.fft.fftfreq(grid, d=1.0 / grid)
-    du_spec = np.zeros((2, 2, grid, grid), dtype=complex)
-    du_spec[:, 0] = u_spec * ((TWO_PI * 1j) * k_axis)[None, :, None]
-    du_spec[:, 1] = u_spec * ((TWO_PI * 1j) * k_axis)[None, None, :]
-    du = ifft2(du_spec, axes=(2, 3))
-    del u_spec, du_spec
-    a11 = 1.0 + du[0, 0]
-    a12 = du[0, 1]
-    a21 = du[1, 0]
-    a22 = 1.0 + du[1, 1]
-    det = a11 * a22 - a12 * a21
+    factor = (TWO_PI * 1j) * np.fft.fftfreq(grid, d=1.0 / grid)
+    du = np.empty((2, 2, grid, grid), dtype=complex)
+    for i in range(2):
+        du[i, 0] = ifft2(u_spec[i] * factor[:, None], axes=(0, 1))
+        du[i, 1] = ifft2(u_spec[i] * factor[None, :], axes=(0, 1))
+    del u_spec
+    du_v = np.einsum("ij...,j->i...", du, np.asarray(v, dtype=complex))
+    # DU = I + Du, then (DU)^{-1} = [a22, -a12; -a21, a11] / det, in the
+    # grids of Du; the diagonal entries trade places through one temporary
+    a11, a12, a21, a22 = du[0, 0], du[0, 1], du[1, 0], du[1, 1]
+    a11 += 1.0
+    a22 += 1.0
+    det = a11 * a22
+    det -= a12 * a21
     min_det = float(np.min(np.abs(det)))
     if min_det < DET_TOL:
         raise SingularJacobian(
@@ -167,12 +180,12 @@ def _inverse_jacobian(u_grid, grid):
     if np.max(np.abs(det.imag)) < 1e-10 * np.max(np.abs(det.real)):
         if np.min(det.real) < 0.0 < np.max(det.real):
             raise SingularJacobian("det DU changes sign on the collocation grid")
-    inv = np.empty((2, 2, grid, grid), dtype=complex)
-    inv[0, 0] = a22 / det
-    inv[0, 1] = -a12 / det
-    inv[1, 0] = -a21 / det
-    inv[1, 1] = a11 / det
-    return du, inv, min_det
+    inv_00 = a22 / det
+    np.divide(a11, det, out=a22)
+    a11[...] = inv_00
+    np.divide(np.negative(a12, out=a12), det, out=a12)
+    np.divide(np.negative(a21, out=a21), det, out=a21)
+    return du_v, du, min_det
 
 
 def _pullback_core(v, h, u_grid, grid, with_derivative=False):
@@ -196,10 +209,11 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     # contractions as a C-ordered (M, 2) array because BLAS rounding can
     # depend on operand layout, and the pullback's bits must not
     support = h.support()
+    rows = len(support)
     all_ks = h.index.k[support].astype(float)
     all_cs = np.ascontiguousarray(h.coeffs[:, support].T)
     chunks = []
-    for start in range(0, len(support), PHASE_CHUNK):
+    for start in range(0, rows, PHASE_CHUNK):
         ks = all_ks[start : start + PHASE_CHUNK]
         cs = all_cs[start : start + PHASE_CHUNK]
         jacs = ((TWO_PI * 1j) * np.einsum("mi,mj->ijm", cs, ks)).reshape(4, -1)
@@ -217,7 +231,7 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     # sin odd): the grid of -k is the conjugate of the grid of k.
     # Otherwise every row is computed.
     row_of = np.full(len(h.index), -1)
-    row_of[support] = np.arange(len(support))
+    row_of[support] = np.arange(rows)
     mirror = row_of[len(h.index) - 1 - support]
     im_u = np.abs(u_grid.imag).max(axis=(1, 2))
     if not TWO_PI * h.truncation * (im_u[0] + im_u[1]) < MIRROR_BOUND:
@@ -229,40 +243,51 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
     # Two threads take the next block from one range iterator (next() on
     # it is atomic under the GIL), each filling its own buffers and its
     # blocks' columns: a block's bytes do not depend on the thread that
-    # computes it
-    width = _column_width(len(support), points)
+    # computes it.  The calling thread allocates both threads' buffers, so
+    # the worker allocates no buffer of its own
+    width = _column_width(rows, points)
     starts = iter(range(0, points, width))
+    # a block's products: h o U in the first two rows, Dh o U in the next four
+    product_rows = 6 if with_derivative else 2
 
-    def fill_blocks():
-        phase_buffer = np.empty(len(support) * width, dtype=complex)
-        term_buffer = np.empty_like(phase_buffer)
+    def buffers():
+        """One block's phase rows, their work array and its products."""
+        return (np.empty(rows * width, dtype=complex),
+                np.empty(rows * width, dtype=complex),
+                np.empty(product_rows * width, dtype=complex))
+
+    def fill_blocks(phase_buffer, term_buffer, product_buffer):
         for first in starts:
             cols = slice(first, min(first + width, points))
             count = cols.stop - first
-            phases = phase_buffer[: len(support) * count].reshape(-1, count)
-            term = term_buffer[: len(support) * count].reshape(-1, count)
+            phases = phase_buffer[: rows * count].reshape(-1, count)
+            term = term_buffer[: rows * count].reshape(-1, count)
+            products = product_buffer[: product_rows * count].reshape(-1, count)
             _fill_phases(phases, term, runs, k1, k2, point1[cols], point2[cols])
             for start, stop, cs_t, jacs in chunks:
-                h_at_u[:, cols] += np.dot(cs_t, phases[start:stop])
+                h_at_u[:, cols] += np.dot(cs_t, phases[start:stop],
+                                          out=products[:2])
                 if with_derivative:
                     dh_at_u[:, :, cols] += np.dot(
-                        jacs, phases[start:stop]).reshape(2, 2, count)
+                        jacs, phases[start:stop], out=products[2:]
+                    ).reshape(2, 2, count)
 
     failures = []
 
-    def work():
+    def work(*worker_buffers):
         try:
-            fill_blocks()
+            fill_blocks(*worker_buffers)
         except BaseException as exc:
             failures.append(exc)
 
     worker = None
-    if points > width and len(os.sched_getaffinity(0)) > 1:
-        worker = threading.Thread(target=work, name="pullback-blocks")
+    if points > width and _usable_cores() > 1:
+        worker = threading.Thread(target=work, args=buffers(),
+                                  name="pullback-blocks")
         worker.start()
     try:
-        du, inv, min_det = _inverse_jacobian(u_grid, grid)
-        fill_blocks()
+        du_v, inv, min_det = _inverse_jacobian(u_grid, grid, v)
+        fill_blocks(*buffers())
     finally:
         if worker is not None:
             for _ in starts:  # leave the worker no further block
@@ -270,41 +295,84 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
             worker.join()
     if failures:
         raise failures[0]
-    h_at_u = h_at_u.reshape(2, grid, grid)
     if with_derivative:
         dh_at_u = dh_at_u.reshape(2, 2, grid, grid)
 
-    v = np.asarray(v, dtype=complex)
-    bracket = h_at_u - np.einsum("ij...,j->i...", du, v)
+    # the bracket h o U - (Du) v, in the buffer of h o U
+    bracket = h_at_u.reshape(2, grid, grid)
+    bracket -= du_v
+    del du_v
     w = np.einsum("ij...,j...->i...", inv, bracket)
     return w, inv, min_det, dh_at_u
 
 
 @dataclass(frozen=True)
 class _Pullback:
-    """The pullback v + W of X = v + h by one map: the bracket grid W with
-    (DU)^{-1} and Dh o U on the same grid, and the fit of W."""
+    """The pullback v + W of X = v + h by one map: the fit of the bracket
+    grid W and, when the derivative was formed, the grids that the
+    linearisation at the map reads: (v + W, Dh o U, (DU)^{-1})."""
 
     map: TorusMap
-    w: np.ndarray
-    inv_jac: np.ndarray
-    dh_at_u: np.ndarray | None
     min_det: float
     fit_w: FourierVectorField
     fit: GridFitReport
+    grids: tuple | None
 
 
 def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
     """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
     next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
-    that resolves the product spectrum."""
+    that resolves the product spectrum.  Without the derivative no grid
+    outlives the call."""
     grid = next_fast_len(2 * (h.truncation + u.truncation) + 1)
-    u_grid = u.displacement.sample_grid(grid)
     w, inv_jac, min_det, dh_at_u = _pullback_core(
-        v, h, u_grid, grid, with_derivative
+        v, h, u.displacement.sample_grid(grid), grid, with_derivative
     )
     fit_w, fit = fit_grid(w, h.truncation)
-    return _Pullback(u, w, inv_jac, dh_at_u, min_det, fit_w, fit)
+    grids = None
+    if with_derivative:
+        # P(u) = v + W, in the buffer of W
+        w += np.asarray(v, dtype=complex)[:, None, None]
+        grids = (w, dh_at_u, inv_jac)
+    return _Pullback(u, min_det, fit_w, fit, grids)
+
+
+def _jacobian_matvec(wvec, far_k, grids):
+    """The far-mode coefficients of the derivative of the pullback
+    P(u) = v + W along the displacement w whose far modes far_k carry the
+    interleaved (w_k1, w_k2) pairs of wvec,
+    dP = (DU)^{-1} [(Dh o U) w - (Dw) P(u)]; grids holds P(u), Dh o U and
+    (DU)^{-1}."""
+    p_grid, dh_at_u, inv_jac = grids
+    grid = p_grid.shape[-1]
+    points = grid * grid
+    cells = (far_k[:, 0] % grid, far_k[:, 1] % grid)
+    kfac = (TWO_PI * 1j) * far_k.astype(float)
+    pairs = wvec.reshape(-1, 2).T
+    # each grid is dropped once read: the product runs beside the grids
+    w_spec = np.zeros((2, grid, grid), dtype=complex)
+    w_spec[:, cells[0], cells[1]] = pairs
+    w_grid = ifft2(w_spec, axes=(1, 2))
+    del w_spec
+    w_grid *= points
+    rhs = np.einsum("ij...,j...->i...", dh_at_u, w_grid)
+    del w_grid
+    # Dw one component at a time, each from the same spectrum buffer: the
+    # far cells are all that any component sets
+    dw_grid = np.empty((2, 2, grid, grid), dtype=complex)
+    spec = np.zeros((grid, grid), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            spec[cells] = pairs[i] * kfac[:, j]
+            dw_grid[i, j] = ifft2(spec, axes=(0, 1))
+    dw_grid *= points
+    rhs -= np.einsum("ij...,j...->i...", dw_grid, p_grid)
+    del dw_grid
+    dp = np.einsum("ij...,j...->i...", inv_jac, rhs)
+    del rhs
+    dp_spec = fft2(dp, axes=(1, 2))
+    dp_spec /= points
+    return dp_spec[:, cells[0], cells[1]].T.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +692,13 @@ def eliminate_far_perturbation(
 
 @dataclass(frozen=True)
 class _Iterate:
-    """A Newton iterate: the unknowns, their pullback, its far part and the
-    weighted far residual."""
+    """A Newton iterate: the unknowns, the map and fitted bracket of their
+    pullback, its far part and the weighted far residual."""
 
     uvec: np.ndarray
-    pull: _Pullback
+    map: TorusMap
+    fit_w: FourierVectorField
+    fit: GridFitReport
     far: FourierVectorField
     res: float
 
@@ -649,10 +719,14 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         return TorusMap(FourierVectorField.from_array(coeffs, truncation))
 
     def evaluate(uvec, with_derivative=True):
-        """Pullback at the displacement uvec, in perturbation form."""
+        """The iterate at the displacement uvec, from its pullback in
+        perturbation form, and the grids of its linearisation (None without
+        the derivative)."""
         pull = _pull_back(v, h, displacement_from(uvec), with_derivative)
         far_part = project(pull.fit_w, cone, "outside")
-        return _Iterate(uvec, pull, far_part, norm_r(far_part, rho_prime))
+        state = _Iterate(uvec, pull.map, pull.fit_w, pull.fit, far_part,
+                         norm_r(far_part, rho_prime))
+        return state, pull.grids
 
     def measured_floor(state):
         """Weighted residual response to the float granularity of u.
@@ -663,8 +737,8 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         actually available at this state.  Only the probe's far residual
         is read, so Dh o U is not formed.
         """
-        probe = evaluate(state.uvec * (1.0 + 8.0 * np.finfo(float).eps),
-                         with_derivative=False)
+        probe, _ = evaluate(state.uvec * (1.0 + 8.0 * np.finfo(float).eps),
+                            with_derivative=False)
         return norm_r(probe.far - state.far, rho_prime)
 
     def floor_accepts(state):
@@ -673,32 +747,11 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         return (state.res <= STALL_ACCEPT * res0
                 or state.res <= 2.0 * measured_floor(state))
 
-    current = evaluate(np.zeros(2 * len(far), dtype=complex))
+    # the grids of the current iterate's linearisation live only until
+    # the GMRES solve that reads them returns
+    current, grids = evaluate(np.zeros(2 * len(far), dtype=complex))
     res0 = current.res
     residuals = [res0]
-
-    grid = current.pull.w.shape[-1]
-    axes_count = grid * grid
-    idx1 = far_k[:, 0] % grid
-    idx2 = far_k[:, 1] % grid
-    kfac = (TWO_PI * 1j) * far_k.astype(float)
-
-    def jacobian_matvec(wvec, state):
-        # dP = (DU)^{-1} [ (Dh o U) w - (Dw) P(u) ],  P(u) = v + W
-        pairs = wvec.reshape(-1, 2).T
-        w_spec = np.zeros((2, grid, grid), dtype=complex)
-        w_spec[:, idx1, idx2] = pairs
-        dw_spec = np.zeros((2, 2, grid, grid), dtype=complex)
-        dw_spec[:, 0, idx1, idx2] = pairs * kfac[:, 0]
-        dw_spec[:, 1, idx1, idx2] = pairs * kfac[:, 1]
-        w_grid = ifft2(w_spec, axes=(1, 2)) * axes_count
-        dw_grid = ifft2(dw_spec, axes=(2, 3)) * axes_count
-        p_grid = state.pull.w + np.asarray(v, dtype=complex)[:, None, None]
-        rhs = np.einsum("ij...,j...->i...", state.pull.dh_at_u, w_grid)
-        rhs -= np.einsum("ij...,j...->i...", dw_grid, p_grid)
-        dp = np.einsum("ij...,j...->i...", state.pull.inv_jac, rhs)
-        spec = fft2(dp, axes=(1, 2)) / axes_count
-        return spec[:, idx1, idx2].T.reshape(-1)
 
     sweeps = 0
     at_floor = False
@@ -709,10 +762,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
         op = SimpleNamespace(
             shape=(len(gvec), len(gvec)), dtype=np.dtype(complex),
-            matvec=lambda z: jacobian_matvec(-z / divisors, current),
+            matvec=lambda z: _jacobian_matvec(-z / divisors, far_k, grids),
         )
         rtol = max(1e-13, min(1e-2, 0.1 * current.res))
         z, info = gmres(op, -gvec, rtol=rtol, maxiter=GMRES_MAXITER)
+        # no later solve reads these grids
+        op = grids = None
         # a solve that stops short still yields a usable Newton direction;
         # the step test below judges it, the count reports it
         gmres_failures += info != 0
@@ -724,14 +779,14 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         moved = False
         for _halving in range(9):
             try:
-                trial = evaluate(current.uvec + step * delta)
+                trial, grids = evaluate(current.uvec + step * delta)
             except SingularJacobian:
                 trial = None
             if trial is not None and trial.res < current.res:
                 current, moved = trial, True
                 break
             # release a rejected trial's grids before the next is formed
-            trial = None
+            trial = grids = None
             step *= 0.5
         residuals.append(current.res)
         if current.res <= tol:
@@ -750,12 +805,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
                             f"after {sweeps} sweeps")
 
     return FarSolve(
-        map=current.pull.map,
-        fit_w=current.pull.fit_w,
-        fit=current.pull.fit,
+        map=current.map,
+        fit_w=current.fit_w,
+        fit=current.fit,
         sweeps=sweeps,
         residuals=tuple(residuals),
         at_floor=at_floor,
         gmres_failures=gmres_failures,
-        du_sup_bound=current.pull.map.du_sup_bound(),
+        du_sup_bound=current.map.du_sup_bound(),
     )

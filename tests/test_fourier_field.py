@@ -231,6 +231,24 @@ def test_grid_transforms_equal_scipy_fft_bit_for_bit(lead, axes):
                     theirs(x, axes=axes).view(np.int64)), (grid, ours)
 
 
+def test_sample_grid_scales_in_place_to_the_bits_of_the_product():
+    # values *= G twice, as ifft2(spectrum) * G * G, on every grid of the
+    # pullback and on signed zeros
+    rng = np.random.default_rng(12)
+    grids = sorted({next_fast_len(2 * (a + b) + 1)
+                    for a in range(1, 65) for b in range(1, 65)})
+    for grid in grids:
+        truncation = min(12, (grid - 1) // 2)
+        n = len(FourierVectorField.zero(truncation).index)
+        coeffs = signed_sparse(rng, (2, n)) + 1j * signed_sparse(rng, (2, n))
+        x = FourierVectorField.from_array(coeffs, truncation)
+        spec = np.zeros((2, grid, grid), dtype=complex)
+        k = x.index.k
+        np.add.at(spec, (slice(None), k[:, 0] % grid, k[:, 1] % grid), coeffs)
+        expected = ifft2(spec, axes=(1, 2)) * grid * grid
+        assert x.sample_grid(grid).tobytes() == expected.tobytes(), grid
+
+
 def test_next_fast_len_equals_scipy():
     import scipy.fft
 

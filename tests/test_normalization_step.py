@@ -592,6 +592,89 @@ def assert_same_bytes(new, old):
             assert a == b
 
 
+# every pullback grid next_fast_len(2 (T_h + T_u) + 1) of truncations up to 64
+PULLBACK_GRIDS = sorted({fourier_field.next_fast_len(2 * (a + b) + 1)
+                         for a in range(1, 65) for b in range(1, 65)})
+
+
+def complex_signed_sparse(rng, size):
+    """Complex normal samples with half of the parts zeros of either sign."""
+    def part():
+        zeros = np.copysign(0.0, rng.normal(size=size))
+        return np.where(rng.random(size) < 0.5, zeros, rng.normal(size=size))
+    return part() + 1j * part()
+
+
+def batched_inverse_jacobian(u_grid, grid, v):
+    """Reference: (Du) v, (DU)^{-1} and min |det DU| from the four
+    derivative spectra in one batch and out-of-place arithmetic."""
+    u_spec = fourier_field.fft2(u_grid, axes=(1, 2))
+    k_axis = np.fft.fftfreq(grid, d=1.0 / grid)
+    du_spec = np.zeros((2, 2, grid, grid), dtype=complex)
+    du_spec[:, 0] = u_spec * ((2.0 * math.pi * 1j) * k_axis)[None, :, None]
+    du_spec[:, 1] = u_spec * ((2.0 * math.pi * 1j) * k_axis)[None, None, :]
+    du = fourier_field.ifft2(du_spec, axes=(2, 3))
+    a11, a12, a21, a22 = 1.0 + du[0, 0], du[0, 1], du[1, 0], 1.0 + du[1, 1]
+    det = a11 * a22 - a12 * a21
+    inv = np.stack([np.stack([a22 / det, -a12 / det]),
+                    np.stack([-a21 / det, a11 / det])])
+    du_v = np.einsum("ij...,j->i...", du, np.asarray(v, dtype=complex))
+    return du_v, inv, float(np.min(np.abs(det)))
+
+
+def batched_matvec(wvec, far_k, grids):
+    """Reference: the linearised pullback with the derivative spectra of w
+    in one batch and out-of-place scalings."""
+    p_grid, dh_at_u, inv_jac = grids
+    grid = p_grid.shape[-1]
+    axes_count = grid * grid
+    idx1, idx2 = far_k[:, 0] % grid, far_k[:, 1] % grid
+    kfac = (2.0 * math.pi * 1j) * far_k.astype(float)
+    pairs = wvec.reshape(-1, 2).T
+    w_spec = np.zeros((2, grid, grid), dtype=complex)
+    w_spec[:, idx1, idx2] = pairs
+    dw_spec = np.zeros((2, 2, grid, grid), dtype=complex)
+    dw_spec[:, 0, idx1, idx2] = pairs * kfac[:, 0]
+    dw_spec[:, 1, idx1, idx2] = pairs * kfac[:, 1]
+    w_grid = fourier_field.ifft2(w_spec, axes=(1, 2)) * axes_count
+    dw_grid = fourier_field.ifft2(dw_spec, axes=(2, 3)) * axes_count
+    rhs = np.einsum("ij...,j...->i...", dh_at_u, w_grid)
+    rhs -= np.einsum("ij...,j...->i...", dw_grid, p_grid)
+    dp = np.einsum("ij...,j...->i...", inv_jac, rhs)
+    spec = fourier_field.fft2(dp, axes=(1, 2)) / axes_count
+    return spec[:, idx1, idx2].T.reshape(-1)
+
+
+def test_inverse_jacobian_keeps_the_bits_of_the_batched_form():
+    # derivatives transformed one at a time and (DU)^{-1} written over Du;
+    # the zero displacement and v's signed zeros make signed-zero products
+    rng = np.random.default_rng(3)
+    v = np.array([complex(1.0, -0.0), complex(-GAMMA, 0.0)])
+    for grid in PULLBACK_GRIDS:
+        shape = (2, grid, grid)
+        for u_grid in (np.zeros(shape, dtype=complex),
+                       1e-4 / grid * complex_signed_sparse(rng, shape)):
+            assert_same_bytes(
+                normalization_step._inverse_jacobian(u_grid, grid, v),
+                batched_inverse_jacobian(u_grid, grid, v)), grid
+
+
+def test_jacobian_matvec_keeps_the_bits_of_the_batched_form():
+    # the derivative grids of w one component at a time, the scalings by
+    # G^2 in place, on the modes that the grid resolves
+    rng = np.random.default_rng(4)
+    for grid in PULLBACK_GRIDS:
+        index = FourierVectorField.zero((grid - 1) // 4 or 1).index
+        far_k = index.k[np.abs(index.k).sum(axis=1) > 0]
+        grids = (complex_signed_sparse(rng, (2, grid, grid)),
+                 complex_signed_sparse(rng, (2, 2, grid, grid)),
+                 complex_signed_sparse(rng, (2, 2, grid, grid)))
+        wvec = complex_signed_sparse(rng, 2 * len(far_k))
+        ours = normalization_step._jacobian_matvec(wvec, far_k, grids)
+        theirs = batched_matvec(wvec, far_k, grids)
+        assert ours.tobytes() == theirs.tobytes(), grid
+
+
 def test_column_width_is_a_multiple_of_64_but_in_the_last_block():
     for rows in (1, 2, 10, 32, 42, 80, 150, 600, 10_000):
         for points in (9, 625, 17_424, 18_225, 69_696):
@@ -605,12 +688,11 @@ def test_column_width_is_a_multiple_of_64_but_in_the_last_block():
 
 def test_pullback_peak_memory_is_a_few_blocks():
     # one T = 32 call on 80 modes: the phase rows of all columns, 48 at a
-    # time plus 48 held partners, peaked near 27 MB; the blocked rows and
-    # the grids of the result stay under 12 MB
-    from scipy.fft import next_fast_len
-
+    # time plus 48 held partners, peaked near 27 MB, and 1 MB blocks with
+    # Du and (DU)^{-1} side by side near 8.9 MB; 256 KB blocks and
+    # (DU)^{-1} in the grids of Du peak at 5.2-5.5 MB
     h = support_field(80, truncation=32)
-    grid = next_fast_len(4 * 32 + 1)
+    grid = fourier_field.next_fast_len(4 * 32 + 1)
     u_grid = displacement_grid(1e-23, grid=grid)
     args = (PSI.astype(complex), h, u_grid, grid, True)
     normalization_step._pullback_core(*args)
@@ -620,7 +702,25 @@ def test_pullback_peak_memory_is_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 6.0e6
+
+
+def test_newton_solve_peak_memory_holds_one_set_of_grids():
+    # one T = 32 solve on 132^2 grids: the floor probe's pullback, beside
+    # the grids (v + W, Dh o U, (DU)^{-1}) of the iterate it probes, peaks
+    # at 8.1-8.7 MB, with the worker's buffers freed sooner or later; an
+    # iterate that kept its grids through the next sweep's trial steps
+    # peaked at 10.9 MB
+    g = mixed_perturbation_field(1e-3, truncation=32).minus_constant(PSI)
+    eliminate_far_perturbation(PSI, g, SIGMA, **STEP)
+    tracemalloc.start()
+    try:
+        result = eliminate_far_perturbation(PSI, g, SIGMA, **STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.sweeps == 2 and result.at_floor
+    assert peak < 9.4e6
 
 
 def test_pullback_core_keeps_the_parameters_tracers_read():
@@ -629,7 +729,7 @@ def test_pullback_core_keeps_the_parameters_tracers_read():
     assert {"h", "grid"} <= set(parameters)
 
 
-MULTI_CORE = len(os.sched_getaffinity(0)) > 1
+MULTI_CORE = normalization_step._usable_cores() > 1
 
 
 def on_threads(threads, name, fn):
@@ -659,9 +759,47 @@ def test_only_the_phase_blocks_leave_the_calling_thread(monkeypatch):
     caller = {threading.get_ident()}
     for name in ("fit_grid", "project", "norm_r", "__init__"):
         assert threads[name] == caller, name
-    # 10 modes on 132^2 grid columns, in 8 blocks of 2,176 and one of 16:
-    # the worker took some
-    assert (threads["_fill_phases"] > caller) == MULTI_CORE
+    # 10 modes on 132^2 grid columns, in 10 blocks of 1,600 and one of
+    # 1,424: the worker took some (all of them, when the calling thread is
+    # still forming (DU)^{-1})
+    assert bool(threads["_fill_phases"] - caller) == MULTI_CORE
+
+
+def test_without_affinity_masks_the_worker_follows_the_cpu_count(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere os.cpu_count() decides
+    # whether a worker starts, and the bytes are those of one thread
+    grid = 64
+    args = (PSI.astype(complex), support_field(150),
+            displacement_grid(1e-23, grid=grid), grid, True)
+    monkeypatch.setattr(normalization_step, "_usable_cores", lambda: 1)
+    serial = normalization_step._pullback_core(*args)
+    monkeypatch.undo()
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert normalization_step._usable_cores() == 2
+    # the calling thread forms (DU)^{-1} only once the worker fills a block
+    caller = threading.get_ident()
+    fill = normalization_step._fill_phases
+    inverse = normalization_step._inverse_jacobian
+    worker_fills = threading.Event()
+
+    def recorded_fill(*fill_args):
+        if threading.get_ident() != caller:
+            worker_fills.set()
+        return fill(*fill_args)
+
+    def inverse_once_the_worker_fills(*inverse_args):
+        assert worker_fills.wait(10)
+        return inverse(*inverse_args)
+
+    monkeypatch.setattr(normalization_step, "_fill_phases", recorded_fill)
+    monkeypatch.setattr(normalization_step, "_inverse_jacobian",
+                        inverse_once_the_worker_fills)
+    assert_same_bytes(normalization_step._pullback_core(*args), serial)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert normalization_step._usable_cores() == 1
 
 
 @pytest.mark.skipif(not MULTI_CORE, reason="one core: no worker is started")
@@ -700,8 +838,7 @@ def test_the_worker_is_joined_before_the_pullback_returns(monkeypatch):
     with pytest.raises(SingularJacobian, match="changes sign"):
         normalization_step._pullback_core(*args[:2], u_grid, grid, True)
     assert threading.active_count() == baseline
-    # 11 blocks of at most 384 columns; the worker took none after the
-    # error
+    # 64 blocks of 64 columns; the worker took none after the error
     assert len(filled) == 1 and filled[0] != threading.get_ident()
 
 

@@ -309,21 +309,20 @@ def _pullback_core(v, h, u_grid, grid, with_derivative=False):
 @dataclass(frozen=True)
 class _Pullback:
     """The pullback v + W of X = v + h by one map: the fit of the bracket
-    grid W and, when the derivative was formed, the grids that the
-    linearisation at the map reads: (v + W, Dh o U, (DU)^{-1})."""
+    grid W."""
 
     map: TorusMap
     min_det: float
     fit_w: FourierVectorField
     fit: GridFitReport
-    grids: tuple | None
 
 
-def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
+def _pull_back(v, h, u, with_derivative=False):
     """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
     next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
-    that resolves the product spectrum.  Without the derivative no grid
-    outlives the call."""
+    that resolves the product spectrum.  Returns the _Pullback and, with
+    the derivative, the grids that the linearisation at the map reads:
+    (v + W, Dh o U, (DU)^{-1}); without it no grid outlives the call."""
     grid = next_fast_len(2 * (h.truncation + u.truncation) + 1)
     w, inv_jac, min_det, dh_at_u = _pullback_core(
         v, h, u.displacement.sample_grid(grid), grid, with_derivative
@@ -334,7 +333,7 @@ def _pull_back(v, h, u, with_derivative=False) -> _Pullback:
         # P(u) = v + W, in the buffer of W
         w += np.asarray(v, dtype=complex)[:, None, None]
         grids = (w, dh_at_u, inv_jac)
-    return _Pullback(u, min_det, fit_w, fit, grids)
+    return _Pullback(u, min_det, fit_w, fit), grids
 
 
 def _jacobian_matvec(wvec, far_k, grids):
@@ -692,13 +691,11 @@ def eliminate_far_perturbation(
 
 @dataclass(frozen=True)
 class _Iterate:
-    """A Newton iterate: the unknowns, the map and fitted bracket of their
-    pullback, its far part and the weighted far residual."""
+    """A Newton iterate: the unknowns, their pullback, its far part and the
+    weighted far residual."""
 
     uvec: np.ndarray
-    map: TorusMap
-    fit_w: FourierVectorField
-    fit: GridFitReport
+    pull: _Pullback
     far: FourierVectorField
     res: float
 
@@ -722,11 +719,11 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         """The iterate at the displacement uvec, from its pullback in
         perturbation form, and the grids of its linearisation (None without
         the derivative)."""
-        pull = _pull_back(v, h, displacement_from(uvec), with_derivative)
+        pull, grids = _pull_back(v, h, displacement_from(uvec),
+                                 with_derivative)
         far_part = project(pull.fit_w, cone, "outside")
-        state = _Iterate(uvec, pull.map, pull.fit_w, pull.fit, far_part,
-                         norm_r(far_part, rho_prime))
-        return state, pull.grids
+        state = _Iterate(uvec, pull, far_part, norm_r(far_part, rho_prime))
+        return state, grids
 
     def measured_floor(state):
         """Weighted residual response to the float granularity of u.
@@ -805,12 +802,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
                             f"after {sweeps} sweeps")
 
     return FarSolve(
-        map=current.map,
-        fit_w=current.fit_w,
-        fit=current.fit,
+        map=current.pull.map,
+        fit_w=current.pull.fit_w,
+        fit=current.pull.fit,
         sweeps=sweeps,
         residuals=tuple(residuals),
         at_floor=at_floor,
         gmres_failures=gmres_failures,
-        du_sup_bound=current.map.du_sup_bound(),
+        du_sup_bound=current.pull.map.du_sup_bound(),
     )

@@ -69,7 +69,7 @@ def pulled_back(x, u):
     """The engine's pullback of x by u: the fitted field (DU)^{-1} X o U
     and the _Pullback it was read from."""
     v = x.average()
-    pull = _pull_back(v, x.oscillatory(), u)
+    pull, _ = _pull_back(v, x.oscillatory(), u)
     return pull.fit_w.minus_constant(-v), pull
 
 
@@ -256,11 +256,11 @@ class TestEliminateFar:
         calls = []
 
         def first_trial_nan(*args, **kwargs):
-            pull = pull_back(*args, **kwargs)
+            pull, grids = pull_back(*args, **kwargs)
             calls.append(1)
             if len(calls) == 2:
                 pull = replace(pull, fit_w=pull.fit_w * math.nan)
-            return pull
+            return pull, grids
 
         monkeypatch.setattr(normalization_step, "_pull_back", first_trial_nan)
         x = mixed_perturbation_field(1e-3)
@@ -752,17 +752,28 @@ def test_only_the_phase_blocks_leave_the_calling_thread(monkeypatch):
         monkeypatch.setattr(normalization_step, name, recorded)
     monkeypatch.setattr(FourierVectorField, "__init__", on_threads(
         threads, "__init__", FourierVectorField.__init__))
-    monkeypatch.setattr(normalization_step, "_fill_phases", on_threads(
-        threads, "_fill_phases", normalization_step._fill_phases))
+    # the worker fills its first block only once the calling thread has
+    # filled one, so that both threads fill blocks however they are timed
+    caller = {threading.get_ident()}
+    caller_fills = threading.Event()
+    fill = on_threads(threads, "_fill_phases", normalization_step._fill_phases)
+
+    def fill_after_the_caller(*fill_args):
+        if threading.get_ident() in caller:
+            caller_fills.set()
+        else:
+            assert caller_fills.wait(10)
+        return fill(*fill_args)
+
+    monkeypatch.setattr(normalization_step, "_fill_phases",
+                        fill_after_the_caller)
     x = mixed_perturbation_field(1e-3, truncation=32)
     eliminate_far_perturbation(PSI, x.minus_constant(PSI), SIGMA, **STEP)
-    caller = {threading.get_ident()}
     for name in ("fit_grid", "project", "norm_r", "__init__"):
         assert threads[name] == caller, name
     # 10 modes on 132^2 grid columns, in 10 blocks of 1,600 and one of
-    # 1,424: the worker took some (all of them, when the calling thread is
-    # still forming (DU)^{-1})
-    assert bool(threads["_fill_phases"] - caller) == MULTI_CORE
+    # 1,424: both threads filled some
+    assert (threads["_fill_phases"] > caller) == MULTI_CORE
 
 
 def test_without_affinity_masks_the_worker_follows_the_cpu_count(monkeypatch):

@@ -25,7 +25,7 @@ SIGMA = 0.1
 KAPPA = kappa_from_sigma(SIGMA)
 
 print("=== the constant field is an eigen-direction ===")
-x = FourierVectorField.constant(OMEGA)
+x = FourierVectorField.constant(OMEGA, 32)
 y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
 print(f"T_1^(-1) (1, gamma) = {np.real(y.average())}  "
       f"(= (1, gamma)/gamma: same slope, contracted by 1/gamma)")

@@ -48,6 +48,16 @@ from .scaling_step import (
     scale_step,
 )
 
+# every configuration key: a --config line key=value or the flag --key-name
+CONFIG_KEYS = ("slope", "sigma", "rho", "rho_prime", "truncation", "steps",
+               "perturb", "seed", "out", "tol", "n_terms", "dc_order",
+               "field_in", "side", "cone", "n_fields")
+FLAG_HELP = {
+    "slope": "golden|sqrt2|silver, p/q, u,v,d,w, or decimal[@bits]",
+    "perturb": "resonant:amp | unstable:amp | mixed:amp",
+    "out": "output directory",
+}
+
 # the step's settings default to the fields of RenormParams
 DEFAULTS = {
     "slope": "golden",
@@ -143,8 +153,10 @@ def load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{line_no}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigInvalid(f"{path}:{line_no}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -190,6 +202,21 @@ def build_params(config: dict):
             f"{config['slope']} at sigma {params.sigma}"
         )
     return params, slope, omega
+
+
+def slope_shift(slope: Slope, scenario: str) -> int:
+    """a = floor(slope), the shift of the step's T_a; at least 1."""
+    if (a := int(float(slope))) < 1:
+        raise ConfigInvalid(f"{scenario} needs a slope of at least 1, got {float(slope)}")
+    return a
+
+
+def resonant_amplitude(config: dict, scenario: str) -> float:
+    """The amplitude of the configured perturbation, of the resonant kind."""
+    kind, amp = parse_perturbation(config["perturb"])
+    if kind != "resonant":
+        raise ConfigInvalid(f"{scenario} draws resonant fields, not {kind!r} ones")
+    return amp
 
 
 def perturbation_field(config: dict, slope: Slope, params: RenormParams):
@@ -312,7 +339,7 @@ def scenario_cf(config, out_dir, tag):
 
 
 def scenario_project(config, out_dir, tag):
-    params, _, omega = build_params(config)
+    params, slope, omega = build_params(config)
     if "field_in" in config:
         try:
             field = load_field(config["field_in"])
@@ -320,17 +347,17 @@ def scenario_project(config, out_dir, tag):
             raise ConfigInvalid(
                 f"cannot load field {config['field_in']!r}: {exc!r}") from exc
     else:
+        amp = resonant_amplitude(config, "project")
         rng = np.random.default_rng(config_number(config, "seed", int, least=0))
         field = FourierVectorField.constant(omega, params.truncation) + (
-            random_resonant_field(omega, 3 * params.sigma, 1e-3,
+            random_resonant_field(omega, 3 * params.sigma, amp,
                                   params.truncation, rng,
                                   width=params.rho_prime))
     cone_kind = config.get("cone", "far")
     if cone_kind == "far":
         cone = FarResonant(omega, params.sigma)
     elif cone_kind == "kappa":
-        cone = Kappa(config_number(config, "a", int, "1", least=1),
-                     params.kappa)
+        cone = Kappa(slope_shift(slope, "project --cone kappa"), params.kappa)
     else:
         raise ConfigInvalid(f"unknown cone {cone_kind!r}")
     side = config.get("side", "inside")
@@ -352,12 +379,8 @@ def scenario_project(config, out_dir, tag):
 
 def scenario_scale(config, out_dir, tag):
     params, slope, omega = build_params(config)
-    a = int(float(slope))
-    if a < 1:
-        raise ConfigInvalid(f"scale needs a slope of at least 1, got {float(slope)}")
-    kind, amp = parse_perturbation(config["perturb"])
-    if kind != "resonant":
-        raise ConfigInvalid(f"scale draws resonant fields, not {kind!r} ones")
+    a = slope_shift(slope, "scale")
+    amp = resonant_amplitude(config, "scale")
     rng = np.random.default_rng(config_number(config, "seed", int, least=0))
     bound = operator_norm_bound(a, params.rho, params.rho_prime, params.kappa)
     rows = []
@@ -507,8 +530,9 @@ def scenario_spectrum(config, out_dir, tag):
 def scenario_decay_probe(config, out_dir, tag):
     params, slope, _ = build_params(config)
     n = config_number(config, "steps", int, least=0)
+    beta = config_number(config, "dc_order", least=0)
     cf = cf_expand(slope, n + 4)
-    rep = stable_decay_probe(cf, n, params)
+    rep = stable_decay_probe(cf, n, params, beta)
     ratios = rep.log_ratios()
     rows = []
     for i, j in enumerate(rep.j_values):
@@ -587,32 +611,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scenario", choices=RUNNERS)
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--slope", help="golden|sqrt2|silver, p/q, u,v,d,w, "
-                                        "or decimal[@bits]")
-    parser.add_argument("--sigma")
-    parser.add_argument("--rho")
-    parser.add_argument("--rho-prime", dest="rho_prime")
-    parser.add_argument("--truncation")
-    parser.add_argument("--steps")
-    parser.add_argument("--perturb", help="resonant:amp | unstable:amp | mixed:amp")
-    parser.add_argument("--seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--tol")
-    parser.add_argument("--n-terms", dest="n_terms")
-    parser.add_argument("--dc-order", dest="dc_order")
-    parser.add_argument("--field-in", dest="field_in")
-    parser.add_argument("--side")
-    parser.add_argument("--cone")
-    parser.add_argument("--n-fields", dest="n_fields")
+    for key in CONFIG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), help=FLAG_HELP.get(key))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        k: v for k, v in vars(args).items()
-        if k not in ("scenario", "config") and v is not None
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     try:
         file_config = load_config_file(args.config) if args.config else {}
         config = resolve_config(args.scenario, file_config, overrides)

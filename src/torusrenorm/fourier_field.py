@@ -200,11 +200,11 @@ class FourierVectorField:
     # constructors ----------------------------------------------------------
 
     @classmethod
-    def constant(cls, vec, truncation: int = 32):
+    def constant(cls, vec, truncation: int):
         return cls({(0, 0): np.asarray(vec, dtype=complex)}, truncation)
 
     @classmethod
-    def zero(cls, truncation: int = 32):
+    def zero(cls, truncation: int):
         return cls({}, truncation)
 
     # basic queries ---------------------------------------------------------
@@ -438,7 +438,7 @@ def project(x: FourierVectorField, cone, side: str) -> FourierVectorField:
 # serialisation
 
 
-def field_to_dict(x: FourierVectorField, displacement: bool = False) -> dict:
+def field_to_dict(x: FourierVectorField) -> dict:
     entries = []
     for k, c in x.modes.items():
         entries.append(
@@ -448,10 +448,7 @@ def field_to_dict(x: FourierVectorField, displacement: bool = False) -> dict:
                 "im": [float(c[0].imag), float(c[1].imag)],
             }
         )
-    out = {"truncation": x.truncation, "modes": entries}
-    if displacement:
-        out["displacement"] = True
-    return out
+    return {"truncation": x.truncation, "modes": entries}
 
 
 def field_from_dict(data: dict) -> FourierVectorField:

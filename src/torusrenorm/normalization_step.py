@@ -63,7 +63,7 @@ class TorusMap:
         raise AttributeError("TorusMap is immutable")
 
     @classmethod
-    def identity(cls, truncation: int = 32) -> "TorusMap":
+    def identity(cls, truncation: int) -> "TorusMap":
         return cls(FourierVectorField.zero(truncation))
 
     @property
@@ -77,7 +77,7 @@ class TorusMap:
         return float(np.sum((TWO_PI * u.index.l1) * mass))
 
     def to_dict(self) -> dict:
-        return field_to_dict(self.displacement, displacement=True)
+        return {**field_to_dict(self.displacement), "displacement": True}
 
     def __repr__(self):
         return f"TorusMap({len(self.displacement)} displacement modes)"
@@ -188,7 +188,7 @@ def _inverse_jacobian(u_grid, grid, v):
     return du_v, du, min_det
 
 
-def _pullback_core(v, h, u_grid, grid, with_derivative=False):
+def _pullback_core(v, h, u_grid, grid, with_derivative):
     """Perturbation-form pullback grids for X = v + h (v constant, h oscillatory).
 
     Uses the identity (DU)^{-1} X o U = v + (DU)^{-1} [h o U - (Du) v], so
@@ -317,7 +317,7 @@ class _Pullback:
     fit: GridFitReport
 
 
-def _pull_back(v, h, u, with_derivative=False):
+def _pull_back(v, h, u, with_derivative):
     """Sample u, pull X = v + h back by U = id + u and fit W, on the grid of
     next_fast_len(2 * (truncation(h) + truncation(u)) + 1) points per axis
     that resolves the product spectrum.  Returns the _Pullback and, with
@@ -575,11 +575,14 @@ class FarSolve:
     map: TorusMap
     fit_w: FourierVectorField
     fit: GridFitReport | None
-    sweeps: int
     residuals: tuple
     at_floor: bool
     gmres_failures: int
     du_sup_bound: float
+
+    @property
+    def sweeps(self) -> int:  # each Newton sweep appends one residual
+        return len(self.residuals) - 1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -658,7 +661,7 @@ def eliminate_far_perturbation(
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
         solve = FarSolve(map=TorusMap.identity(truncation), fit_w=h, fit=None,
-                         sweeps=0, residuals=(0.0,), at_floor=False,
+                         residuals=(0.0,), at_floor=False,
                          gmres_failures=0, du_sup_bound=0.0)
     else:
         v = psi + g_avg
@@ -750,11 +753,9 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
     res0 = current.res
     residuals = [res0]
 
-    sweeps = 0
     at_floor = False
     gmres_failures = 0
     while current.res > tol:
-        sweeps += 1
         gvec = current.far.coeffs[:, far].T.reshape(-1)
         # right preconditioner: the homological division u_k = g_k/(2 pi i psi.k)
         op = SimpleNamespace(
@@ -791,7 +792,7 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
         # a residual at the granularity floor of the u representation is
         # numerically unresolvable: a stalled sweep, and the last one, accept
         # it at that level; a sweep that took no step would repeat bit for bit
-        last = sweeps == MAX_SWEEPS
+        last = len(residuals) == MAX_SWEEPS + 1
         if current.res > 0.5 * residuals[-2] or last:
             at_floor = floor_accepts(current)
             if at_floor or not moved or last:
@@ -799,13 +800,12 @@ def _far_newton_solve(psi, cone, far, v, h, tol, rho_prime) -> FarSolve:
 
     if not (at_floor or current.res <= tol):
         raise NoConvergence(f"far residual {current.res:.3e} > tol {tol:.3e} "
-                            f"after {sweeps} sweeps")
+                            f"after {len(residuals) - 1} sweeps")
 
     return FarSolve(
         map=current.pull.map,
         fit_w=current.pull.fit_w,
         fit=current.pull.fit,
-        sweeps=sweeps,
         residuals=tuple(residuals),
         at_floor=at_floor,
         gmres_failures=gmres_failures,

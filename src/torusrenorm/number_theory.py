@@ -291,7 +291,7 @@ class QuadraticNumber:
             m, shift = m >> 1, shift + 1
         return sign * m, shift - k
 
-    def to_mpf(self, prec_bits: int = 53):
+    def to_mpf(self, prec_bits: int):
         """The correctly rounded prec_bits-bit value."""
         return mpmath.mpf(self._nearest(prec_bits), prec=prec_bits)
 

@@ -543,9 +543,8 @@ class DecayProbeReport:
         return out
 
 
-def stable_decay_probe(
-    cf: CFExpansion, n: int, params: RenormParams, beta: float = 0.0
-) -> DecayProbeReport:
+def stable_decay_probe(cf: CFExpansion, n: int, params: RenormParams,
+                       beta: float) -> DecayProbeReport:
     """||L_n o ... o L_j (I - E)|| on the truncated mode set, exactly.
 
     Each factor L_i = alpha_{i+1} [resonant projection at omega_{i+1}] o
@@ -558,7 +557,8 @@ def stable_decay_probe(
     A*A = diag(w_s^2 B^T B) gives ||A||_2 = max_s w_s sigma_max(B).  The
     modes move as one integer array and the block is formed once per j,
     so the work follows the survivors.  The cone width sigma, the
-    truncation and rho' are those of params.
+    truncation and rho' are those of params; beta is the diophantine
+    order in Lambda_{j,n}.
     """
     _require_coefficients(cf, n + 2)
     sigma, truncation, rho_prime = params.sigma, params.truncation, params.rho_prime
@@ -617,11 +617,8 @@ class RemainderProbe:
     exponent: float
 
 
-def quadratic_remainder_probe(
-    slope: Slope,
-    params: RenormParams,
-    seed: int = 0,
-) -> RemainderProbe:
+def quadratic_remainder_probe(slope: Slope, params: RenormParams,
+                              seed: int) -> RemainderProbe:
     """Taylor remainder ||R(omega + f) - omega' - DR(omega) f|| at two sizes.
 
     Samples f at norms zeta/10 and zeta/100 and fits the scaling exponent,

@@ -278,7 +278,7 @@ def test_criterion_9_quadratic_remainder():
 
 def test_criterion_10_stable_decay_probe():
     cf = cf_expand(Slope.golden(), 10)
-    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
+    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60), 0.0)
     ratios = rep.log_ratios()
     js = sorted(ratios, reverse=True)
     vals = [ratios[j] for j in js]

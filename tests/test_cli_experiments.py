@@ -9,10 +9,14 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import torusrenorm
+from torusrenorm import cli_experiments
 from torusrenorm.cli_experiments import (
+    CONFIG_KEYS,
+    DEFAULTS,
     RUNNERS,
     build_parser,
     config_hash,
@@ -23,7 +27,14 @@ from torusrenorm.cli_experiments import (
     run_scenario,
 )
 from torusrenorm.errors import ConfigInvalid
-from torusrenorm.fourier_field import load_field, norm_r
+from torusrenorm.fourier_field import (
+    FourierVectorField,
+    Kappa,
+    load_field,
+    mode_index,
+    norm_r,
+    save_field,
+)
 from torusrenorm.renorm_driver import RenormParams, unstable_perturbation
 
 
@@ -75,6 +86,49 @@ class TestParsing:
                                 {"sigma": "0.15"})
         assert config["sigma"] == "0.15"  # CLI beats file
         assert config["seed"] == "9"
+
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\ntruncaton=8\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["cf", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "unknown key 'truncaton'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_every_key_read_is_listed_and_is_a_flag(self):
+        # the keys cli_experiments reads: config["k"], config.get("k", ...),
+        # config_number(config, "k", ...) and "k" in config
+        tree = ast.parse(Path(cli_experiments.__file__).read_text())
+        read = set()
+        for node in ast.walk(tree):
+            key = None
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                    and getattr(node.value, "id", None) == "config"):
+                key = node.slice
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Attribute) and func.attr == "get"
+                        and getattr(func.value, "id", None) == "config"):
+                    key = node.args[0]
+                elif getattr(func, "id", None) == "config_number":
+                    key = node.args[1]
+            elif (isinstance(node, ast.Compare)
+                  and isinstance(node.ops[0], ast.In)
+                  and getattr(node.comparators[0], "id", None) == "config"):
+                key = node.left
+            if isinstance(key, ast.Constant):
+                read.add(key.value)
+        assert {"slope", "seed", "dc_order", "n_fields", "field_in"} <= read
+        # the scenario is the positional argument, not a key
+        assert read - {"scenario"} <= set(CONFIG_KEYS)
+        assert set(DEFAULTS) <= set(CONFIG_KEYS)
+        assert len(set(CONFIG_KEYS)) == len(CONFIG_KEYS)
+        parser = build_parser()
+        for key in CONFIG_KEYS:
+            flag = "--" + key.replace("_", "-")
+            assert getattr(parser.parse_args(["cf", flag, "v"]), key) == "v"
 
     def test_hash_stable(self):
         c1 = {"a": "1", "b": "2"}
@@ -293,6 +347,68 @@ class TestScenarios:
         f = (fields[0] + fields[1]).minus_constant([1.0, (1 + 5**0.5) / 2])
         assert norm_r(f, 0.8) == pytest.approx(1e-3, rel=1e-13)
 
+    def test_project_draws_at_the_perturb_amplitude(self, tmp_path, capsys):
+        def drawn(perturb):
+            fields = []
+            for side in ("inside", "outside"):
+                out = tmp_path / perturb / side
+                _, (code, artifacts) = run("project", out, seed="2",
+                                           truncation="8", perturb=perturb,
+                                           side=side)
+                assert code == 0
+                fields.append(load_field(next(
+                    p for p in artifacts if p.name.endswith("_field.json"))))
+            return fields[0] + fields[1]
+
+        small, big = drawn("resonant:1e-3"), drawn("resonant:1e-2")
+        assert np.array_equal(small.average(), big.average())
+        np.testing.assert_allclose(big.oscillatory().coeffs,
+                                   10 * small.oscillatory().coeffs,
+                                   rtol=1e-14, atol=0)
+        argv = ["project", "--seed", "2", "--perturb", "mixed:1e-3",
+                "--out", str(tmp_path / "mixed")]
+        assert main(argv) == 2
+        assert "not 'mixed' ones" in capsys.readouterr().err
+        assert not (tmp_path / "mixed").exists()
+
+    def test_kappa_cone_shift_is_the_slope_floor(self, tmp_path):
+        # every mode of a truncation-8 field; silver = 1 + sqrt 2 gives a = 2
+        index = mode_index(8)
+        path = tmp_path / "field.json"
+        save_field(FourierVectorField.from_array(
+            np.ones((2, len(index)), dtype=complex), 8), path)
+        _, (code, artifacts) = run("project", tmp_path, slope="silver",
+                                   cone="kappa", field_in=str(path))
+        assert code == 0
+        kept = load_field(next(p for p in artifacts
+                               if p.name.endswith("_field.json")))
+        kappa = RenormParams().kappa
+        k_2 = {k for k in map(tuple, index.k.tolist())
+               if Kappa(2, kappa).contains(k)}
+        assert set(kept.modes) == k_2
+        assert k_2 != {k for k in map(tuple, index.k.tolist())
+                       if Kappa(1, kappa).contains(k)}
+
+    def test_decay_probe_dc_order_sets_beta(self, tmp_path):
+        # beta enters Lambda_{j,n} alone; the default run keeps its pins
+        argv = ("decay-probe", "--slope", "golden", "--steps", "6",
+                "--truncation", "40")
+        tables = []
+        for extra in ((), ("--dc-order", "0.5")):
+            out = tmp_path / str(len(extra))
+            digests = artifact_digests((*argv, *extra), out)
+            assert digests["results"] == BYTE_PINS[argv]["results"]
+            csv_path = next(out.glob("*.csv"))
+            tables.append([l.split(",") for l in csv_path.read_text().splitlines()
+                           if not l.startswith("#")])
+        assert digests["csv"] != BYTE_PINS[argv]["csv"]
+        default, ordered = tables
+        column = default[0].index("lambda_jn")
+        assert default[0] == ordered[0] and len(default) == len(ordered) > 2
+        for row, other in zip(default[1:], ordered[1:]):
+            assert row[:column] + row[column + 1:] == other[:column] + other[column + 1:]
+            assert row[column] != other[column]
+
     def test_sweep(self, tmp_path):
         _, (code, artifacts) = run(
             "sweep", tmp_path, slope="golden", seed="1",
@@ -423,12 +539,13 @@ class TestMain:
         assert "cannot load field" in capsys.readouterr().err
 
     def test_kappa_cone_needs_a_positive_shift(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("a=0\n")
-        argv = ["project", "--cone", "kappa", "--config", str(cfg),
+        # the shift a = floor(slope) of T_a is 0 below a slope of 1
+        argv = ["project", "--cone", "kappa", "--slope", "3/5",
                 "--seed", "1", "--out", str(tmp_path)]
         assert main(argv) == 2
-        assert "a must be at least 1" in capsys.readouterr().err
+        assert ("project --cone kappa needs a slope of at least 1"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_singular_newton_trial_exits_three(self, tmp_path, capsys):
         # the full Newton step meets a singular DU and no shorter step

@@ -43,7 +43,7 @@ def random_field(rng, truncation=12, n_modes=8, real=True):
 
 class TestNorms:
     def test_constant_field(self):
-        x = FourierVectorField.constant(OMEGA)
+        x = FourierVectorField.constant(OMEGA, 32)
         assert norm_r(x, 1.0) == pytest.approx(1 + GAMMA)
         assert norm_prime_r(x, 1.0) == pytest.approx(1 + GAMMA)
 
@@ -131,7 +131,7 @@ class TestProjection:
 
 class TestAverage:
     def test_constant(self):
-        x = FourierVectorField.constant(OMEGA)
+        x = FourierVectorField.constant(OMEGA, 32)
         assert np.allclose(x.average(), OMEGA)
 
     def test_zero_average_perturbation(self):
@@ -282,7 +282,7 @@ class TestSerialization:
         assert np.array_equal(new.coeffs, x.coeffs)
 
     def test_dict_schema(self):
-        x = FourierVectorField.constant(OMEGA)
+        x = FourierVectorField.constant(OMEGA, 32)
         d = field_to_dict(x)
         assert d["modes"][0]["k"] == [0, 0]
         assert "re" in d["modes"][0] and "im" in d["modes"][0]

@@ -69,7 +69,7 @@ def pulled_back(x, u):
     """The engine's pullback of x by u: the fitted field (DU)^{-1} X o U
     and the _Pullback it was read from."""
     v = x.average()
-    pull, _ = _pull_back(v, x.oscillatory(), u)
+    pull, _ = _pull_back(v, x.oscillatory(), u, False)
     return pull.fit_w.minus_constant(-v), pull
 
 
@@ -93,7 +93,7 @@ class TestTorusMap:
             displacement({(0, 0): [0.1, 0.1]})
 
     def test_identity(self):
-        u = TorusMap.identity()
+        u = TorusMap.identity(32)
         assert len(u.displacement) == 0
         assert u.du_sup_bound() == 0
 

@@ -62,7 +62,7 @@ class TestTransient:
         assert np.allclose([1.0, float(slope)], [1.0, GAMMA])
 
     def test_swap_below_one(self):
-        x = FourierVectorField.constant([1.0, 1 / GAMMA])
+        x = FourierVectorField.constant([1.0, 1 / GAMMA], 32)
         slope, applied = transient_slope(Slope.quadratic(-1, 1, 5, 2))
         assert applied == ["S"]
         assert float(slope) == pytest.approx(GAMMA)
@@ -405,14 +405,14 @@ class TestLambda:
 class TestStableDecayProbe:
     def test_single_factor_matches_exact(self):
         cf = cf_expand(Slope.golden(), 8)
-        rep = stable_decay_probe(cf, 0, RenormParams(truncation=24))
+        rep = stable_decay_probe(cf, 0, RenormParams(truncation=24), 0.0)
         # j = n = 0: one factor; the l2 norm within the l1/l2 equivalence
         assert rep.norm_l1[0] > 0
         assert 0.3 * rep.norm_l1[0] < rep.norm_l2[0] <= 2.0 * rep.norm_l1[0]
 
     def test_composed_norms_decay_supergeometrically(self):
         cf = cf_expand(Slope.golden(), 10)
-        rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
+        rep = stable_decay_probe(cf, 6, RenormParams(truncation=60), 0.0)
         ratios = rep.log_ratios()
         js = sorted(ratios, reverse=True)
         vals = [ratios[j] for j in js]
@@ -421,7 +421,7 @@ class TestStableDecayProbe:
 
     def test_zero_mode_excluded(self):
         cf = cf_expand(Slope.golden(), 8)
-        rep = stable_decay_probe(cf, 2, RenormParams(truncation=16))
+        rep = stable_decay_probe(cf, 2, RenormParams(truncation=16), 0.0)
         assert np.all(rep.surviving >= 0)
         # the probe acts on (I - E): a pure constant has no column at all
 
@@ -561,7 +561,7 @@ class TestDecayProbeBits:
     def test_matches_the_per_mode_loop(self, slope, truncation, n):
         cf = cf_expand(PROBE_SLOPES[slope], n + 4)
         params = RenormParams(truncation=truncation)
-        rep = stable_decay_probe(cf, n, params)
+        rep = stable_decay_probe(cf, n, params, 0.0)
         ref, matrices = reference_decay_probe(cf, n, params)
         got = (rep.norm_l1, rep.norm_l2, rep.lambdas, rep.surviving)
         for name, a, b in zip(("norm_l1", "norm_l2", "lambdas", "surviving"),
@@ -578,7 +578,7 @@ class TestDecayProbeBits:
         cf = cf_expand(Slope.rational(2 * 10**20 + 3, 2 * 10**20 + 1), 5)
         assert cf.coefficients == [1, 10**20, 2]
         params = RenormParams(truncation=24)
-        rep = stable_decay_probe(cf, 1, params)
+        rep = stable_decay_probe(cf, 1, params, 0.0)
         ref, _ = reference_decay_probe(cf, 1, params)
         for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
                          rep.surviving), ref):
@@ -592,7 +592,7 @@ class TestDecayProbeBits:
         cf = cf_expand(slope, 6)
         assert cf.coefficient(0) < 1
         params = RenormParams(truncation=40)
-        rep = stable_decay_probe(cf, 2, params)
+        rep = stable_decay_probe(cf, 2, params, 0.0)
         ref, _ = reference_decay_probe(cf, 2, params)
         for a, b in zip((rep.norm_l1, rep.norm_l2, rep.lambdas,
                          rep.surviving), ref):
@@ -604,7 +604,7 @@ class TestDecayProbeBits:
     def test_l2_is_the_dense_operator_norm(self, slope, n):
         cf = cf_expand(PROBE_SLOPES[slope], n + 4)
         params = RenormParams(truncation=12)
-        rep = stable_decay_probe(cf, n, params)
+        rep = stable_decay_probe(cf, n, params, 0.0)
         for i, j in enumerate(rep.j_values):
             dense = np.linalg.norm(dense_decay_operator(cf, n, int(j), params), 2)
             assert abs(rep.norm_l2[i] - dense) <= 8 * EPS * dense
@@ -652,7 +652,7 @@ def test_decay_probe_power_iteration_work(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", recorded)
     cf = cf_expand(Slope.golden(), 10)
-    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60))
+    rep = stable_decay_probe(cf, 6, RenormParams(truncation=60), 0.0)
     assert shapes == [(2, 2)] * np.count_nonzero(rep.surviving)
 
 

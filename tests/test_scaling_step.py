@@ -58,7 +58,7 @@ def reference_certificate(omega, sigma, a, kappa, k_max):
 
 class TestScaleStep:
     def test_constant_golden(self):
-        x = FourierVectorField.constant(OMEGA)
+        x = FourierVectorField.constant(OMEGA, 32)
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         # T_1^{-1} (1, gamma) = (gamma - 1, 1) = (1/gamma) (1, gamma)
         assert np.allclose(y.average(), OMEGA / GAMMA, atol=1e-14)
@@ -70,7 +70,7 @@ class TestScaleStep:
         assert mode_l1((-1, 0)) == 1
 
     def test_empty_field(self):
-        x = FourierVectorField.zero()
+        x = FourierVectorField.zero(32)
         y = scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
         assert len(y) == 0
 
@@ -80,7 +80,7 @@ class TestScaleStep:
             scale_step(x, 1, RHO, RHO_PRIME, KAPPA)
 
     def test_width_parameters_validated(self):
-        x = FourierVectorField.constant(OMEGA)
+        x = FourierVectorField.constant(OMEGA, 32)
         with pytest.raises(DomainError):
             scale_step(x, 1, 1.0, 0.5, 0.8)
 

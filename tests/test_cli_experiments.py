@@ -393,16 +393,16 @@ class TestScenarios:
         # beta enters Lambda_{j,n} alone; the default run keeps its pins
         argv = ("decay-probe", "--slope", "golden", "--steps", "6",
                 "--truncation", "40")
-        tables = []
+        runs = []
         for extra in ((), ("--dc-order", "0.5")):
             out = tmp_path / str(len(extra))
             digests = artifact_digests((*argv, *extra), out)
-            assert digests["results"] == BYTE_PINS[argv]["results"]
             csv_path = next(out.glob("*.csv"))
-            tables.append([l.split(",") for l in csv_path.read_text().splitlines()
-                           if not l.startswith("#")])
-        assert digests["csv"] != BYTE_PINS[argv]["csv"]
-        default, ordered = tables
+            runs.append((digests, [l.split(",") for l in csv_path.read_text().splitlines()
+                                   if not l.startswith("#")]))
+        (pinned, default), (digests, ordered) = runs
+        assert pinned == BYTE_PINS[argv]
+        assert digests["results"] == pinned["results"]
         column = default[0].index("lambda_jn")
         assert default[0] == ordered[0] and len(default) == len(ordered) > 2
         for row, other in zip(default[1:], ordered[1:]):

@@ -36,5 +36,5 @@ for name, slope in [
     cf = cf_expand(slope, 28)
     probe = diophantine_probe(cf, 0.0, 25)
     ks = ", ".join(f"{v:.2f}" for v in probe.K_a[:8])
-    print(f"{name}: per-n K_a = [{ks} ...], max {probe.K_a_max:.1f}")
+    print(f"{name}: per-n K_a = [{ks} ...], max {probe.K_max['a']:.1f}")
 print("bounded K_a marks a constant-type slope; the geometric example escapes.")

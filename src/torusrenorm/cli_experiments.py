@@ -305,10 +305,9 @@ def scenario_cf(config, out_dir, tag):
     cf = cf_expand(slope, n_terms)
     probe = diophantine_probe(cf, config_number(config, "dc_order", least=0),
                               len(cf.coefficients))
-    probe_cols = {int(n): i for i, n in enumerate(probe.n_values)}
+    columns = (probe.K_q, probe.K_a, probe.K_beta, probe.K_atilde)
     rows = []
     for n in range(len(cf.coefficients)):
-        i = probe_cols.get(n)
         rows.append(
             [
                 n,
@@ -317,10 +316,7 @@ def scenario_cf(config, out_dir, tag):
                 cf.q[n],
                 cf.beta_floats[n],
                 cf.a_tilde_floats[n],
-                probe.K_q[i] if i is not None else "",
-                probe.K_a[i] if i is not None else "",
-                probe.K_beta[i] if i is not None else "",
-                probe.K_atilde[i] if i is not None else "",
+                *(ks[n] if n < len(ks) else "" for ks in columns),
             ]
         )
     csv_path = out_dir / f"cf_{tag}.csv"
@@ -332,8 +328,7 @@ def scenario_cf(config, out_dir, tag):
     payload = {
         "termination": cf.termination,
         "period": cf.period,
-        "K_max": {"q": probe.K_q_max, "a": probe.K_a_max,
-                  "beta": probe.K_beta_max, "Atilde": probe.K_atilde_max},
+        "K_max": probe.K_max,
     }
     return 0, payload, [csv_path]
 
@@ -341,6 +336,11 @@ def scenario_cf(config, out_dir, tag):
 def scenario_project(config, out_dir, tag):
     params, slope, omega = build_params(config)
     if "field_in" in config:
+        # a loaded field is not drawn, so a seed or perturbation goes unread
+        for key in ("seed", "perturb"):
+            if config.get(key) != DEFAULTS.get(key):
+                raise ConfigInvalid(
+                    f"project --field-in reads no {key}, got {config[key]!r}")
         try:
             field = load_field(config["field_in"])
         except (OSError, ValueError, LookupError, TypeError) as exc:
@@ -553,6 +553,10 @@ def scenario_sweep(config, out_dir, tag):
     kind, _, amps_text = config["perturb"].partition(":")
     amplitudes = [parse_perturbation(f"{kind}:{text}")[1]
                   for text in amps_text.split(";")]
+    # a repeated amplitude would run the same orbit and overwrite its files
+    for i, amp in enumerate(amplitudes):
+        if amp in amplitudes[:i]:
+            raise ConfigInvalid(f"sweep repeats the amplitude {amp}")
     sub_results = []
     artifacts = []
     far_solves = {"computed": 0, "reused": 0}

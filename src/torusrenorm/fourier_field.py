@@ -378,8 +378,7 @@ class FarResonant:
             raise ValueError("need 0 < sigma < ||psi||")
 
     def contains(self, k) -> bool:
-        dot = self.psi[0] * k[0] + self.psi[1] * k[1]
-        return abs(dot) <= self.sigma * mode_l1(k)
+        return bool(self.contains_all(np.array([k]))[0])
 
     def contains_all(self, ks: np.ndarray) -> np.ndarray:
         """contains() for every row of the (M, 2) integer array ks."""
@@ -401,19 +400,23 @@ class Kappa:
             raise ValueError("need 1/2 < kappa < 1")
 
     def contains(self, k) -> bool:
-        # T_a is symmetric, so T_a* k = (k2, k1 + a k2)
-        image = (k[1], k[0] + self.a * k[1])
-        return mode_l1(image) <= self.kappa * mode_l1(k)
+        return bool(self.contains_all(np.array([k]))[0])
 
     def contains_all(self, ks: np.ndarray) -> np.ndarray:
         """contains() for every row of the (M, 2) integer array ks."""
         return contracts(ks, self.a, self.kappa)
 
 
+def shifted_modes(ks: np.ndarray, a: int) -> np.ndarray:
+    """T_a* k = (k2, k1 + a k2) for every row of the (M, 2) integer array
+    ks; T_a is symmetric, so this is also T_a k."""
+    return np.stack([ks[:, 1], ks[:, 0] + a * ks[:, 1]], axis=1)
+
+
 def contracts(ks: np.ndarray, a: int, kappa: float) -> np.ndarray:
     """||T_a* k||_1 <= kappa ||k||_1 for every row of the (M, 2) integer
     array ks, at any kappa (the Kappa cone asks 1/2 < kappa < 1)."""
-    image_l1 = np.abs(ks[:, 1]) + np.abs(ks[:, 0] + a * ks[:, 1])
+    image_l1 = np.abs(shifted_modes(ks, a)).sum(axis=1)
     return image_l1 <= kappa * np.abs(ks).sum(axis=1)
 
 

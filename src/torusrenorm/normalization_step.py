@@ -49,18 +49,15 @@ STALL_ACCEPT = 1e-6
 GMRES_RESTART = 20
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TorusMap:
     """Torus diffeomorphism U(theta) = theta + u(theta), u periodic and mean-zero."""
 
-    __slots__ = ("displacement",)
+    displacement: FourierVectorField
 
-    def __init__(self, displacement: FourierVectorField):
-        if np.any(displacement.average() != 0):
+    def __post_init__(self):
+        if np.any(self.displacement.average() != 0):
             raise ValueError("displacement must have zero average")
-        object.__setattr__(self, "displacement", displacement)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TorusMap is immutable")
 
     @classmethod
     def identity(cls, truncation: int) -> "TorusMap":
@@ -588,8 +585,8 @@ class FarSolve:
 @dataclass(frozen=True, kw_only=True)
 class EliminationResult(FarSolve):
     """A far-mode solve and what depends on the input's average: the
-    eliminated field psi + g and its perturbation g, the ball and
-    contraction numbers, and whether the solve was taken from the table."""
+    eliminated field psi + g and its perturbation g, and the ball and
+    contraction numbers."""
 
     field: FourierVectorField
     perturbation: FourierVectorField
@@ -597,7 +594,6 @@ class EliminationResult(FarSolve):
     inside_ball: bool
     contraction_lhs: float
     contraction_rhs: float
-    reused: bool
 
 
 class FarSolves(dict):
@@ -657,7 +653,6 @@ def eliminate_far_perturbation(
     far = np.flatnonzero(~cone_mask(cone, truncation))
     g_avg = g0.average()
     h = g0.oscillatory()
-    reused = False
     if not np.any(g0.coeffs[:, far]):
         # already resonant-only: U = id, mode-exactly
         solve = FarSolve(map=TorusMap.identity(truncation), fit_w=h, fit=None,
@@ -672,12 +667,11 @@ def eliminate_far_perturbation(
         )
         solves = FarSolves() if solves is None else solves
         solve = solves.get(key)
-        reused = solve is not None
-        if reused:
-            solves.reused += 1
-        else:
+        if solve is None:
             solve = solves[key] = _far_newton_solve(psi, cone, far, v, h, tol,
                                                     rho_prime)
+        else:
+            solves.reused += 1
 
     g_final = solve.fit_w.minus_constant(-g_avg)
     return EliminationResult(
@@ -688,7 +682,6 @@ def eliminate_far_perturbation(
         inside_ball=inside_ball,
         contraction_lhs=norm_r(g_final, rho_prime),
         contraction_rhs=contraction_rhs,
-        reused=reused,
     )
 
 

@@ -690,31 +690,21 @@ class DiophantineProbe:
     K_atilde[n] = Atilde_{n+1} / (2 Atilde_n^{1+beta})
 
     The four bounds share one constant in principle but not in practice,
-    so each is reported separately together with its running maximum.
+    so each is reported separately together with its maximum.
     """
 
-    beta_order: float
-    n_values: np.ndarray
     K_q: np.ndarray
     K_a: np.ndarray
     K_beta: np.ndarray
     K_atilde: np.ndarray
 
     @property
-    def K_q_max(self):
-        return float(np.max(self.K_q)) if len(self.K_q) else math.nan
-
-    @property
-    def K_a_max(self):
-        return float(np.max(self.K_a)) if len(self.K_a) else math.nan
-
-    @property
-    def K_beta_max(self):
-        return float(np.max(self.K_beta)) if len(self.K_beta) else math.nan
-
-    @property
-    def K_atilde_max(self):
-        return float(np.max(self.K_atilde)) if len(self.K_atilde) else math.nan
+    def K_max(self) -> dict:
+        """The maximum of each constant over n, NaN when no n is covered."""
+        columns = {"q": self.K_q, "a": self.K_a, "beta": self.K_beta,
+                   "Atilde": self.K_atilde}
+        return {key: float(np.max(ks)) if len(ks) else math.nan
+                for key, ks in columns.items()}
 
 
 def diophantine_probe(cf: CFExpansion, beta: float, n_max: int) -> DiophantineProbe:
@@ -730,20 +720,17 @@ def diophantine_probe(cf: CFExpansion, beta: float, n_max: int) -> DiophantinePr
         # the final remainder is exactly zero (a rational, or a real that is
         # rational at its precision), so beta_{last} degenerates
         limit = min(limit, len(cf.coefficients) - 3)
-    ns, kq, ka, kb, kt = [], [], [], [], []
+    kq, ka, kb, kt = [], [], [], []
     for n in range(limit + 1):
         qn, qn1 = cf.q[n], cf.q[n + 1]
         an1 = cf.coefficients[n + 1]
         bn, bn1 = cf.beta_floats[n], cf.beta_floats[n + 1]
         tn, tn1 = cf.a_tilde_floats[n], cf.a_tilde_floats[n + 1]
-        ns.append(n)
         kq.append(qn1 / qn ** (1 + beta))
         ka.append(an1 / qn**beta)
         kb.append((1.0 / bn1) / (2.0 * (1.0 / bn) ** (1 + beta)))
         kt.append(tn1 / (2.0 * tn ** (1 + beta)))
     return DiophantineProbe(
-        beta_order=beta,
-        n_values=np.array(ns, dtype=int),
         K_q=np.array(kq),
         K_a=np.array(ka),
         K_beta=np.array(kb),

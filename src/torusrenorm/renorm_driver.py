@@ -22,6 +22,7 @@ from .fourier_field import (
     FourierVectorField,
     norm_r,
     project,
+    shifted_modes,
 )
 from .normalization_step import FarSolves, eliminate_far_perturbation
 from .number_theory import CFExpansion, GL2Z, S, Slope, V, act_on_slope, cf_expand
@@ -549,10 +550,9 @@ def stable_decay_probe(cf: CFExpansion, n: int, params: RenormParams,
 
     Each factor L_i = alpha_{i+1} [resonant projection at omega_{i+1}] o
     [mode transport by T_{a_i}]; a basis mode either dies at some
-    projection or transports to a single mode.  The transport
-    (k1, k2) -> (k2, k1 + a k2) is a bijection of Z^2, so survivors have
-    distinct sources and distinct images, and survivor s carries the
-    block w_s B.  The composed operator A is then block-diagonal up to a
+    projection or transports to a single mode.  The transport k -> T_a* k
+    is a bijection of Z^2, so survivors have distinct sources and distinct
+    images, and survivor s carries the block w_s B.  The composed operator A is then block-diagonal up to a
     permutation: the weighted-l1 norm is a column maximum, and
     A*A = diag(w_s^2 B^T B) gives ||A||_2 = max_s w_s sigma_max(B).  The
     modes move as one integer array and the block is formed once per j,
@@ -579,7 +579,7 @@ def stable_decay_probe(cf: CFExpansion, n: int, params: RenormParams,
             block = cf.tail_float(i + 1) * (t_inv @ block)
             # a coefficient above 2T kills the same modes: those with kk2 != 0
             a_i = min(a_i, 2 * truncation + 1)
-            kk = np.stack([kk[:, 1], kk[:, 0] + a_i * kk[:, 1]], axis=1)
+            kk = shifted_modes(kk, a_i)
             alive = ((np.abs(kk).sum(axis=1) <= truncation)
                      & cones[i + 1].contains_all(kk))
             k, kk = k[alive], kk[alive]

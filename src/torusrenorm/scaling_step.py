@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConeViolation, DomainError
 from .fourier_field import (FarResonant, FourierVectorField, cone_mask,
-                            contracts, mode_index, mode_l1)
+                            contracts, mode_index, mode_l1, shifted_modes)
 from .number_theory import t_matrix
 
 
@@ -52,8 +52,8 @@ def scale_step(
     ks = x.index.k[x.support()]
     violating = np.flatnonzero(~contracts(ks, a, kappa))
     if violating.size:
-        k = tuple(int(v) for v in ks[violating[0]])
-        image = (k[1], k[0] + a * k[1])
+        k = ks[violating[:1]]
+        k, image = tuple(k[0].tolist()), tuple(shifted_modes(k, a)[0].tolist())
         raise ConeViolation(
             f"mode {k} maps to {image}: ||T*k||={mode_l1(image)} > "
             f"kappa*||k||={kappa * mode_l1(k):.3f}; sigma/kappa mismatch"
@@ -79,7 +79,6 @@ class ConeCertificate:
     witness: tuple | None
     slopes: dict
     checked: int
-    k_max: int
 
 
 def cone_containment_certificate(
@@ -101,7 +100,7 @@ def cone_containment_certificate(
     missed = np.flatnonzero(resonant & ~contracts(index.k, a, kappa))
     witness = tuple(int(v) for v in index.k[missed[0]]) if missed.size else None
     checked = np.count_nonzero(resonant[:missed[0] + 1] if missed.size else resonant)
-    return ConeCertificate(witness is None, witness, slopes, int(checked), k_max)
+    return ConeCertificate(witness is None, witness, slopes, int(checked))
 
 
 def kappa_from_sigma(sigma: float) -> float:

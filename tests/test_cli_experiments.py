@@ -371,6 +371,20 @@ class TestScenarios:
         assert "not 'mixed' ones" in capsys.readouterr().err
         assert not (tmp_path / "mixed").exists()
 
+    @pytest.mark.parametrize("key, value", [("seed", "2"),
+                                            ("perturb", "mixed:1e-3")])
+    def test_project_field_in_reads_no_seed_or_perturb(self, key, value,
+                                                       tmp_path, capsys):
+        # a loaded field is not drawn, so these would be recorded unread
+        path = tmp_path / "field.json"
+        save_field(FourierVectorField.constant([1.0, 2.0], 8), path)
+        out = tmp_path / "out"
+        argv = ["project", "--field-in", str(path), "--out", str(out)]
+        assert main([*argv, "--" + key, value]) == 2
+        assert f"project --field-in reads no {key}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--perturb", DEFAULTS["perturb"]]) == 0
+
     def test_kappa_cone_shift_is_the_slope_floor(self, tmp_path):
         # every mode of a truncation-8 field; silver = 1 + sqrt 2 gives a = 2
         index = mode_index(8)
@@ -427,6 +441,17 @@ class TestScenarios:
             f"orbit_{run['tag']}.json" for run in runs]
         for path in orbit_manifests:
             assert json.loads(path.read_text())["runtime_seconds"] > 0
+
+    @pytest.mark.parametrize("amplitudes", ["1e-3;1e-3", "1e-3;0.001"])
+    def test_sweep_rejects_a_repeated_amplitude(self, amplitudes, tmp_path,
+                                                capsys):
+        # a repeat would run the same orbit again and overwrite its files
+        out = tmp_path / "out"
+        argv = ["sweep", "--seed", "1", "--perturb", f"resonant:{amplitudes}",
+                "--steps", "1", "--truncation", "8", "--out", str(out)]
+        assert main(argv) == 2
+        assert "sweep repeats the amplitude 0.001" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_decay_probe(self, tmp_path):
         _, (code, artifacts) = run("decay-probe", tmp_path, slope="golden",
@@ -827,6 +852,30 @@ def test_no_module_imports_scipy():
     assert imports
     assert [(name, module) for name, module in imports
             if module.split(".")[0] == "scipy"] == []
+
+
+# The values a user or a caller can set: defaulted parameters of named
+# functions at any depth, defaulted dataclass fields and the CLI's arguments.
+# A new setting has to raise this ceiling, in a recorded change of this test.
+SETTABLE_VALUES = 46
+
+
+def test_settable_values_stay_under_the_ceiling():
+    parameters, fields = [], []
+    for path in sorted(Path(torusrenorm.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                parameters += [(path.name, node.name)
+                               for d in node.args.defaults + node.args.kw_defaults
+                               if d is not None]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and item.value is not None]
+    options = [a.dest for a in build_parser()._actions if a.dest != "help"]
+    counts = (len(parameters), len(fields), len(options))
+    assert sum(counts) <= SETTABLE_VALUES, (counts, parameters, fields, options)
 
 
 # A fresh interpreter records OPENBLAS_NUM_THREADS when numpy is first

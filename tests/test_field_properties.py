@@ -28,6 +28,7 @@ from torusrenorm.fourier_field import (
     norm_prime_r,
     norm_r,
     project,
+    shifted_modes,
 )
 from torusrenorm.normalization_step import TorusMap
 from torusrenorm.number_theory import GL2Z, D, S, V, t_matrix
@@ -76,6 +77,16 @@ def reference_norm(x, r, prime=False):
         * math.exp(r * mode_l1(k))
         for k, c in x.modes.items()
     )
+
+
+def reference_contains(cone, k):
+    """The cone's inequality for the one mode k: |psi . k| <= sigma ||k||_1
+    for the resonance cone, ||T_a* k||_1 <= kappa ||k||_1 for the
+    contracting cone, with T_a* k = (k2, k1 + a k2)."""
+    if isinstance(cone, FarResonant):
+        dot = cone.psi[0] * k[0] + cone.psi[1] * k[1]
+        return abs(dot) <= cone.sigma * mode_l1(k)
+    return mode_l1((k[1], k[0] + cone.a * k[1])) <= cone.kappa * mode_l1(k)
 
 
 def cones(seed):
@@ -135,7 +146,8 @@ class TestProjection:
         x = random_field(seed, truncation)
         for cone in cones(seed):
             inside = project(x, cone, "inside")
-            assert set(inside.modes) == {k for k in x.modes if cone.contains(k)}
+            assert set(inside.modes) == {k for k in x.modes
+                                         if reference_contains(cone, k)}
             for k, c in inside.modes.items():
                 assert np.array_equal(c, x.modes[k])
 
@@ -213,6 +225,18 @@ class TestRoundTrips:
         for k, c in x.modes.items():
             assert np.allclose(fit.modes[k], c, rtol=0.0, atol=1e-15)
         assert report.alias_residual < 1e-15
+
+
+class TestShift:
+    @PROPERTY
+    @given(data=st.data(), truncation=st.integers(0, 40))
+    def test_shifted_modes_apply_the_shift_matrix(self, data, truncation):
+        # the shifts the decay probe applies at this truncation: it caps
+        # every coefficient at 2T + 1
+        a = data.draw(st.integers(1, 2 * truncation + 1))
+        ks = mode_index(truncation).k
+        expected = t_matrix(a).as_array() @ ks.T
+        assert shifted_modes(ks, a).tolist() == expected.T.tolist()
 
 
 class TestTransportIsBitExact:

@@ -699,10 +699,8 @@ class TestDiophantineProbe:
     def test_golden_constant_type(self):
         cf = cf_expand(Slope.golden(), 28)
         probe = diophantine_probe(cf, beta=0.0, n_max=25)
-        assert probe.K_q_max < 3
-        assert probe.K_a_max < 3
-        assert probe.K_beta_max < 3
-        assert probe.K_atilde_max < 3
+        assert list(probe.K_max) == ["q", "a", "beta", "Atilde"]
+        assert all(k_max < 3 for k_max in probe.K_max.values())
 
     def test_sqrt2_finite(self):
         cf = cf_expand(Slope.sqrt2(), 28)
@@ -720,7 +718,7 @@ class TestDiophantineProbe:
         cf = cf_expand(slope, 10)
         assert cf.coefficients == [2, 2] and cf.beta_floats[-1] == 0.0
         probe = diophantine_probe(cf, beta=0.0, n_max=10)
-        assert len(probe.n_values) == 0
+        assert len(probe.K_q) == 0
 
     def test_geometric_coefficients_escape(self):
         slope = Slope.from_cf_coefficients([2**n for n in range(11)])
